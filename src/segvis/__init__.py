@@ -83,6 +83,7 @@ from .visibility import (
     PairVerdict,
     VertexSet,
     classify_pair,
+    first_failing_pair,
     is_mutual_visibility_set,
     is_mutually_visible,
     verdict_json,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -143,12 +142,20 @@ def cmd_certificate(args) -> int:
     return EXIT_OK
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise CliError("--threads must be at least 1")
+
+
 def cmd_mu(args) -> int:
+    _check_threads(args.threads)
+    if args.time_budget is not None and not args.time_budget > 0:
+        raise CliError("--time-budget must be positive")
     ps = resolve_pointset(args)
     if ps.n < 5:
         raise CliError("mu needs n >= 5 (the graph must be connected)")
     g = build_disjointness_graph(ps)
-    if g.n_vertices > DESK_SCALE_WARN and not args.time_budget:
+    if g.n_vertices > DESK_SCALE_WARN and args.time_budget is None:
         print(
             f"warning: {g.n_vertices} vertices is beyond desk scale; "
             "consider --time-budget",
@@ -169,6 +176,7 @@ def cmd_mu(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    _check_threads(args.threads)
     rows = golden.run_golden_suite(threads=args.threads)
     all_pass = all(r["pass"] for r in rows)
     if args.format == "json" or args.out:
@@ -248,7 +256,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Disjointness graphs of planar segments: diameters, "
         "mutual-visibility numbers, blocker-set certificates.",
     )
-    default_threads = int(os.environ.get("SEGVIS_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build the graph and report its metrics")
@@ -265,13 +272,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mu", help="exact mutual-visibility number")
     _add_input_opts(p)
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("reproduce", help="run the golden reproduction table")
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reproduce)

@@ -40,8 +40,8 @@ from .geometry import (
     segment,
     strictly_inside_convex,
 )
-from .graph import DisjointnessGraph, build_disjointness_graph
-from .visibility import VertexSet, is_mutual_visibility_set
+from .graph import DisjointnessGraph, build_disjointness_graph, iter_bits
+from .visibility import first_failing_pair
 
 STRATEGY_FIVE_DISJOINT = "FiveDisjointClean"
 STRATEGY_EXPLICIT = "ExplicitBlockers"
@@ -312,9 +312,7 @@ class _Workspace:
         s_mask = 0
         for s in segs:
             s_mask |= 1 << self.g.vertex(s)
-        u = VertexSet(self.g.n_vertices, self.g.full_mask & ~s_mask)
-        ok, _ = is_mutual_visibility_set(self.g, u)
-        return ok
+        return first_failing_pair(self.g, self.g.full_mask & ~s_mask) is None
 
     def attempt(
         self, strategy: str, case: int | None, segs: list[SegmentId], desc: str
@@ -367,12 +365,7 @@ def _triangle_is_good(ws: _Workspace, frame: _Frame, x: int, i: int) -> bool:
     bad = g.full_mask & ~tri_mask
     for t in tri_ids:
         bad &= ~g.adj[t]
-    while bad:
-        v = (bad & -bad).bit_length() - 1
-        bad &= bad - 1
-        if g.segment_of(v) not in allowed:
-            return False
-    return True
+    return all(g.segment_of(v) in allowed for v in iter_bits(bad))
 
 
 def find_good_triangle(ps: PointSet, graph: DisjointnessGraph | None = None):
@@ -479,13 +472,7 @@ def _cw_triangle(frame: _Frame, idx: list[int]) -> list[int]:
 
 
 def _cross_ids(g: DisjointnessGraph, s: SegmentId):
-    out = set()
-    m = g.cross_mask[g.vertex(s)]
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        out.add(v)
-    return out
+    return set(iter_bits(g.cross_mask[g.vertex(s)]))
 
 
 def _quadrant_of(frame: _Frame, d1: SegmentId, d2: SegmentId, s: SegmentId):
@@ -1368,9 +1355,7 @@ def fallback_search(
             return None
         tried.add(mask)
         examined += 1
-        u = VertexSet(g.n_vertices, g.full_mask & ~mask)
-        ok, _ = is_mutual_visibility_set(g, u)
-        if ok:
+        if first_failing_pair(g, g.full_mask & ~mask) is None:
             blockers = tuple(sorted(g.segment_of(v) for v in ids))
             return Certificate(
                 strategy=STRATEGY_FALLBACK,

@@ -64,15 +64,7 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
 def is_general_position(points: Sequence[Point]) -> bool:
     """True iff the points are pairwise distinct with no collinear triple."""
     pts = [Point(p[0], p[1]) for p in points]
-    if len(set(pts)) != len(pts):
-        return False
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if cross(pts[i], pts[j], pts[k]) == 0:
-                    return False
-    return True
+    return len(set(pts)) == len(pts) and _find_collinear_triple(pts) is None
 
 
 def _validate_coord(v) -> int:
@@ -90,6 +82,9 @@ class PointSet:
     points: tuple[Point, ...]
 
     def __post_init__(self):
+        for p in self.points:
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise ValueError(f"point {p!r} is not an [x, y] pair")
         pts = tuple(
             Point(_validate_coord(p[0]), _validate_coord(p[1])) for p in self.points
         )
@@ -102,7 +97,7 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, coords: Iterable[Sequence[int]]) -> "PointSet":
-        return cls(tuple(Point(c[0], c[1]) for c in coords))
+        return cls(tuple(coords))
 
     @property
     def n(self) -> int:
@@ -459,7 +454,7 @@ def load_pointset(path: str | Path) -> PointSet:
         return PointSet.from_coords(rows)
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "points" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
         raise ValueError(f"{path}: expected an object with a 'points' array")
     return PointSet.from_coords(data["points"])
 

@@ -96,6 +96,28 @@ class DisjointnessGraph:
         return self.cross_mask[v] == 0
 
     @cached_property
+    def distance_layers(self) -> tuple[tuple[int, ...], ...]:
+        """distance_layers[a][k]: the vertices at distance exactly k from a,
+        for k = 0 .. the eccentricity of a; vertices a cannot reach lie in no
+        layer.  One BFS per source, shared by every distance query."""
+        adj = self.adj
+        out = []
+        for a in range(self.n_vertices):
+            seen = frontier = 1 << a
+            layers = [frontier]
+            while True:
+                reach = 0
+                for v in iter_bits(frontier):
+                    reach |= adj[v]
+                frontier = reach & ~seen
+                if not frontier:
+                    break
+                seen |= frontier
+                layers.append(frontier)
+            out.append(tuple(layers))
+        return tuple(out)
+
+    @cached_property
     def distance_matrix(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(distances_from(self, a)) for a in range(self.n_vertices))
 
@@ -107,57 +129,32 @@ def build_disjointness_graph(ps: PointSet) -> DisjointnessGraph:
     return DisjointnessGraph(ps)
 
 
+def iter_bits(m: int):
+    """Indices of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def distances_from(g: DisjointnessGraph, a: int) -> list:
     """Exact hop distances from a; unreachable vertices get math.inf."""
     dist = [INFINITY] * g.n_vertices
-    dist[a] = 0
-    seen = 1 << a
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        reach = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            reach |= g.adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
+    for d, layer in enumerate(g.distance_layers[a]):
+        for v in iter_bits(layer):
             dist[v] = d
     return dist
 
 
 def diameter(g: DisjointnessGraph):
     """Largest pairwise distance; math.inf iff the graph is disconnected."""
-    best = 0
-    for a in range(g.n_vertices):
-        row = g.distance_matrix[a]
-        worst = max(row)
-        if worst == INFINITY:
-            return INFINITY
-        if worst > best:
-            best = worst
-    return best
+    if not is_connected(g):
+        return INFINITY
+    return max(len(layers) for layers in g.distance_layers) - 1
 
 
 def is_connected(g: DisjointnessGraph) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            reach |= g.adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == g.full_mask
+    return sum(g.distance_layers[0]) == g.full_mask  # disjoint layers: sum = union
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +167,7 @@ def to_dot(g: DisjointnessGraph) -> str:
     for i, j in g.vertices:
         lines.append(f'  "{i}-{j}";')
     for u in range(g.n_vertices):
-        row = g.adj[u] >> (u + 1) << (u + 1)
-        while row:
-            v = (row & -row).bit_length() - 1
-            row &= row - 1
+        for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)):
             ui, uj = g.vertices[u]
             vi, vj = g.vertices[v]
             lines.append(f'  "{ui}-{uj}" -- "{vi}-{vj}";')
@@ -184,10 +178,7 @@ def to_dot(g: DisjointnessGraph) -> str:
 def to_json_dict(g: DisjointnessGraph) -> dict:
     edges = []
     for u in range(g.n_vertices):
-        row = g.adj[u] >> (u + 1) << (u + 1)
-        while row:
-            v = (row & -row).bit_length() - 1
-            row &= row - 1
+        for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)):
             edges.append([u, v])
     return {
         "n_points": g.n_points,

@@ -3,9 +3,11 @@
 The search exploits downward closure: every subset of a mutual-visibility
 set is one, so candidate sizes can be bracketed by refuting a single level
 exhaustively.  A level k is scanned through whichever of the k-subsets or
-their complements is the smaller family; each candidate set is rejected at
-its first blocked pair, with pairs probed in ascending graph distance so
-the cheap distance-2 failures surface first.
+their complements is the smaller family.  Each candidate U first meets a
+quick reject: a pair of U at distance 2 none of whose common neighbours
+lies outside U cannot be visible, and pairs with few common neighbours are
+tried first.  Candidates that survive it go to the single exact check,
+``visibility.first_failing_pair``.
 
 Levels can be scanned in parallel over lexicographic prefix chunks of the
 combination sequence; serial and parallel scans visit candidates in the
@@ -23,7 +25,7 @@ from typing import Optional
 
 from .geometry import PointSet
 from .graph import DisjointnessGraph, build_disjointness_graph, is_connected
-from .visibility import VertexSet, is_mutual_visibility_set
+from .visibility import VertexSet, first_failing_pair
 
 _PARALLEL_THRESHOLD = 50_000  # below this many candidates a level runs serial
 
@@ -68,88 +70,28 @@ def default_upper_bound(g: DisjointnessGraph) -> int:
 
 
 class _Probes:
-    """Precomputed blocked-pair probes for fast per-subset rejection."""
+    """Distance-2 quick reject in front of the exact blocker-set check."""
 
     def __init__(self, g: DisjointnessGraph):
         self.g = g
         nv = g.n_vertices
-        dist = g.distance_matrix
         d2 = []
-        d3 = []
-        d_far = []
         for a in range(nv):
             for b in range(a + 1, nv):
-                if g.are_adjacent(a, b):
-                    continue
-                pair_bits = (1 << a) | (1 << b)
-                d = dist[a][b]
-                if d == 2:
-                    n2 = g.adj[a] & g.adj[b]
-                    d2.append((pair_bits, n2, n2.bit_count()))
-                elif d == 3:
-                    d3.append((pair_bits, a, b))
-                else:
-                    d_far.append((pair_bits, a, b, d))
+                n2 = g.adj[a] & g.adj[b]
+                if n2 and not g.are_adjacent(a, b):  # distance 2
+                    d2.append(((1 << a) | (1 << b), n2, n2.bit_count()))
         # Pairs with few common neighbours fail most candidate sets; front-load them.
         d2.sort(key=lambda t: t[2])
         self.d2 = [(pb, n2) for pb, n2, _ in d2]
-        self.d3 = d3
-        self.d_far = d_far
 
     def failing_pair_exists(self, s_mask: int) -> bool:
         """Does the complement of s_mask contain a pair with no witness
         path through s_mask?"""
-        g = self.g
-        adj = g.adj
         for pair_bits, n2 in self.d2:
             if pair_bits & s_mask == 0 and n2 & s_mask == 0:
                 return True
-        for pair_bits, a, b in self.d3:
-            if pair_bits & s_mask:
-                continue
-            xs = adj[a] & s_mask
-            if not xs:
-                return True
-            ys = adj[b] & s_mask
-            if not ys:
-                return True
-            hit = False
-            m = xs
-            while m:
-                c = (m & -m).bit_length() - 1
-                m &= m - 1
-                if adj[c] & ys:
-                    hit = True
-                    break
-            if not hit:
-                return True
-        for pair_bits, a, b, d in self.d_far:
-            if pair_bits & s_mask:
-                continue
-            if not _restricted_reach(g, s_mask | pair_bits, a, b, d):
-                return True
-        return False
-
-
-def _restricted_reach(
-    g: DisjointnessGraph, allowed: int, a: int, b: int, limit
-) -> bool:
-    seen = 1 << a
-    frontier = seen
-    depth = 0
-    while frontier and depth < limit:
-        depth += 1
-        reach = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            reach |= g.adj[v]
-        frontier = reach & allowed & ~seen
-        seen |= frontier
-        if seen >> b & 1:
-            return True
-    return False
+        return first_failing_pair(self.g, self.g.full_mask & ~s_mask) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +111,25 @@ def _level_plan(nv: int, k: int) -> tuple[str, int]:
 
 
 def _scan_level_serial(
-    probes: _Probes, k: int, deadline: Optional[float]
+    probes: _Probes, k: int, deadline: Optional[float], first: Optional[int] = None
 ) -> tuple[str, Optional[int], int]:
-    """Scan every size-k set; returns (status, passing U mask or None, count)."""
+    """Scan every size-k set, or with ``first`` given only those whose
+    enumerated side starts with it; returns (status, passing U mask or None,
+    count)."""
     g = probes.g
     nv = g.n_vertices
     full = g.full_mask
     side, size = _level_plan(nv, k)
+    if first is None:
+        head, combos = 0, itertools.combinations(range(nv), size)
+    else:
+        head, combos = 1 << first, itertools.combinations(range(first + 1, nv), size - 1)
     examined = 0
-    for combo in itertools.combinations(range(nv), size):
+    for combo in combos:
         if deadline is not None and examined % 4096 == 0 and time.monotonic() > deadline:
             return TIMEOUT, None, examined
         examined += 1
-        mask = 0
+        mask = head
         for v in combo:
             mask |= 1 << v
         s_mask = mask if side == "complement" else full & ~mask
@@ -190,45 +138,17 @@ def _scan_level_serial(
     return REFUTED, None, examined
 
 
-def _scan_chunk(args) -> tuple[str, Optional[int], int]:
-    adj, n_points, k, first, deadline = args
-    g = _graph_from_adj(adj, n_points)
-    probes = _Probes(g)
-    nv = g.n_vertices
-    full = g.full_mask
-    side, size = _level_plan(nv, k)
-    examined = 0
-    rest = range(first + 1, nv)
-    tail = itertools.combinations(rest, size - 1) if size > 1 else [()]
-    for combo in tail:
-        if deadline is not None and examined % 4096 == 0 and time.monotonic() > deadline:
-            return TIMEOUT, None, examined
-        examined += 1
-        mask = 1 << first
-        for v in combo:
-            mask |= 1 << v
-        s_mask = mask if side == "complement" else full & ~mask
-        if not probes.failing_pair_exists(s_mask):
-            return FOUND, full & ~s_mask, examined
-    return REFUTED, None, examined
+_worker_probes: Optional[_Probes] = None
 
 
-class _GraphShim(DisjointnessGraph):
-    def __init__(self):  # bypass geometry; fields filled by _graph_from_adj
-        pass
+def _init_worker(g: DisjointnessGraph) -> None:
+    global _worker_probes
+    _worker_probes = _Probes(g)
 
 
-def _graph_from_adj(adj: tuple[int, ...], n_points: int) -> DisjointnessGraph:
-    from .geometry import all_segments
-
-    g = _GraphShim()
-    g.n_points = n_points
-    g.vertices = tuple(all_segments(n_points))
-    g.index_of = {s: i for i, s in enumerate(g.vertices)}
-    g.n_vertices = len(g.vertices)
-    g.full_mask = (1 << g.n_vertices) - 1
-    g.adj = adj
-    return g
+def _scan_prefix(args) -> tuple[str, Optional[int], int]:
+    k, first, deadline = args
+    return _scan_level_serial(_worker_probes, k, deadline, first)
 
 
 def _scan_level(
@@ -243,16 +163,15 @@ def _scan_level(
     total = comb(nv, size)
     if threads <= 1 or total < _PARALLEL_THRESHOLD or size == 0:
         return _scan_level_serial(probes, k, deadline)
-    chunks = [
-        (g.adj, g.n_points, k, first, deadline)
-        for first in range(0, nv - size + 1)
-    ]
+    chunks = [(k, first, deadline) for first in range(0, nv - size + 1)]
     examined = 0
     status = REFUTED
     witness = None
-    pool = ProcessPoolExecutor(max_workers=threads)
+    pool = ProcessPoolExecutor(
+        max_workers=threads, initializer=_init_worker, initargs=(g,)
+    )
     try:
-        for st, wit, cnt in pool.map(_scan_chunk, chunks):
+        for st, wit, cnt in pool.map(_scan_prefix, chunks):
             examined += cnt
             if st == FOUND:
                 status, witness = FOUND, wit
@@ -280,7 +199,7 @@ def refute_size(
     if not 0 < k <= g.n_vertices:
         raise ValueError("k must be within 1..|V|")
     probes = _Probes(g)
-    deadline = time.monotonic() + time_budget_s if time_budget_s else None
+    deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
     status, _, _ = _scan_level(g, probes, k, threads, deadline)
     if status == TIMEOUT:
         raise SolverTimeout(f"refutation of size {k} exceeded its budget")
@@ -314,7 +233,7 @@ def mu_exact(
     if not is_connected(g):
         raise ValueError("mu_exact needs a connected graph (n >= 5)")
     start = time.monotonic()
-    deadline = start + time_budget_s if time_budget_s else None
+    deadline = start + time_budget_s if time_budget_s is not None else None
     probes = _Probes(g)
     upper = upper_hint if upper_hint is not None else default_upper_bound(g)
     nv = g.n_vertices
@@ -333,8 +252,8 @@ def mu_exact(
 
     witness: Optional[VertexSet] = None
     if witness_hint is not None:
-        ok, failing = is_mutual_visibility_set(g, witness_hint)
-        if not ok:
+        failing = first_failing_pair(g, witness_hint.mask)
+        if failing is not None:
             raise ValueError(f"witness hint is not a mutual-visibility set: {failing}")
         witness = witness_hint
     elif lower_hint is not None:

@@ -1,10 +1,13 @@
 """Mutual-visibility verification on disjointness graphs.
 
 A set U of vertices is a mutual-visibility set when every pair in U is
-joined by some shortest path whose internal vertices all avoid U.  The
-verifier runs a breadth-first search restricted to (V \\ U) + {a, b} and
-compares against the unrestricted distance; a pair is visible exactly when
-the two distances agree.
+joined by some shortest path whose internal vertices all avoid U, that is,
+lie in the complement S = V \\ U.  One check decides this:
+``first_failing_pair`` walks the distance layers L_1, L_2, ... of each
+source a in U and keeps R_k, the vertices of L_k that a shortest path from
+a reaches while staying inside S.  A pair (a, b) at distance d is visible
+exactly when b has a neighbour in R_{d-1}.  ``is_mutually_visible`` runs
+the same walk for one pair and rebuilds a witness path from it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import INFINITY, DisjointnessGraph
+from .graph import INFINITY, DisjointnessGraph, iter_bits
 
 ADJACENT = "adjacent"
 DIST2 = "dist2"
@@ -47,13 +50,7 @@ class VertexSet:
         return cls(n_vertices, (1 << n_vertices) - 1)
 
     def indices(self) -> tuple[int, ...]:
-        out = []
-        m = self.mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            out.append(v)
-        return tuple(out)
+        return tuple(iter_bits(self.mask))
 
     def complement(self) -> "VertexSet":
         return VertexSet(self.n_vertices, ((1 << self.n_vertices) - 1) & ~self.mask)
@@ -84,34 +81,51 @@ def verdict_json(v: PairVerdict) -> dict:
     }
 
 
-def _restricted_path(g: DisjointnessGraph, allowed: int, a: int, b: int, limit: float):
-    """Shortest a-b path inside ``allowed`` with length <= limit, or None."""
-    parent = {a: -1}
-    frontier = 1 << a
-    seen = frontier
-    depth = 0
-    while frontier and depth < limit:
-        depth += 1
-        nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            reach = g.adj[v] & allowed & ~seen & ~nxt
-            r = reach
-            while r:
-                w = (r & -r).bit_length() - 1
-                r &= r - 1
-                parent[w] = v
-            nxt |= reach
-        seen |= nxt
-        if nxt >> b & 1:
-            path = [b]
-            while path[-1] != a:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return tuple(path)
-        frontier = nxt
+def _reach_layers(g: DisjointnessGraph, a: int, s_mask: int):
+    """Walk the distance layers of a, yielding (L_k, R_{k-1}, N(R_{k-1}))
+    for k = 1, 2, ...
+
+    R_0 = {a}; R_k holds the vertices of L_k inside s_mask that a shortest
+    path from a reaches with every vertex after a inside s_mask.  A vertex b
+    of L_k is joined to a by a shortest path with all internal vertices in
+    s_mask exactly when b lies in N(R_{k-1}).
+    """
+    adj = g.adj
+    reach = 1 << a
+    for layer in g.distance_layers[a][1:]:
+        nbrs = 0
+        for v in iter_bits(reach):
+            nbrs |= adj[v]
+        yield layer, reach, nbrs
+        reach = layer & s_mask & nbrs
+
+
+def first_failing_pair(
+    g: DisjointnessGraph, u_mask: int
+) -> Optional[tuple[int, int]]:
+    """The lexicographically first pair (a, b), a < b, of the vertex set
+    ``u_mask`` with no shortest path internally avoiding it, or None when
+    ``u_mask`` is a mutual-visibility set.  Pairs in different components
+    fail."""
+    s_mask = g.full_mask & ~u_mask
+    rest = u_mask
+    for a in iter_bits(u_mask):
+        rest ^= 1 << a
+        if not rest:
+            break
+        targets = rest
+        fail = 0
+        for layer, _, nbrs in _reach_layers(g, a, s_mask):
+            here = targets & layer
+            fail |= here & ~nbrs
+            targets ^= here
+            if fail:
+                targets &= (fail & -fail) - 1  # only a lower b can come first
+            if not targets:
+                break
+        fail |= targets  # left over: not reachable from a
+        if fail:
+            return a, next(iter_bits(fail))
     return None
 
 
@@ -125,32 +139,38 @@ def is_mutually_visible(
         raise ValueError("both endpoints must belong to the tested set")
     if a == b:
         raise ValueError("pair endpoints must be distinct")
-    dist = g.distance_matrix[a][b]
     if g.are_adjacent(a, b):
         return PairVerdict(a, b, True, 1, None, ADJACENT)
-    if dist == INFINITY:
+    reaches = []
+    for dist, (layer, reach, nbrs) in enumerate(
+        _reach_layers(g, a, g.full_mask & ~u.mask), start=1
+    ):
+        reaches.append(reach)
+        if layer >> b & 1:
+            break
+    else:
         return PairVerdict(a, b, False, INFINITY, None, None)
-    allowed = (g.full_mask & ~u.mask) | (1 << a) | (1 << b)
-    path = _restricted_path(g, allowed, a, b, dist)
-    if path is None:
+    if not nbrs >> b & 1:
         return PairVerdict(a, b, False, dist, None, None)
+    path = [b]
+    for reach in reversed(reaches):  # R_{dist-1}, ..., R_0 = {a}
+        path.append(next(iter_bits(reach & g.adj[path[-1]])))
+    path.reverse()
     return PairVerdict(
-        a, b, True, dist, path, _CONDITION_BY_DISTANCE.get(int(dist))
+        a, b, True, dist, tuple(path), _CONDITION_BY_DISTANCE.get(dist)
     )
 
 
 def is_mutual_visibility_set(
     g: DisjointnessGraph, u: VertexSet
 ) -> tuple[bool, Optional[PairVerdict]]:
-    """Check every unordered pair of U; on failure return the first failing
-    pair in lexicographic (a, b) order.  Empty and singleton sets pass."""
-    ids = u.indices()
-    for x, a in enumerate(ids):
-        for b in ids[x + 1 :]:
-            verdict = is_mutually_visible(g, u, a, b)
-            if not verdict.visible:
-                return False, verdict
-    return True, None
+    """Is U a mutual-visibility set?  On failure also return the verdict of
+    the first failing pair in lexicographic (a, b) order.  Empty and
+    singleton sets pass."""
+    pair = first_failing_pair(g, u.mask)
+    if pair is None:
+        return True, None
+    return False, is_mutually_visible(g, u, *pair)
 
 
 def classify_pair(
@@ -177,10 +197,7 @@ def classify_pair(
     if dist == 3:
         xs = g.adj[a] & s.mask
         ys = g.adj[b] & s.mask
-        m = xs
-        while m:
-            f1 = (m & -m).bit_length() - 1
-            m &= m - 1
+        for f1 in iter_bits(xs):
             if g.adj[f1] & ys:
                 return DIST3
         return None
@@ -188,22 +205,13 @@ def classify_pair(
         # Path a-f1-f2-f3-b inside s; the extra non-adjacency constraints on
         # a shortest such path are implied, but check them anyway.
         xs = g.adj[a] & s.mask
-        m1 = xs
-        while m1:
-            f1 = (m1 & -m1).bit_length() - 1
-            m1 &= m1 - 1
+        for f1 in iter_bits(xs):
             if g.are_adjacent(f1, b):
                 continue
-            m2 = g.adj[f1] & s.mask
-            while m2:
-                f2 = (m2 & -m2).bit_length() - 1
-                m2 &= m2 - 1
+            for f2 in iter_bits(g.adj[f1] & s.mask):
                 if g.are_adjacent(f2, a) or g.are_adjacent(f2, b):
                     continue
-                m3 = g.adj[f2] & g.adj[b] & s.mask
-                while m3:
-                    f3 = (m3 & -m3).bit_length() - 1
-                    m3 &= m3 - 1
+                for f3 in iter_bits(g.adj[f2] & g.adj[b] & s.mask):
                     if not g.are_adjacent(f3, a) and not g.are_adjacent(f1, f3):
                         return DIST4
         return None

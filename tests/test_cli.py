@@ -60,10 +60,21 @@ def test_build_rejects_collinear(tmp_path, capsys):
     assert "collinear triple" in capsys.readouterr().err
 
 
-def test_build_rejects_malformed(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{not json", id="not-json"),
+        pytest.param('{"points": "abc"}', id="points-string"),
+        pytest.param('{"points": 5}', id="points-number"),
+        pytest.param('{"points": [[1]]}', id="one-coordinate"),
+        pytest.param('{"points": [[0, 0], [4, 1], [1, 3, 9]]}', id="three-coordinates"),
+    ],
+)
+def test_build_rejects_malformed(tmp_path, capsys, text):
     bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
+    bad.write_text(text)
     assert run_cli("build", "--points", str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_certificate_json(tmp_path):
@@ -93,6 +104,8 @@ def test_mu_command(tmp_path):
     assert run_cli("mu", "--gen", "double-chain:3,6", "--out", str(out)) == 0
     data = json.loads(out.read_text())
     assert data["mu"] == 32 and data["refuted"] == 33
+    for threads in ("0", "-2"):
+        assert run_cli("mu", "--gen", "double-chain:3,6", "--threads", threads) == 2
 
 
 def test_mu_timeout_brackets(tmp_path):
@@ -102,6 +115,9 @@ def test_mu_timeout_brackets(tmp_path):
     data = json.loads(out.read_text())
     assert data["mu"] is None
     assert data["mu_lower"] == 40  # certificate bound survives the timeout
+    # a budget of zero or less is an input error, not "no budget"
+    for budget in ("0", "-1"):
+        assert run_cli("mu", "--gen", "convex:10", "--time-budget", budget) == 2
 
 
 def test_points_file_input(tmp_path):
@@ -132,3 +148,4 @@ def test_reproduce_writes_json(tmp_path):
     data = json.loads(out.read_text())
     assert data["all_pass"] is True
     assert any(r["name"] == "cacerola mu" for r in data["rows"])
+    assert run_cli("reproduce", "--threads", "0") == 2

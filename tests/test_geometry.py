@@ -81,6 +81,12 @@ def test_pointset_rejects_bad_input():
         PointSet.from_coords([(0, 0), (1, 2), (2 ** 31, 5)])
     with pytest.raises(CoordinateError):
         PointSet.from_coords([(0, 0), (1.5, 2), (3, 5)])
+    with pytest.raises(ValueError, match="pair"):
+        PointSet.from_coords([(0, 0), (1, 2), (3, 5, 7)])  # no silent truncation
+    with pytest.raises(ValueError, match="pair"):
+        PointSet.from_coords([(0, 0), (1,), (3, 5)])
+    with pytest.raises(ValueError, match="pair"):
+        PointSet.from_coords("abc")
 
 
 # -- intersection predicates ---------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from segvis.geometry import gen_convex, gen_random_general_position, segment
+from segvis.geometry import PointSet, gen_convex, gen_random_general_position, segment
 from segvis.graph import build_disjointness_graph
 from segvis.visibility import (
     ADJACENT,
@@ -16,7 +16,7 @@ from segvis.visibility import (
     verdict_json,
 )
 
-from oracles import oracle_is_mv_set, oracle_pair_visible
+from oracles import oracle_pair_visible
 
 
 def test_vertex_set_basics():
@@ -110,14 +110,48 @@ def test_restricted_bfs_matches_naive_oracle(cacerola_graph):
 
 
 def test_set_verdict_matches_naive_oracle():
+    # Random sets and complements of small blocker sets over a disconnected
+    # quadrilateral (unreachable pairs) and random sets with n = 5..8, plus
+    # sets holding a distance-4 pair of the convex pentagon.  The reported
+    # failing pair must be the oracle's lexicographically first one.
     rng = random.Random(23)
-    for seed in (1, 2):
-        ps = gen_random_general_position(6, seed=seed, bound=2000)
-        g = build_disjointness_graph(ps)
-        for _ in range(60):
-            ids = sorted(rng.sample(range(g.n_vertices), rng.randint(0, 7)))
-            u = VertexSet.from_indices(g.n_vertices, ids)
-            assert is_mutual_visibility_set(g, u)[0] == oracle_is_mv_set(g, ids)
+    quad = PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
+    graphs = [build_disjointness_graph(quad)] + [
+        build_disjointness_graph(gen_random_general_position(n, seed=seed, bound=2000))
+        for n, seed in ((5, 1), (6, 1), (6, 2), (7, 1), (8, 1))
+    ]
+    cases = []
+    for g in graphs:
+        nv = g.n_vertices
+        for _ in range(40):
+            cases.append((g, sorted(rng.sample(range(nv), rng.randint(0, min(nv, 7))))))
+            blockers = set(rng.sample(range(nv), rng.randint(0, min(nv, 9))))
+            cases.append((g, [v for v in range(nv) if v not in blockers]))
+    g5 = build_disjointness_graph(gen_convex(5))
+    far = [
+        (a, b)
+        for a, b in itertools.combinations(range(g5.n_vertices), 2)
+        if g5.distance_matrix[a][b] == 4
+    ]
+    assert far
+    for a, b in far:
+        for _ in range(12):
+            extra = rng.sample(range(g5.n_vertices), rng.randint(0, 6))
+            cases.append((g5, sorted({a, b, *extra})))
+    for g, ids in cases:
+        u = VertexSet.from_indices(g.n_vertices, ids)
+        ok, verdict = is_mutual_visibility_set(g, u)
+        first = next(
+            (
+                (a, b)
+                for a, b in itertools.combinations(ids, 2)
+                if not oracle_pair_visible(g, ids, a, b)
+            ),
+            None,
+        )
+        assert ok == (first is None)
+        if not ok:
+            assert (verdict.a, verdict.b) == first and not verdict.visible
 
 
 def test_downward_closure(cacerola_graph):
