@@ -19,13 +19,6 @@ from .constructions import (
     find_five_disjoint_clean,
     find_good_2set,
     find_good_triangle,
-    hull3_certificate,
-    hull4_certificate,
-    hull5_certificate,
-    hull6_certificate,
-    hull7_certificate,
-    hull89_certificate,
-    hull10plus_certificate,
     s_from_good_2set,
     s_from_good_triangle,
 )

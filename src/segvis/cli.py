@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation error, 3 reproduction or sweep
-mismatch, 4 result bracketed by the time budget.
+mismatch or no certificate could be built, 4 result bracketed by the time
+budget.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .graph import (
     INFINITY,
     build_disjointness_graph,
     diameter,
+    diameter_bounds,
     is_connected,
     to_dot,
     to_json_dict,
@@ -193,9 +195,6 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .graph import diameter as graph_diameter
-
-    diam_range = {5: (2, 4), 6: (2, 3), 7: (2, 3), 8: (2, 3)}
     stats = {
         "instances": 0,
         "diameter_violations": [],
@@ -210,8 +209,8 @@ def cmd_sweep(args) -> int:
             ps = gen_random_general_position(n, seed=seed, bound=args.bound)
             g = build_disjointness_graph(ps)
             stats["instances"] += 1
-            d = graph_diameter(g)
-            lo, hi = diam_range.get(n, (2, 2))
+            d = diameter(g)
+            lo, hi = diameter_bounds(n)
             if not (lo <= d <= hi):
                 stats["diameter_violations"].append(
                     {"n": n, "seed": seed, "diameter": d, "points": ps.coords()}
@@ -302,6 +301,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (GeneralPositionError, CoordinateError, GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

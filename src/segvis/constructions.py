@@ -2,26 +2,26 @@
 
 A *blocker set* S is a small set of segments whose complement is a
 mutual-visibility set of the disjointness graph, certifying
-mu(D(P)) >= C(n,2) - |S|.  Construction dispatches on the hull size and,
-within each hull size, walks an ordered case list; later cases may assume
-the earlier ones did not apply.  Every case is written against a fixed
-hull labelling; the dispatcher realises the "relabel without loss of
-generality" steps by scanning all rotations of the clockwise hull order,
-on the point set itself and on its y-mirrored copy (mirroring reverses the
+mu(D(P)) >= C(n,2) - |S|.  ``build_certificate`` is the one dispatcher: it
+builds one workspace (graph, hull and labelled frames), looks the hull size
+up in ``_CASE_TABLE`` and walks that size's ordered case list; later cases
+may assume the earlier ones did not apply.  Every case is written against a
+fixed hull labelling; the workspace realises the "relabel without loss of
+generality" steps by scanning all rotations of the clockwise hull order, on
+the point set itself and on its y-mirrored copy (mirroring reverses the
 cyclic orientation, covering the symmetric branches).
 
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
-slip into a loud diagnostic instead of a wrong certificate.  A bounded
-fallback search sits beneath the dispatch as a safety net; it is never
-expected to fire.
+slip into a loud diagnostic instead of a wrong certificate.  A fallback
+search, bounded by a candidate count and never by the clock, sits beneath
+the dispatch as a safety net; it is never expected to fire.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -43,7 +43,6 @@ from .geometry import (
 from .graph import DisjointnessGraph, build_disjointness_graph, iter_bits
 from .visibility import first_failing_pair
 
-STRATEGY_FIVE_DISJOINT = "FiveDisjointClean"
 STRATEGY_EXPLICIT = "ExplicitBlockers"
 STRATEGY_GOOD_TRIANGLE = "GoodTriangle"
 STRATEGY_GOOD_2SET = "Good2Set"
@@ -273,19 +272,17 @@ class _Frame:
 
 
 class _Workspace:
-    def __init__(self, ps: PointSet, g: DisjointnessGraph):
+    """One query's graph (built when not given), hull, frames and notes."""
+
+    def __init__(self, ps: PointSet, g: DisjointnessGraph | None = None):
         self.ps = ps
-        self.g = g
+        self.g = g if g is not None else build_disjointness_graph(ps)
         self.hull_data = convex_hull(ps)
         self.m = self.hull_data.m
         self.n = ps.n
         self.diagnostics: list[str] = []
         self._pts = list(ps.points)
         self._mirror_pts = [Point(p.x, -p.y) for p in ps.points]
-
-    @classmethod
-    def create(cls, ps: PointSet, g: DisjointnessGraph | None) -> "_Workspace":
-        return cls(ps, g if g is not None else build_disjointness_graph(ps))
 
     def note(self, msg: str) -> None:
         self.diagnostics.append(msg)
@@ -309,10 +306,8 @@ class _Workspace:
         return self._frame_list[0]
 
     def verify(self, segs: list[SegmentId]) -> bool:
-        s_mask = 0
-        for s in segs:
-            s_mask |= 1 << self.g.vertex(s)
-        return first_failing_pair(self.g, self.g.full_mask & ~s_mask) is None
+        g = self.g
+        return first_failing_pair(g, g.full_mask & ~g.mask_of(segs)) is None
 
     def attempt(
         self, strategy: str, case: int | None, segs: list[SegmentId], desc: str
@@ -351,10 +346,7 @@ def _triangle_is_good(ws: _Workspace, frame: _Frame, x: int, i: int) -> bool:
         segment(x, frame.H(i + 1)),
         frame.E(i),
     ]
-    tri_ids = [g.vertex(s) for s in tri]
-    tri_mask = 0
-    for t in tri_ids:
-        tri_mask |= 1 << t
+    tri_mask = g.mask_of(tri)
     allowed = {
         segment(frame.H(i), frame.H(i + 2)),
         segment(frame.H(i), frame.H(i + 3)),
@@ -363,7 +355,7 @@ def _triangle_is_good(ws: _Workspace, frame: _Frame, x: int, i: int) -> bool:
     }
     # Segments meeting all three triangle sides = non-neighbours of all three.
     bad = g.full_mask & ~tri_mask
-    for t in tri_ids:
+    for t in iter_bits(tri_mask):
         bad &= ~g.adj[t]
     return all(g.segment_of(v) in allowed for v in iter_bits(bad))
 
@@ -371,7 +363,7 @@ def _triangle_is_good(ws: _Workspace, frame: _Frame, x: int, i: int) -> bool:
 def find_good_triangle(ps: PointSet, graph: DisjointnessGraph | None = None):
     """First (x, hull position i) in scan order such that the triangle on x
     and hull edge i passes both good-triangle conditions; None otherwise."""
-    ws = _Workspace.create(ps, graph)
+    ws = _Workspace(ps, graph)
     if ws.m < 6:
         raise ValueError("good triangles need hull size >= 6")
     frame = ws.base_frame()
@@ -402,7 +394,7 @@ def s_from_good_triangle(
     ps: PointSet, x: int, i: int, graph: DisjointnessGraph | None = None
 ) -> Certificate:
     """Nine-segment blocker set built from a good triangle (hull size >= 6)."""
-    ws = _Workspace.create(ps, graph)
+    ws = _Workspace(ps, graph)
     if ws.m < 6:
         raise ConstructionError("good-triangle certificate needs hull size >= 6")
     frame = ws.base_frame()
@@ -522,9 +514,7 @@ def _validate_good_2set(
         return f"{e_l} is not interior to a lateral quadrant"
     if qr not in lateral or qr == ql:
         return f"{e_r} is not interior to the opposite lateral quadrant"
-    d_mask = 0
-    for s in _k4_segments(uv, xy):
-        d_mask |= 1 << g.vertex(s)
+    d_mask = g.mask_of(_k4_segments(uv, xy))
     for e in (e_l, e_r):
         if g.cross_mask[g.vertex(e)] & ~d_mask:
             return f"{e} is crossed outside the 4-point drawing"
@@ -535,7 +525,7 @@ def find_good_2set(ps: PointSet, graph: DisjointnessGraph | None = None):
     """Deterministic scan for a good 2-set: a drawn K4 on two disjoint clean
     segments with hull endpoints, plus one protected segment in each lateral
     quadrant.  Hull-edge base pairs are scanned first."""
-    ws = _Workspace.create(ps, graph)
+    ws = _Workspace(ps, graph)
     if ws.n < 8:
         return None
     g = ws.g
@@ -563,9 +553,7 @@ def find_good_2set(ps: PointSet, graph: DisjointnessGraph | None = None):
         if 0 in q_uv:
             continue
         lateral = [(q_uv[0], -q_uv[1]), (-q_uv[0], q_uv[1])]
-        d_mask = 0
-        for s in _k4_segments(uv, xy):
-            d_mask |= 1 << g.vertex(s)
+        d_mask = g.mask_of(_k4_segments(uv, xy))
         found: dict[tuple, SegmentId] = {}
         for e in g.vertices:
             q = _quadrant_of(frame, d1, d2, e)
@@ -587,7 +575,7 @@ def s_from_good_2set(
     """Eight-segment blocker set: the K4 drawing plus the two protected
     quadrant segments."""
     uv, xy, e_l, e_r = quadruple
-    ws = _Workspace.create(ps, graph)
+    ws = _Workspace(ps, graph)
     frame = ws.base_frame()
     reason = _validate_good_2set(ws, frame, uv, xy, e_l, e_r)
     if reason is not None:
@@ -628,7 +616,7 @@ def find_five_disjoint_clean(ps: PointSet, graph: DisjointnessGraph | None = Non
     has ten or more vertices); otherwise the clean segments are searched
     exhaustively in lexicographic order.
     """
-    ws = _Workspace.create(ps, graph)
+    ws = _Workspace(ps, graph)
     g = ws.g
     if ws.m >= 10:
         frame = ws.base_frame()
@@ -665,10 +653,8 @@ def _in_convex_position(pts: list[Point], idx: list[int]) -> bool:
     return True
 
 
-def hull3_certificate(
-    ps: PointSet, graph: DisjointnessGraph | None = None
-) -> Certificate:
-    """Blocker set of size 8 for triangular hulls (n >= 5).
+def _ch3(ws: _Workspace):
+    """Triangular hulls: blocker set of size 8.
 
     Some hull vertex u admits rotation neighbours u-, u+ in convex position
     with the other two hull vertices; the sweep argument guarantees this,
@@ -676,17 +662,12 @@ def hull3_certificate(
     The blocker set joins u to both neighbours and both neighbours to the
     opposite hull edge.
     """
-    ws = _Workspace.create(ps, graph)
-    if ws.m != 3:
-        raise ValueError("hull3_certificate needs a triangular hull")
-    if ws.n < 5:
-        raise ValueError("certificates need n >= 5")
     hull = ws.hull_data
     for i in range(3):
-        um, up = rotation_neighbors(ps, hull, i)
+        um, up = rotation_neighbors(ws.ps, hull, i)
         u, v, w = hull.hull[i], hull.hull[(i + 1) % 3], hull.hull[(i + 2) % 3]
-        if _in_convex_position(list(ps.points), [um, up, v, w]):
-            segs = [
+        if _in_convex_position(ws._pts, [um, up, v, w]):
+            yield f"apex={u}", [
                 segment(u, um),
                 segment(u, up),
                 segment(um, up),
@@ -696,10 +677,7 @@ def hull3_certificate(
                 segment(w, up),
                 segment(v, w),
             ]
-            cert = ws.attempt(STRATEGY_HULL3, None, segs, f"apex={u}")
-            if cert is not None:
-                return cert
-            return _fallback_certificate(ws)
+            return
     raise ConstructionError(
         "no hull vertex yields rotation neighbours in convex position with "
         "the other two; this contradicts the sweep argument and signals a "
@@ -707,15 +685,8 @@ def hull3_certificate(
     )
 
 
-def hull4_certificate(
-    ps: PointSet, graph: DisjointnessGraph | None = None
-) -> Certificate:
-    """Blocker set of size 9 for quadrilateral hulls (n >= 5)."""
-    ws = _Workspace.create(ps, graph)
-    if ws.m != 4:
-        raise ValueError("hull4_certificate needs a quadrilateral hull")
-    if ws.n < 5:
-        raise ValueError("certificates need n >= 5")
+def _ch4(ws: _Workspace):
+    """Quadrilateral hulls: blocker set of size 9."""
     for f in ws.frames():
         h = [f.H(k) for k in range(4)]
         # Triangle between edge (h2, h3) and the diagonal crossing.
@@ -731,7 +702,7 @@ def hull4_certificate(
         if not members:
             continue
         vp = f.closest_to_line(members, h[2], h[3])
-        segs = [
+        yield f.describe(), [
             segment(h[0], h[1]),
             segment(h[0], h[2]),
             segment(h[0], vp),
@@ -742,10 +713,6 @@ def hull4_certificate(
             segment(h[2], vp),
             segment(h[3], vp),
         ]
-        cert = ws.attempt(STRATEGY_HULL4, None, segs, f.describe())
-        if cert is not None:
-            return cert
-    return _fallback_certificate(ws)
 
 
 # ---------------------------------------------------------------------------
@@ -826,15 +793,6 @@ def _ch5_case5(ws: _Workspace):
         yield f.describe(), [
             f.seg(f.closest_to_point(r.ear_mid[k], f.H(k)), f.H(k)) for k in range(5)
         ]
-
-
-_CH5_CASES = [
-    (1, _ch5_case1),
-    (2, _ch5_case2),
-    (3, _ch5_case3),
-    (4, _ch5_case4),
-    (5, _ch5_case5),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -1058,18 +1016,6 @@ def _ch6_case8(ws: _Workspace):
         ]
 
 
-_CH6_CASES = [
-    (1, _ch6_case1),
-    (2, _ch6_case2),
-    (3, _ch6_case3),
-    (4, _ch6_case4),
-    (5, _ch6_case5),
-    (6, _ch6_case6),
-    (7, _ch6_case7),
-    (8, _ch6_case8),
-]
-
-
 # ---------------------------------------------------------------------------
 # Hull size 7
 
@@ -1239,53 +1185,12 @@ def _ch7_case7(ws: _Workspace):
             yield f.describe(), segs
 
 
-_CH7_CASES = [
-    (1, _ch7_case1),
-    (2, _ch7_case2),
-    (3, _ch7_case3),
-    (4, _ch7_case4),
-    (5, _ch7_case5),
-    (6, _ch7_case6),
-    (7, _ch7_case7),
-]
+# ---------------------------------------------------------------------------
+# Hull sizes 8 and above, and the case table
 
 
-def _dispatch_cases(ws: _Workspace, cases, strategy: str) -> Certificate:
-    for case_no, gen in cases:
-        for desc, segs in gen(ws):
-            cert = ws.attempt(strategy, case_no, segs, desc)
-            if cert is not None:
-                return cert
-    ws.note(f"{strategy}: no case produced a verified blocker set")
-    return _fallback_certificate(ws)
-
-
-def hull5_certificate(ps: PointSet, graph: DisjointnessGraph | None = None):
-    ws = _Workspace.create(ps, graph)
-    if ws.m != 5:
-        raise ValueError("hull5_certificate needs hull size 5")
-    return _dispatch_cases(ws, _CH5_CASES, STRATEGY_HULL5)
-
-
-def hull6_certificate(ps: PointSet, graph: DisjointnessGraph | None = None):
-    ws = _Workspace.create(ps, graph)
-    if ws.m != 6:
-        raise ValueError("hull6_certificate needs hull size 6")
-    return _dispatch_cases(ws, _CH6_CASES, STRATEGY_HULL6)
-
-
-def hull7_certificate(ps: PointSet, graph: DisjointnessGraph | None = None):
-    ws = _Workspace.create(ps, graph)
-    if ws.m != 7:
-        raise ValueError("hull7_certificate needs hull size 7")
-    return _dispatch_cases(ws, _CH7_CASES, STRATEGY_HULL7)
-
-
-def hull89_certificate(ps: PointSet, graph: DisjointnessGraph | None = None):
+def _ch89(ws: _Workspace):
     """Hull sizes 8 and 9: a good 2-set on two opposite hull edges."""
-    ws = _Workspace.create(ps, graph)
-    if ws.m not in (8, 9):
-        raise ValueError("hull89_certificate needs hull size 8 or 9")
     f = ws.base_frame()
     segs = _try_good_2set(
         ws,
@@ -1297,23 +1202,36 @@ def hull89_certificate(ps: PointSet, graph: DisjointnessGraph | None = None):
         "hull89",
     )
     if segs:
-        cert = ws.attempt(STRATEGY_HULL89, None, segs, f.describe())
-        if cert is not None:
-            return cert
-    return _fallback_certificate(ws)
+        yield f.describe(), segs
 
 
-def hull10plus_certificate(ps: PointSet, graph: DisjointnessGraph | None = None):
+def _ch10(ws: _Workspace):
     """Hull size >= 10: five alternating hull edges, pairwise disjoint."""
-    ws = _Workspace.create(ps, graph)
-    if ws.m < 10:
-        raise ValueError("hull10plus_certificate needs hull size >= 10")
     f = ws.base_frame()
-    segs = [f.E(k) for k in (0, 2, 4, 6, 8)]
-    cert = ws.attempt(STRATEGY_HULL10, None, segs, f.describe())
-    if cert is not None:
-        return cert
-    return _fallback_certificate(ws)
+    yield f.describe(), [f.E(k) for k in (0, 2, 4, 6, 8)]
+
+
+#: Hull size -> (strategy, ordered (case, generator) list); any hull size
+#: not listed takes _HULL10_ENTRY.
+_CASE_TABLE = {
+    3: (STRATEGY_HULL3, [(None, _ch3)]),
+    4: (STRATEGY_HULL4, [(None, _ch4)]),
+    5: (STRATEGY_HULL5, [
+        (1, _ch5_case1), (2, _ch5_case2), (3, _ch5_case3), (4, _ch5_case4),
+        (5, _ch5_case5),
+    ]),
+    6: (STRATEGY_HULL6, [
+        (1, _ch6_case1), (2, _ch6_case2), (3, _ch6_case3), (4, _ch6_case4),
+        (5, _ch6_case5), (6, _ch6_case6), (7, _ch6_case7), (8, _ch6_case8),
+    ]),
+    7: (STRATEGY_HULL7, [
+        (1, _ch7_case1), (2, _ch7_case2), (3, _ch7_case3), (4, _ch7_case4),
+        (5, _ch7_case5), (6, _ch7_case6), (7, _ch7_case7),
+    ]),
+    8: (STRATEGY_HULL89, [(None, _ch89)]),
+    9: (STRATEGY_HULL89, [(None, _ch89)]),
+}
+_HULL10_ENTRY = (STRATEGY_HULL10, [(None, _ch10)])
 
 
 # ---------------------------------------------------------------------------
@@ -1326,13 +1244,16 @@ def fallback_search(
     *,
     seed: int = 0,
     max_candidates: int = 1_000_000,
-    time_budget_s: float = 30.0,
     diagnostics: tuple[str, ...] = (),
+    hull: HullData | None = None,
 ) -> Certificate | None:
     """Bounded search for a verified blocker set, structured candidates
     first (hull-edge subsets, clean-segment subsets, hull-vertex stars),
-    then seeded random subsets.  Returns None when the budget runs out."""
-    hull = convex_hull(g.pointset)
+    then seeded random subsets (at most 20,000 per size).  Returns None when
+    ``max_candidates`` runs out; the outcome never depends on the clock.
+    ``hull`` is the convex hull of ``g.pointset`` when the caller has it."""
+    if hull is None:
+        hull = convex_hull(g.pointset)
     m = hull.m
     edge_ids = [
         g.vertex(segment(hull.hull[k], hull.hull[(k + 1) % m])) for k in range(m)
@@ -1342,7 +1263,6 @@ def fallback_search(
         h: sorted(v for v, s in enumerate(g.vertices) if h in s) for h in hull.hull
     }
     rng = random.Random(seed)
-    deadline = time.monotonic() + time_budget_s
     tried: set[int] = set()
     examined = 0
 
@@ -1368,10 +1288,9 @@ def fallback_search(
         return None
 
     for size in range(1, max_size + 1):
-        pools = [edge_ids, clean_ids]
-        for pool in pools:
+        for pool in (edge_ids, clean_ids):
             for ids in itertools.combinations(pool, size):
-                if examined >= max_candidates or time.monotonic() > deadline:
+                if examined >= max_candidates:
                     return None
                 got = check(ids)
                 if got:
@@ -1384,8 +1303,6 @@ def fallback_search(
                     return got
         random_tries = min(20000, max_candidates - examined)
         for _ in range(random_tries):
-            if time.monotonic() > deadline:
-                return None
             got = check(tuple(rng.sample(range(g.n_vertices), size)))
             if got:
                 return got
@@ -1394,7 +1311,9 @@ def fallback_search(
 
 def _fallback_certificate(ws: _Workspace) -> Certificate:
     ws.note("falling back to bounded search")
-    cert = fallback_search(ws.g, diagnostics=tuple(ws.diagnostics))
+    cert = fallback_search(
+        ws.g, diagnostics=tuple(ws.diagnostics), hull=ws.hull_data
+    )
     if cert is None:
         raise ConstructionError(
             f"fallback search exhausted its budget; diagnostics: {ws.diagnostics}"
@@ -1409,7 +1328,7 @@ def certificate_from_blockers(
     graph: DisjointnessGraph | None = None,
 ) -> Certificate:
     """Package and verify an externally chosen blocker set."""
-    ws = _Workspace.create(ps, graph)
+    ws = _Workspace(ps, graph)
     cert = ws.attempt(strategy, None, list(blockers), "explicit")
     if cert is None:
         raise ConstructionError(f"blocker set failed verification: {ws.diagnostics}")
@@ -1428,21 +1347,18 @@ def build_certificate(
     ps: PointSet, graph: DisjointnessGraph | None = None
 ) -> Certificate:
     """Verified blocker set of size <= 9 for any n >= 5 point set, chosen by
-    hull size.  Establishes mu(D(P)) >= C(n,2) - 9 constructively."""
+    hull size.  Establishes mu(D(P)) >= C(n,2) - 9 constructively.
+
+    The cases of the hull size are tried in order and the first verified
+    candidate wins; when none verifies, the fallback search decides."""
     if ps.n < 5:
         raise ValueError("certificates need n >= 5")
-    g = graph if graph is not None else build_disjointness_graph(ps)
-    m = convex_hull(ps).m
-    if m == 3:
-        return hull3_certificate(ps, g)
-    if m == 4:
-        return hull4_certificate(ps, g)
-    if m == 5:
-        return hull5_certificate(ps, g)
-    if m == 6:
-        return hull6_certificate(ps, g)
-    if m == 7:
-        return hull7_certificate(ps, g)
-    if m in (8, 9):
-        return hull89_certificate(ps, g)
-    return hull10plus_certificate(ps, g)
+    ws = _Workspace(ps, graph)
+    strategy, cases = _CASE_TABLE.get(ws.m, _HULL10_ENTRY)
+    for case_no, gen in cases:
+        for desc, segs in gen(ws):
+            cert = ws.attempt(strategy, case_no, segs, desc)
+            if cert is not None:
+                return cert
+    ws.note(f"{strategy}: no case produced a verified blocker set")
+    return _fallback_certificate(ws)

@@ -15,6 +15,10 @@ from .geometry import PointSet, SegmentId, all_segments, cross
 
 INFINITY = math.inf
 
+#: Diameter range a sweep accepts for n = 5..8 random points; any other n
+#: must give diameter 2.
+_DIAMETER_RANGE = {5: (2, 4), 6: (2, 3), 7: (2, 3), 8: (2, 3)}
+
 
 class DisjointnessGraph:
     """Immutable graph over the segments of a point set in general position."""
@@ -62,6 +66,13 @@ class DisjointnessGraph:
 
     def segment_of(self, v: int) -> SegmentId:
         return self.vertices[v]
+
+    def mask_of(self, segments) -> int:
+        """Bitmask of the vertices of the given segments."""
+        mask = 0
+        for s in segments:
+            mask |= 1 << self.index_of[s]
+        return mask
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -117,10 +128,6 @@ class DisjointnessGraph:
             out.append(tuple(layers))
         return tuple(out)
 
-    @cached_property
-    def distance_matrix(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(distances_from(self, a)) for a in range(self.n_vertices))
-
 
 def build_disjointness_graph(ps: PointSet) -> DisjointnessGraph:
     """Classify every segment pair with the exact intersection predicate."""
@@ -151,6 +158,11 @@ def diameter(g: DisjointnessGraph):
     if not is_connected(g):
         return INFINITY
     return max(len(layers) for layers in g.distance_layers) - 1
+
+
+def diameter_bounds(n: int) -> tuple[int, int]:
+    """The (lowest, highest) diameter a sweep accepts for n points."""
+    return _DIAMETER_RANGE.get(n, (2, 2))
 
 
 def is_connected(g: DisjointnessGraph) -> bool:

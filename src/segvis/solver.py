@@ -361,10 +361,7 @@ def check_bounds_report(
 
 
 def _witness_from_blockers(g: DisjointnessGraph, blockers) -> VertexSet:
-    mask = g.full_mask
-    for s in blockers:
-        mask &= ~(1 << g.vertex(s))
-    return VertexSet(g.n_vertices, mask)
+    return VertexSet(g.n_vertices, g.full_mask & ~g.mask_of(blockers))
 
 
 def mu_report_json(res: MuResult, g: DisjointnessGraph) -> dict:

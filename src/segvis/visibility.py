@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import INFINITY, DisjointnessGraph, iter_bits
+from .graph import INFINITY, DisjointnessGraph, distances_from, iter_bits
 
 ADJACENT = "adjacent"
 DIST2 = "dist2"
@@ -189,7 +189,7 @@ def classify_pair(
         raise ValueError("pair endpoints must be distinct")
     if g.are_adjacent(a, b):
         return ADJACENT
-    dist = g.distance_matrix[a][b]
+    dist = distances_from(g, a)[b]
     if dist == 2:
         if g.adj[a] & g.adj[b] & s.mask:
             return DIST2

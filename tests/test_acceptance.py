@@ -22,7 +22,7 @@ from segvis.geometry import (
     segment,
 )
 from segvis.golden import run_golden_suite
-from segvis.graph import build_disjointness_graph, diameter
+from segvis.graph import build_disjointness_graph, diameter, diameter_bounds
 from segvis.solver import _witness_from_blockers, mu_exact, refutation_count, refute_size
 from segvis.visibility import VertexSet, is_mutual_visibility_set, is_mutually_visible
 
@@ -30,13 +30,6 @@ from oracles import oracle_adjacency, oracle_pair_visible
 
 PER_N = 200
 NS = range(5, 13)
-
-DIAM_RANGE = {5: (2, 4), 6: (2, 3), 7: (2, 3), 8: (2, 3)}
-
-
-def diam_bounds(n):
-    return DIAM_RANGE.get(n, (2, 2))
-
 
 @dataclass
 class Sweep:
@@ -79,7 +72,7 @@ def test_criterion_02_diameter_sweep(sweep):
     violations = []
     for n, seed, ps, g in sweep.instances:
         d = diameter(g)
-        lo, hi = diam_bounds(n)
+        lo, hi = diameter_bounds(n)
         if not (lo <= d <= hi):
             violations.append((n, seed, d))
     assert diameter(build_disjointness_graph(cacerola_points())) == 3

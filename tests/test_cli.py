@@ -120,6 +120,15 @@ def test_mu_timeout_brackets(tmp_path):
         assert run_cli("mu", "--gen", "convex:10", "--time-budget", budget) == 2
 
 
+@pytest.mark.parametrize("command", ["certificate", "mu"])
+def test_failed_certificate_exits_3(capsys, command):
+    # random:8:8304 is a hull-7 lens instance whose fallback search runs dry
+    assert run_cli(command, "--gen", "random:8:8304") == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: fallback search exhausted its budget")
+    assert captured.out == ""
+
+
 def test_points_file_input(tmp_path):
     path = tmp_path / "pts.csv"
     save_pointset(cacerola_points(), path)

@@ -1,6 +1,10 @@
+import itertools
+import time
 from math import comb
 
 import pytest
+
+import segvis.constructions as constructions
 
 from segvis.constructions import (
     ConstructionError,
@@ -13,9 +17,6 @@ from segvis.constructions import (
     find_five_disjoint_clean,
     find_good_2set,
     find_good_triangle,
-    hull3_certificate,
-    hull4_certificate,
-    hull10plus_certificate,
     s_from_good_2set,
     s_from_good_triangle,
 )
@@ -133,7 +134,7 @@ def test_clean_sided_triangle_is_good():
         h = convex_hull(ps)
         if h.m < 6:
             continue
-        ws = _Workspace.create(ps, None)
+        ws = _Workspace(ps)
         f = ws.base_frame()
         for x in h.interior:
             for i in range(h.m):
@@ -194,14 +195,14 @@ def test_s_from_good_2set_rejects_invalid():
 def test_hull3_certificates():
     for seed in range(8):
         ps = hull3_instance(n_interior=2 + seed % 4, seed=seed)
-        cert = hull3_certificate(ps)
+        cert = build_certificate(ps)
         assert cert.strategy == "Hull3" and cert.size == 8 and cert.verified
         assert cert.mu_lower_bound == comb(ps.n, 2) - 8
 
 
 def test_hull4_certificate_single_interior():
     ps = PointSet.from_coords([(0, 0), (100, 0), (100, 100), (0, 100), (52, 47)])
-    cert = hull4_certificate(ps)
+    cert = build_certificate(ps)
     assert cert.strategy == "Hull4" and cert.size == 9 and cert.verified
     assert (
         sum(1 for s in cert.blockers if 4 in s) == 4
@@ -211,8 +212,8 @@ def test_hull4_certificate_single_interior():
 def test_hull4_tie_break_deterministic():
     # two interior points at the same exact distance from the bottom edge
     ps = PointSet.from_coords([(0, 0), (100, 0), (100, 100), (0, 100), (40, 30), (61, 30)])
-    cert1 = hull4_certificate(ps)
-    cert2 = hull4_certificate(ps)
+    cert1 = build_certificate(ps)
+    cert2 = build_certificate(ps)
     assert cert1.blockers == cert2.blockers
     assert cert1.verified
 
@@ -304,11 +305,6 @@ def test_hull89_and_hull10plus():
         }
 
 
-def test_hull10plus_requires_big_hull():
-    with pytest.raises(ValueError):
-        hull10plus_certificate(gen_convex(9))
-
-
 # -- dispatch and bounds ------------------------------------------------------------
 
 
@@ -336,6 +332,27 @@ def test_build_certificate_small_sweep():
     assert fallbacks == 0
 
 
+def test_build_certificate_computes_one_hull(monkeypatch):
+    # the hull-7 lens instance exhausts its cases and falls back: even then
+    # one call builds one workspace and computes the convex hull once
+    calls = {"hull": 0, "workspace": 0}
+    hull, init = constructions.convex_hull, constructions._Workspace.__init__
+
+    def counting_hull(ps):
+        calls["hull"] += 1
+        return hull(ps)
+
+    def counting_init(self, *args):
+        calls["workspace"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(constructions, "convex_hull", counting_hull)
+    monkeypatch.setattr(constructions._Workspace, "__init__", counting_init)
+    cert = build_certificate(gen_random_general_position(8, seed=8076, bound=10000))
+    assert cert.strategy == "FallbackSearch" and cert.verified
+    assert calls == {"hull": 1, "workspace": 1}
+
+
 def test_build_certificate_rejects_small_n():
     with pytest.raises(ValueError):
         build_certificate(gen_convex(4))
@@ -345,7 +362,7 @@ def test_hull_size_vs_blocker_size():
     # big hulls certify with 5 blockers, hulls of 8 or 9 with 8
     assert build_certificate(gen_convex(12)).size == 5
     assert build_certificate(gen_convex(8)).size == 8
-    assert hull3_certificate(hull3_instance(2, seed=3)).size == 8
+    assert build_certificate(hull3_instance(2, seed=3)).size == 8
 
 
 # -- explicit blockers, fallback, serialisation ----------------------------------
@@ -368,16 +385,21 @@ def test_certificate_from_blockers_rejects_bad_set():
         certificate_from_blockers(ps, [segment(h[0], h[1])])
 
 
-def test_fallback_search_finds_alternating_edges():
+def test_fallback_search_finds_alternating_edges(monkeypatch):
     g = build_disjointness_graph(gen_convex(10))
-    cert = fallback_search(g, max_size=5, time_budget_s=10.0)
+    cert = fallback_search(g, max_size=5)
     assert cert is not None and cert.strategy == "FallbackSearch"
     assert cert.size == 5 and cert.verified
+    # the outcome does not depend on the clock: a clock that jumps 100 s per
+    # reading gives the same five edges
+    clock = itertools.count(step=100.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    assert fallback_search(g, max_size=5) == cert
 
 
 def test_fallback_budget_contract():
     g = build_disjointness_graph(gen_random_general_position(6, seed=9, bound=2000))
-    got = fallback_search(g, max_size=1, max_candidates=3, time_budget_s=1.0)
+    got = fallback_search(g, max_size=1, max_candidates=3)
     assert got is None  # single blockers never verify on n=6
 
 

@@ -76,8 +76,8 @@ def test_distances(cacerola_graph):
 def test_distance_three_pair_frozen(cacerola_graph):
     # crossing diagonals far apart in the graph; value fixed by the oracle BFS
     g = cacerola_graph
-    assert g.distance_matrix[g.vertex((0, 3))][g.vertex((1, 4))] == 3
-    assert g.distance_matrix[g.vertex((0, 3))][g.vertex((1, 6))] == 2
+    assert distances_from(g, g.vertex((0, 3)))[g.vertex((1, 4))] == 3
+    assert distances_from(g, g.vertex((0, 3)))[g.vertex((1, 6))] == 2
 
 
 def test_diameter_values(cacerola_graph):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from segvis.geometry import PointSet, gen_convex, gen_random_general_position, segment
-from segvis.graph import build_disjointness_graph
+from segvis.graph import build_disjointness_graph, distances_from
 from segvis.visibility import (
     ADJACENT,
     DIST2,
@@ -131,7 +131,7 @@ def test_set_verdict_matches_naive_oracle():
     far = [
         (a, b)
         for a, b in itertools.combinations(range(g5.n_vertices), 2)
-        if g5.distance_matrix[a][b] == 4
+        if distances_from(g5, a)[b] == 4
     ]
     assert far
     for a, b in far:
@@ -240,7 +240,7 @@ def test_distance4_only_for_five_points():
         (a, b)
         for a in range(g5.n_vertices)
         for b in range(a + 1, g5.n_vertices)
-        if g5.distance_matrix[a][b] == 4
+        if distances_from(g5, a)[b] == 4
     ]
     assert far
     a, b = far[0]
@@ -252,7 +252,5 @@ def test_distance4_only_for_five_points():
             ps = gen_random_general_position(n, seed=seed, bound=3000)
             g = build_disjointness_graph(ps)
             assert all(
-                g.distance_matrix[a][b] <= 3
-                for a in range(g.n_vertices)
-                for b in range(g.n_vertices)
+                d <= 3 for a in range(g.n_vertices) for d in distances_from(g, a)
             )
