@@ -60,7 +60,6 @@ from .graph import (
 )
 from .solver import (
     MuResult,
-    SolverTimeout,
     check_bounds_report,
     default_upper_bound,
     mu_exact,

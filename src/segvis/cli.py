@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation error, 3 reproduction or sweep
-mismatch or no certificate could be built, 4 result bracketed by the time
-budget.
+mismatch, a bounds report that flags a defect, or no certificate could be
+built, 4 result bracketed by the time budget.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ import sys
 from pathlib import Path
 
 from . import golden
-from .constructions import ConstructionError, build_certificate, certificate_json
+from .constructions import (
+    ConstructionError,
+    build_certificate,
+    certificate_json,
+    double_chain_blocker,
+)
 from .geometry import (
     CoordinateError,
     GeneralPositionError,
@@ -34,7 +39,12 @@ from .graph import (
     to_dot,
     to_json_dict,
 )
-from .solver import _witness_from_blockers, mu_exact, mu_report_json
+from .solver import (
+    _witness_from_blockers,
+    check_bounds_report,
+    mu_exact,
+    mu_report_json,
+)
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -81,6 +91,8 @@ def resolve_pointset(args) -> PointSet:
             return load_pointset(args.points)
         except FileNotFoundError as exc:
             raise CliError(f"point file not found: {args.points}") from exc
+        except OSError as exc:
+            raise CliError(f"cannot read point file {args.points}: {exc}") from exc
         except (ValueError, CoordinateError, GeneralPositionError) as exc:
             raise CliError(f"invalid point file {args.points}: {exc}") from exc
     try:
@@ -144,15 +156,13 @@ def cmd_certificate(args) -> int:
     return EXIT_OK
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise CliError("--threads must be at least 1")
+def _check_time_budget(budget: float | None) -> None:
+    if budget is not None and not budget > 0:
+        raise CliError("--time-budget must be positive")
 
 
 def cmd_mu(args) -> int:
-    _check_threads(args.threads)
-    if args.time_budget is not None and not args.time_budget > 0:
-        raise CliError("--time-budget must be positive")
+    _check_time_budget(args.time_budget)
     ps = resolve_pointset(args)
     if ps.n < 5:
         raise CliError("mu needs n >= 5 (the graph must be connected)")
@@ -165,21 +175,30 @@ def cmd_mu(args) -> int:
         )
     cert = build_certificate(ps, g)
     witness = _witness_from_blockers(g, cert.blockers)
-    res = mu_exact(
-        g,
-        witness_hint=witness,
-        threads=args.threads,
-        time_budget_s=args.time_budget,
-    )
+    res = mu_exact(g, witness_hint=witness, time_budget_s=args.time_budget)
     data = mu_report_json(res, g)
     data["certificate"] = certificate_json(cert)
     _emit(_json_dumps(data), args.out)
     return EXIT_OK if res.mu is not None else EXIT_BRACKETED
 
 
+def cmd_bounds(args) -> int:
+    _check_time_budget(args.time_budget)
+    ps = resolve_pointset(args)
+    extra = None
+    if args.gen and args.gen.startswith("double-chain:"):
+        p, q = (int(t) for t in args.gen.partition(":")[2].split(","))
+        if p >= 2 and q >= 6:
+            extra = double_chain_blocker(p, q)
+    report = check_bounds_report(
+        ps, extra_blockers=extra, exact_time_budget_s=args.time_budget
+    )
+    _emit(_json_dumps(report), args.out)
+    return EXIT_OK if report["consistent"] else EXIT_MISMATCH
+
+
 def cmd_reproduce(args) -> int:
-    _check_threads(args.threads)
-    rows = golden.run_golden_suite(threads=args.threads)
+    rows = golden.run_golden_suite()
     all_pass = all(r["pass"] for r in rows)
     if args.format == "json" or args.out:
         _emit(_json_dumps({"rows": rows, "all_pass": all_pass}), args.out)
@@ -271,13 +290,19 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mu", help="exact mutual-visibility number")
     _add_input_opts(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mu)
 
+    p = sub.add_parser(
+        "bounds", help="certificate bound vs exact mu vs a-priori upper bound"
+    )
+    _add_input_opts(p)
+    p.add_argument("--time-budget", type=float, default=30.0)
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_bounds)
+
     p = sub.add_parser("reproduce", help="run the golden reproduction table")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reproduce)

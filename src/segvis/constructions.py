@@ -1242,15 +1242,15 @@ def fallback_search(
     g: DisjointnessGraph,
     max_size: int = 9,
     *,
-    seed: int = 0,
     max_candidates: int = 1_000_000,
     diagnostics: tuple[str, ...] = (),
     hull: HullData | None = None,
 ) -> Certificate | None:
     """Bounded search for a verified blocker set, structured candidates
     first (hull-edge subsets, clean-segment subsets, hull-vertex stars),
-    then seeded random subsets (at most 20,000 per size).  Returns None when
-    ``max_candidates`` runs out; the outcome never depends on the clock.
+    then random subsets from a fixed seed (at most 20,000 per size).
+    Returns None when ``max_candidates`` runs out; the outcome never depends
+    on the clock.
     ``hull`` is the convex hull of ``g.pointset`` when the caller has it."""
     if hull is None:
         hull = convex_hull(g.pointset)
@@ -1262,7 +1262,7 @@ def fallback_search(
     star_ids = {
         h: sorted(v for v, s in enumerate(g.vertices) if h in s) for h in hull.hull
     }
-    rng = random.Random(seed)
+    rng = random.Random(0)
     tried: set[int] = set()
     examined = 0
 

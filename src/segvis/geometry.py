@@ -442,18 +442,22 @@ def load_pointset(path: str | Path) -> PointSet:
     if path.suffix.lower() == ".csv":
         rows = []
         with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'x,y'")
-                try:
+            reader = csv.reader(fh)
+            try:
+                for row in reader:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    if len(row) != 2:
+                        raise ValueError("expected 'x,y'")
                     rows.append((int(row[0]), int(row[1])))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            except (csv.Error, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
         return PointSet.from_coords(rows)
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict) or not isinstance(data.get("points"), list):
         raise ValueError(f"{path}: expected an object with a 'points' array")
     return PointSet.from_coords(data["points"])

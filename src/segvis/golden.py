@@ -34,7 +34,7 @@ def _row(name: str, expected, computed) -> dict:
     }
 
 
-def run_golden_suite(threads: int = 1) -> list[dict]:
+def run_golden_suite() -> list[dict]:
     rows = []
 
     cac = cacerola_points()
@@ -59,9 +59,7 @@ def run_golden_suite(threads: int = 1) -> list[dict]:
     )
     ok, _ = is_mutual_visibility_set(g, visible)
     rows.append(_row("cacerola stored 12-set verifies", True, ok))
-    res = mu_exact(
-        g, witness_hint=_witness_from_blockers(g, cert.blockers), threads=threads
-    )
+    res = mu_exact(g, witness_hint=_witness_from_blockers(g, cert.blockers))
     rows.append(
         _row(
             "cacerola mu",
@@ -83,9 +81,7 @@ def run_golden_suite(threads: int = 1) -> list[dict]:
             {"strategy": cert10.strategy, "size": cert10.size},
         )
     )
-    res10 = mu_exact(
-        g10, witness_hint=_witness_from_blockers(g10, cert10.blockers), threads=threads
-    )
+    res10 = mu_exact(g10, witness_hint=_witness_from_blockers(g10, cert10.blockers))
     rows.append(
         _row(
             "convex:10 mu",
@@ -103,9 +99,7 @@ def run_golden_suite(threads: int = 1) -> list[dict]:
     blocker = double_chain_blocker(3, 6)
     cdc = certificate_from_blockers(dc, blocker, graph=gdc)
     rows.append(_row("double-chain:3,6 blocker verifies", True, cdc.verified))
-    resdc = mu_exact(
-        gdc, witness_hint=_witness_from_blockers(gdc, blocker), threads=threads
-    )
+    resdc = mu_exact(gdc, witness_hint=_witness_from_blockers(gdc, blocker))
     rows.append(
         _row(
             "double-chain:3,6 mu",

@@ -8,17 +8,12 @@ quick reject: a pair of U at distance 2 none of whose common neighbours
 lies outside U cannot be visible, and pairs with few common neighbours are
 tried first.  Candidates that survive it go to the single exact check,
 ``visibility.first_failing_pair``.
-
-Levels can be scanned in parallel over lexicographic prefix chunks of the
-combination sequence; serial and parallel scans visit candidates in the
-same canonical order and report identical results.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -27,15 +22,9 @@ from .geometry import PointSet
 from .graph import DisjointnessGraph, build_disjointness_graph, is_connected
 from .visibility import VertexSet, first_failing_pair
 
-_PARALLEL_THRESHOLD = 50_000  # below this many candidates a level runs serial
-
 REFUTED = "refuted"
 FOUND = "found"
 TIMEOUT = "timeout"
-
-
-class SolverTimeout(RuntimeError):
-    """Raised when a query cannot finish inside its time budget."""
 
 
 @dataclass(frozen=True)
@@ -110,26 +99,20 @@ def _level_plan(nv: int, k: int) -> tuple[str, int]:
     return side, (s if side == "complement" else k)
 
 
-def _scan_level_serial(
-    probes: _Probes, k: int, deadline: Optional[float], first: Optional[int] = None
+def _scan_level(
+    probes: _Probes, k: int, deadline: Optional[float]
 ) -> tuple[str, Optional[int], int]:
-    """Scan every size-k set, or with ``first`` given only those whose
-    enumerated side starts with it; returns (status, passing U mask or None,
-    count)."""
+    """Scan every size-k set; returns (status, passing U mask or None, count)."""
     g = probes.g
     nv = g.n_vertices
     full = g.full_mask
     side, size = _level_plan(nv, k)
-    if first is None:
-        head, combos = 0, itertools.combinations(range(nv), size)
-    else:
-        head, combos = 1 << first, itertools.combinations(range(first + 1, nv), size - 1)
     examined = 0
-    for combo in combos:
+    for combo in itertools.combinations(range(nv), size):
         if deadline is not None and examined % 4096 == 0 and time.monotonic() > deadline:
             return TIMEOUT, None, examined
         examined += 1
-        mask = head
+        mask = 0
         for v in combo:
             mask |= 1 << v
         s_mask = mask if side == "complement" else full & ~mask
@@ -138,71 +121,15 @@ def _scan_level_serial(
     return REFUTED, None, examined
 
 
-_worker_probes: Optional[_Probes] = None
-
-
-def _init_worker(g: DisjointnessGraph) -> None:
-    global _worker_probes
-    _worker_probes = _Probes(g)
-
-
-def _scan_prefix(args) -> tuple[str, Optional[int], int]:
-    k, first, deadline = args
-    return _scan_level_serial(_worker_probes, k, deadline, first)
-
-
-def _scan_level(
-    g: DisjointnessGraph,
-    probes: _Probes,
-    k: int,
-    threads: int,
-    deadline: Optional[float],
-) -> tuple[str, Optional[int], int]:
-    nv = g.n_vertices
-    side, size = _level_plan(nv, k)
-    total = comb(nv, size)
-    if threads <= 1 or total < _PARALLEL_THRESHOLD or size == 0:
-        return _scan_level_serial(probes, k, deadline)
-    chunks = [(k, first, deadline) for first in range(0, nv - size + 1)]
-    examined = 0
-    status = REFUTED
-    witness = None
-    pool = ProcessPoolExecutor(
-        max_workers=threads, initializer=_init_worker, initargs=(g,)
-    )
-    try:
-        for st, wit, cnt in pool.map(_scan_prefix, chunks):
-            examined += cnt
-            if st == FOUND:
-                status, witness = FOUND, wit
-                break
-            if st == TIMEOUT:
-                status = TIMEOUT
-                break
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    return status, witness, examined
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 
 
-def refute_size(
-    g: DisjointnessGraph,
-    k: int,
-    *,
-    threads: int = 1,
-    time_budget_s: Optional[float] = None,
-) -> bool:
+def refute_size(g: DisjointnessGraph, k: int) -> bool:
     """True iff no mutual-visibility set of size k exists (exhaustive)."""
     if not 0 < k <= g.n_vertices:
         raise ValueError("k must be within 1..|V|")
-    probes = _Probes(g)
-    deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
-    status, _, _ = _scan_level(g, probes, k, threads, deadline)
-    if status == TIMEOUT:
-        raise SolverTimeout(f"refutation of size {k} exceeded its budget")
+    status, _, _ = _scan_level(_Probes(g), k, None)
     return status == REFUTED
 
 
@@ -214,8 +141,6 @@ def refutation_count(g: DisjointnessGraph, k: int) -> int:
 
 def mu_exact(
     g: DisjointnessGraph,
-    lower_hint: Optional[int] = None,
-    upper_hint: Optional[int] = None,
     *,
     witness_hint: Optional[VertexSet] = None,
     threads: int = 1,
@@ -223,19 +148,24 @@ def mu_exact(
 ) -> MuResult:
     """Exact mu of a connected disjointness graph.
 
-    With a verified starting witness (or a correct lower hint) the search
-    ascends: it confirms the witness, then refutes one level above it;
-    downward closure makes that single exhaustive refutation cover every
-    larger size.  Without hints it descends from a sound upper bound,
-    refuting level by level.  On timeout the bracket found so far is
-    returned with ``mu`` = None.
+    With a verified starting witness the search ascends: it confirms the
+    witness, then refutes one level above it; downward closure makes that
+    single exhaustive refutation cover every larger size.  Without a
+    witness it descends from a sound upper bound, refuting level by level.
+    On timeout the bracket found so far is returned with ``mu`` = None.
+
+    The search is serial.  ``threads`` is kept only so that existing
+    callers passing ``threads=1`` keep working; any other value raises
+    ValueError.
     """
+    if threads != 1:
+        raise ValueError("mu_exact is serial; threads must be 1")
     if not is_connected(g):
         raise ValueError("mu_exact needs a connected graph (n >= 5)")
     start = time.monotonic()
     deadline = start + time_budget_s if time_budget_s is not None else None
     probes = _Probes(g)
-    upper = upper_hint if upper_hint is not None else default_upper_bound(g)
+    upper = default_upper_bound(g)
     nv = g.n_vertices
 
     def result(mu, lower, up, witness, refuted, exhaustive, examined):
@@ -250,24 +180,14 @@ def mu_exact(
             elapsed_s=time.monotonic() - start,
         )
 
-    witness: Optional[VertexSet] = None
     if witness_hint is not None:
         failing = first_failing_pair(g, witness_hint.mask)
         if failing is not None:
             raise ValueError(f"witness hint is not a mutual-visibility set: {failing}")
         witness = witness_hint
-    elif lower_hint is not None:
-        status, wit_mask, _ = _scan_level(g, probes, lower_hint, threads, deadline)
-        if status == TIMEOUT:
-            return result(None, 1, upper, None, None, False, 0)
-        if status == FOUND:
-            witness = VertexSet(nv, wit_mask)
-        # A wrong hint falls through to the hint-free search.
-
-    if witness is not None:
         k = len(witness) + 1
         while k <= nv:
-            status, wit_mask, examined = _scan_level(g, probes, k, threads, deadline)
+            status, wit_mask, examined = _scan_level(probes, k, deadline)
             if status == TIMEOUT:
                 return result(
                     None, len(witness), min(upper, k), witness, None, False, examined
@@ -279,13 +199,12 @@ def mu_exact(
             k += 1
         raise RuntimeError("the full vertex set verified; graph corrupt")
 
-    lower = 1
     prev_examined = 0
     k = upper
     while k >= 1:
-        status, wit_mask, examined = _scan_level(g, probes, k, threads, deadline)
+        status, wit_mask, examined = _scan_level(probes, k, deadline)
         if status == TIMEOUT:
-            return result(None, lower, k, None, None, False, examined)
+            return result(None, 1, k, None, None, False, examined)
         if status == FOUND:
             witness = VertexSet(nv, wit_mask)
             refuted = k + 1 if k < upper else None
@@ -300,10 +219,8 @@ def mu_exact(
 def check_bounds_report(
     ps: PointSet,
     *,
-    graph: Optional[DisjointnessGraph] = None,
     extra_blockers=None,
     exact_time_budget_s: Optional[float] = 30.0,
-    threads: int = 1,
 ) -> dict:
     """Certificate lower bound vs exact value vs a-priori upper bound.
 
@@ -317,7 +234,7 @@ def check_bounds_report(
 
     if ps.n < 5:
         raise ValueError("bounds report needs n >= 5")
-    g = graph if graph is not None else build_disjointness_graph(ps)
+    g = build_disjointness_graph(ps)
     cert = build_certificate(ps, g)
     if extra_blockers is not None:
         alt = certificate_from_blockers(ps, extra_blockers, graph=g)
@@ -340,9 +257,7 @@ def check_bounds_report(
         "defects": [],
     }
     witness = _witness_from_blockers(g, cert.blockers)
-    res = mu_exact(
-        g, witness_hint=witness, threads=threads, time_budget_s=exact_time_budget_s
-    )
+    res = mu_exact(g, witness_hint=witness, time_budget_s=exact_time_budget_s)
     report["refuted"] = res.refuted_size
     report["sets_examined"] = res.sets_examined
     if res.mu is not None:

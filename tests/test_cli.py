@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from segvis.cli import main, parse_gen_spec
 from segvis.geometry import cacerola_points, save_pointset
@@ -68,6 +70,7 @@ def test_build_rejects_collinear(tmp_path, capsys):
         pytest.param('{"points": 5}', id="points-number"),
         pytest.param('{"points": [[1]]}', id="one-coordinate"),
         pytest.param('{"points": [[0, 0], [4, 1], [1, 3, 9]]}', id="three-coordinates"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
     ],
 )
 def test_build_rejects_malformed(tmp_path, capsys, text):
@@ -75,6 +78,52 @@ def test_build_rejects_malformed(tmp_path, capsys, text):
     bad.write_text(text)
     assert run_cli("build", "--points", str(bad)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_build_rejects_oversized_csv_field(tmp_path, capsys):
+    bad = tmp_path / "broken.csv"
+    bad.write_text("1," + "2" * 200_000 + "\n")  # over the csv module's field limit
+    assert run_cli("build", "--points", str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_build_rejects_directory(tmp_path, capsys):
+    folder = tmp_path / "points.json"
+    folder.mkdir()
+    assert run_cli("build", "--points", str(folder)) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read point file")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["points", "x"]), inner, max_size=2),
+    max_leaves=12,
+)
+_FILE_TEXT = st.one_of(
+    st.text(max_size=80),
+    _JSON_VALUES.map(json.dumps),
+    st.text(alphabet="0123456789-,\n ", max_size=40),
+)
+_GEN_TOKENS = st.one_of(
+    st.sampled_from(["convex", "random", "double-chain", "cacerola", ":", ","]),
+    st.integers(0, 12).map(str),
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_FILE_TEXT, spec=st.lists(_GEN_TOKENS, max_size=7).map("".join))
+def test_build_ingestion_never_raises(tmp_path, text, spec):
+    # every point file and generator spec either builds or exits 2 with a message
+    for suffix in (".json", ".csv"):
+        path = tmp_path / f"fuzz{suffix}"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        assert run_cli("build", "--points", str(path)) in (0, 2)
+    assert run_cli("build", "--gen", spec) in (0, 2)
 
 
 def test_certificate_json(tmp_path):
@@ -104,8 +153,6 @@ def test_mu_command(tmp_path):
     assert run_cli("mu", "--gen", "double-chain:3,6", "--out", str(out)) == 0
     data = json.loads(out.read_text())
     assert data["mu"] == 32 and data["refuted"] == 33
-    for threads in ("0", "-2"):
-        assert run_cli("mu", "--gen", "double-chain:3,6", "--threads", threads) == 2
 
 
 def test_mu_timeout_brackets(tmp_path):
@@ -157,4 +204,26 @@ def test_reproduce_writes_json(tmp_path):
     data = json.loads(out.read_text())
     assert data["all_pass"] is True
     assert any(r["name"] == "cacerola mu" for r in data["rows"])
-    assert run_cli("reproduce", "--threads", "0") == 2
+
+
+def test_bounds_command(tmp_path):
+    out = tmp_path / "bounds.json"
+    assert run_cli("bounds", "--points", "cacerola", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert data["mu"] == 12 and data["consistent"] is True
+    assert run_cli("bounds", "--gen", "double-chain:3,6", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert data["mu"] == 32 and data["sets_examined"] == 7140
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--gen", "random:x"],
+        ["--gen", "convex:4"],
+        ["--points", "cacerola", "--time-budget", "0"],
+    ],
+)
+def test_bounds_rejects_bad_input(capsys, argv):
+    assert run_cli("bounds", *argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -51,18 +51,11 @@ def test_mu_exact_cacerola(cacerola, cacerola_graph):
     assert is_mutual_visibility_set(cacerola_graph, res.witness)[0]
 
 
-def test_mu_exact_drops_bad_lower_hint(cacerola_graph):
-    # a hint above mu finds nothing at that size and falls back to descent
-    res = mu_exact(cacerola_graph, lower_hint=13)
-    assert res.mu == 12
-
-
 def test_mu_exact_paths_agree(cacerola, cacerola_graph):
     asc = mu_exact(cacerola_graph, witness_hint=certificate_witness(cacerola, cacerola_graph))
     desc = mu_exact(cacerola_graph)
-    hint = mu_exact(cacerola_graph, lower_hint=12)
-    assert asc.mu == desc.mu == hint.mu == 12
-    assert asc.refuted_size == desc.refuted_size == hint.refuted_size == 13
+    assert asc.mu == desc.mu == 12
+    assert asc.refuted_size == desc.refuted_size == 13
 
 
 def test_mu_exact_convex5_matches_brute_force():
@@ -99,6 +92,12 @@ def test_mu_exact_rejects_bad_witness(cacerola_graph):
         mu_exact(cacerola_graph, witness_hint=full)
 
 
+def test_mu_exact_is_serial(cacerola_graph):
+    # threads survives only as a keyword that accepts 1
+    with pytest.raises(ValueError):
+        mu_exact(cacerola_graph, threads=2)
+
+
 def test_mu_bound_relations():
     for n, seed in ((6, 3), (7, 4)):
         ps = gen_random_general_position(n, seed=seed, bound=4000)
@@ -107,18 +106,6 @@ def test_mu_bound_relations():
         res = mu_exact(g, witness_hint=_witness_from_blockers(g, cert.blockers))
         assert res.mu >= cert.mu_lower_bound
         assert res.mu <= default_upper_bound(g)
-
-
-def test_parallel_matches_serial(cacerola, cacerola_graph):
-    w = certificate_witness(cacerola, cacerola_graph)
-    serial = mu_exact(cacerola_graph, witness_hint=w, threads=1)
-    parallel = mu_exact(cacerola_graph, witness_hint=w, threads=2)
-    assert (serial.mu, serial.refuted_size, serial.refutation_exhaustive) == (
-        parallel.mu,
-        parallel.refuted_size,
-        parallel.refutation_exhaustive,
-    )
-    assert serial.sets_examined == parallel.sets_examined  # full refutation scans
 
 
 def test_timeout_brackets(cacerola_graph):
