@@ -52,7 +52,7 @@ EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
 EXIT_BRACKETED = 4
 
-DESK_SCALE_WARN = 45  # vertices; larger exact runs want a time budget
+DESK_SCALE_WARN = 120  # vertices (n = 16); larger exact runs want a time budget
 
 
 class CliError(Exception):

@@ -3,23 +3,26 @@
 The search exploits downward closure: every subset of a mutual-visibility
 set is one, so candidate sizes can be bracketed by refuting a single level
 exhaustively.  A level k is scanned through whichever of the k-subsets or
-their complements is the smaller family.  Each candidate U first meets a
-quick reject: a pair of U at distance 2 none of whose common neighbours
-lies outside U cannot be visible, and pairs with few common neighbours are
-tried first.  Candidates that survive it go to the single exact check,
-``visibility.first_failing_pair``.
+their complements is the smaller family, in lexicographic order.  Each
+candidate U first meets a quick reject: a pair of U at distance 2 none of
+whose common neighbours lies outside U cannot be visible.  The scan walks
+the level depth first and counts whole subtrees of quick-rejected
+candidates with ``math.comb`` instead of visiting them; the candidates
+that survive go, in order, to the single exact check,
+``visibility.first_failing_pair``.  A level's count is therefore the
+number of candidates it covers, whether rejected in bulk or one by one,
+and equals that of a one-by-one scan.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
 from .geometry import PointSet
-from .graph import DisjointnessGraph, build_disjointness_graph, is_connected
+from .graph import DisjointnessGraph, build_disjointness_graph, is_connected, iter_bits
 from .visibility import VertexSet, first_failing_pair
 
 REFUTED = "refuted"
@@ -32,8 +35,10 @@ class MuResult:
     """Outcome of an exact (or budget-bracketed) mutual-visibility search.
 
     ``mu`` is None exactly when the time budget expired first; the bracket
-    [mu_lower, mu_upper] is then still valid.  ``sets_examined`` counts the
-    candidates scanned during the refutation of ``refuted_size``.
+    [mu_lower, mu_upper] is then still valid.  ``sets_examined`` is the
+    number of candidates the refutation of ``refuted_size`` covers: every
+    size-k set of that level, whether the quick reject dismissed it within
+    a subtree counted in bulk or the exact check tested it alone.
     """
 
     mu: Optional[int]
@@ -59,28 +64,34 @@ def default_upper_bound(g: DisjointnessGraph) -> int:
 
 
 class _Probes:
-    """Distance-2 quick reject in front of the exact blocker-set check."""
+    """Distance-2 quick reject in front of the exact blocker-set check.
+
+    A pair p = (a, b) at distance 2 is visible only through a, b or a common
+    neighbour lying in S = V \\ U, so U fails whenever S misses
+    T_p = {a, b} | (N(a) & N(b)).  ``T`` lists the T_p masks numbered by
+    their highest vertex; ``hit_by[v]`` is the bitmask of pairs whose T_p
+    holds v, and ``later[v]`` the OR of ``hit_by`` over the vertices >= v,
+    i.e. the pairs that a vertex >= v can still hit.
+    """
 
     def __init__(self, g: DisjointnessGraph):
         self.g = g
         nv = g.n_vertices
-        d2 = []
+        ts = []
         for a in range(nv):
             for b in range(a + 1, nv):
                 n2 = g.adj[a] & g.adj[b]
                 if n2 and not g.are_adjacent(a, b):  # distance 2
-                    d2.append(((1 << a) | (1 << b), n2, n2.bit_count()))
-        # Pairs with few common neighbours fail most candidate sets; front-load them.
-        d2.sort(key=lambda t: t[2])
-        self.d2 = [(pb, n2) for pb, n2, _ in d2]
-
-    def failing_pair_exists(self, s_mask: int) -> bool:
-        """Does the complement of s_mask contain a pair with no witness
-        path through s_mask?"""
-        for pair_bits, n2 in self.d2:
-            if pair_bits & s_mask == 0 and n2 & s_mask == 0:
-                return True
-        return first_failing_pair(self.g, self.g.full_mask & ~s_mask) is not None
+                    ts.append(n2 | (1 << a) | (1 << b))
+        ts.sort(key=int.bit_length)
+        self.T = ts
+        self.hit_by = [0] * nv
+        for p, t in enumerate(ts):
+            for v in iter_bits(t):
+                self.hit_by[v] |= 1 << p
+        self.later = [0] * (nv + 1)
+        for v in range(nv - 1, -1, -1):
+            self.later[v] = self.later[v + 1] | self.hit_by[v]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +99,12 @@ class _Probes:
 
 # A level-k scan enumerates candidate sets U of size k through the smaller
 # of (k-subsets, complements); the canonical order is the lexicographic
-# order of the enumerated side.
+# order of the enumerated side.  The walk skips a subtree as soon as some
+# pair's T_p can no longer meet S, which the quick reject would have done
+# to every candidate in it, so the first passing set and its 1-based index
+# are those of a one-by-one scan.
+
+_DEADLINE_EVERY = 4096  # walk nodes between deadline checks
 
 
 def _level_plan(nv: int, k: int) -> tuple[str, int]:
@@ -99,26 +115,106 @@ def _level_plan(nv: int, k: int) -> tuple[str, int]:
     return side, (s if side == "complement" else k)
 
 
+class _Expired(Exception):
+    def __init__(self, covered: int):
+        self.covered = covered
+
+
 def _scan_level(
     probes: _Probes, k: int, deadline: Optional[float]
 ) -> tuple[str, Optional[int], int]:
-    """Scan every size-k set; returns (status, passing U mask or None, count)."""
+    """Scan every size-k set; returns (status, passing U mask or None, count).
+
+    ``count`` is the number of candidates the scan covered, in the order of
+    the enumerated side: every size-k set when refuted, up to and including
+    the passing set when found.
+    """
     g = probes.g
     nv = g.n_vertices
     full = g.full_mask
+    T, hit_by, later = probes.T, probes.hit_by, probes.later
     side, size = _level_plan(nv, k)
-    examined = 0
-    for combo in itertools.combinations(range(nv), size):
-        if deadline is not None and examined % 4096 == 0 and time.monotonic() > deadline:
-            return TIMEOUT, None, examined
-        examined += 1
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        s_mask = mask if side == "complement" else full & ~mask
-        if not probes.failing_pair_exists(s_mask):
-            return FOUND, full & ~s_mask, examined
-    return REFUTED, None, examined
+    nodes = 0
+
+    def tick(before: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and nodes % _DEADLINE_EVERY == 0:
+            if time.monotonic() > deadline:
+                raise _Expired(before)
+
+    def passes(u_mask: int) -> bool:
+        return first_failing_pair(g, u_mask) is None
+
+    # A walk node chooses r more elements of the enumerated side from
+    # start..nv-1.  ``before`` candidates precede its subtree, and
+    # before + comb(nv - start, r) - comb(nv - x, r) precede its child x.
+    # ``unhit`` holds the pairs whose T_p no vertex of S meets yet.
+
+    def complement(start, r, s_mask, unhit, before):
+        # S is the enumerated set.
+        tick(before)
+        lowest = T[(unhit & -unhit).bit_length() - 1] if unhit else full
+        if r == 1:
+            # The last element must lie in every unhit T_p: try the
+            # vertices of the lowest one.
+            last = lowest >> start
+            while last:
+                low = last & -last
+                last ^= low
+                x = start + low.bit_length() - 1
+                if not unhit & ~hit_by[x] and passes(full & ~(s_mask | 1 << x)):
+                    return full & ~(s_mask | 1 << x), before + x - start + 1
+            return None
+        base = before + comb(nv - start, r)
+        # No element above the lowest unhit pair's top vertex can hit it.
+        stop = min(nv - r, lowest.bit_length() - 1)
+        for x in range(start, stop + 1):
+            rest = unhit & ~hit_by[x]
+            if rest & ~later[x + 1]:
+                continue
+            found = complement(
+                x + 1, r - 1, s_mask | 1 << x, rest, base - comb(nv - x, r)
+            )
+            if found:
+                return found
+        return None
+
+    def direct(start, r, u_mask, unhit, before):
+        # U is the enumerated set; the vertices it skips, and those left
+        # after its last element, form S.
+        tick(before)
+        base = before + comb(nv - start, r)
+        for x in range(start, nv - r + 1):
+            # [start, x) joined S and x joins U; S can still gain from
+            # (x, nv) unless the remaining r - 1 elements take all of it.
+            open_later = later[x + 1] if x < nv - r else 0
+            if not unhit & ~open_later:
+                if r == 1:
+                    if passes(u_mask | 1 << x):
+                        return u_mask | 1 << x, before + x - start + 1
+                else:
+                    found = direct(
+                        x + 1, r - 1, u_mask | 1 << x, unhit, base - comb(nv - x, r)
+                    )
+                    if found:
+                        return found
+            unhit &= ~hit_by[x]
+        return None
+
+    if deadline is not None and time.monotonic() > deadline:
+        return TIMEOUT, None, 0
+    if size == 0:
+        u_mask = full if side == "complement" else 0
+        return (FOUND, u_mask, 1) if passes(u_mask) else (REFUTED, None, 1)
+    walk = complement if side == "complement" else direct
+    try:
+        found = walk(0, size, 0, (1 << len(T)) - 1, 0)
+    except _Expired as expired:
+        return TIMEOUT, None, expired.covered
+    if found:
+        return (FOUND, *found)
+    return REFUTED, None, comb(nv, size)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +230,8 @@ def refute_size(g: DisjointnessGraph, k: int) -> bool:
 
 
 def refutation_count(g: DisjointnessGraph, k: int) -> int:
-    """Number of candidate sets a full level-k scan examines."""
+    """Number of candidate sets a full level-k scan covers: C(|V|, size)
+    for the enumerated side, counted in bulk or one by one alike."""
     side, size = _level_plan(g.n_vertices, k)
     return comb(g.n_vertices, size)
 
@@ -189,9 +286,8 @@ def mu_exact(
         while k <= nv:
             status, wit_mask, examined = _scan_level(probes, k, deadline)
             if status == TIMEOUT:
-                return result(
-                    None, len(witness), min(upper, k), witness, None, False, examined
-                )
+                # level k was not refuted, so only the a-priori bound holds
+                return result(None, len(witness), upper, witness, None, False, examined)
             if status == REFUTED:
                 size = len(witness)
                 return result(size, size, size, witness, k, True, examined)

@@ -186,6 +186,39 @@ def oracle_mu(g) -> int:
     return best
 
 
+def oracle_scan_level(g, k):
+    """A level-k scan that tests candidates one by one.
+
+    The enumerated side is the smaller family: the k-sets U themselves, or
+    their complements S = V \\ U when |V| - k <= k.  Returns ("found", U
+    mask, 1-based index) for its first set in lexicographic order whose U
+    is a mutual-visibility set, else ("refuted", None, C(|V|, size)).  The
+    exact decision is the library's ``first_failing_pair``; a distance-2
+    pair of U with every common neighbour in U is rejected before it,
+    which is sound and only saves time.
+    """
+    from segvis.visibility import first_failing_pair
+
+    nv = g.n_vertices
+    full = (1 << nv) - 1
+    complement = nv - k <= k
+    size = nv - k if complement else k
+    d2 = []
+    for a, b in itertools.combinations(range(nv), 2):
+        common = g.adj[a] & g.adj[b]
+        if common and not g.adj[a] >> b & 1:
+            d2.append((1 << a | 1 << b, common))
+    d2.sort(key=lambda t: t[1].bit_count())
+    for index, combo in enumerate(itertools.combinations(range(nv), size), start=1):
+        mask = sum(1 << v for v in combo)
+        s_mask = mask if complement else full & ~mask
+        if any(ends & s_mask == 0 and common & s_mask == 0 for ends, common in d2):
+            continue
+        if first_failing_pair(g, full & ~s_mask) is None:
+            return "found", full & ~s_mask, index
+    return "refuted", None, math.comb(nv, size)
+
+
 def float_rotation_neighbors(coords, hull_cycle, i):
     """First/last point swept by the rotating hull-edge line, via float
     angles.  Valid for small integer coordinates (angles never tie under

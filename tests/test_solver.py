@@ -3,9 +3,18 @@ from math import comb
 import pytest
 
 from segvis.constructions import build_certificate, double_chain_blocker
-from segvis.geometry import gen_convex, gen_double_chain, gen_random_general_position
+from segvis.geometry import (
+    cacerola_points,
+    gen_convex,
+    gen_double_chain,
+    gen_random_general_position,
+)
 from segvis.graph import build_disjointness_graph
 from segvis.solver import (
+    TIMEOUT,
+    _level_plan,
+    _Probes,
+    _scan_level,
     _witness_from_blockers,
     check_bounds_report,
     default_upper_bound,
@@ -16,7 +25,7 @@ from segvis.solver import (
 )
 from segvis.visibility import VertexSet, is_mutual_visibility_set
 
-from oracles import oracle_mu
+from oracles import oracle_mu, oracle_scan_level
 
 
 def certificate_witness(ps, g):
@@ -39,6 +48,40 @@ def test_refutation_monotone():
     for k in range(7, 11):
         assert refute_size(g, k)
     assert not refute_size(g, 5)
+
+
+def test_scan_level_matches_one_by_one_scan():
+    # Every level of small random graphs, plus the refuted levels of two
+    # golden instances: the pruned walk must report the oracle's status,
+    # first passing set and count.
+    cases = []
+    for n, seeds in ((5, range(10)), (6, range(10)), (7, range(2))):
+        for seed in seeds:
+            ps = gen_random_general_position(n, seed=seed, bound=3000)
+            g = build_disjointness_graph(ps)
+            cases.append((g, range(1, g.n_vertices + 1)))
+    cases.append((build_disjointness_graph(cacerola_points()), [13]))
+    cases.append((build_disjointness_graph(gen_double_chain(3, 6)), [33]))
+    seen = set()
+    for g, levels in cases:
+        probes = _Probes(g)
+        for k in levels:
+            expected = oracle_scan_level(g, k)
+            assert _scan_level(probes, k, None) == expected, (g.pointset.coords, k)
+            seen.add((_level_plan(g.n_vertices, k)[0], expected[0]))
+    assert {("direct", "found"), ("complement", "found"),
+            ("complement", "refuted")} <= seen
+    assert expected == ("refuted", None, 7140)  # double-chain:3,6, the last case
+
+
+def test_scan_level_deadline_mid_walk(monkeypatch):
+    ps = gen_random_general_position(9, seed=60000, bound=10000)
+    g = build_disjointness_graph(ps)
+    readings = iter([0.0])  # the first reading is on time, later ones late
+    monkeypatch.setattr("segvis.solver.time.monotonic", lambda: next(readings, 2.0))
+    status, mask, count = _scan_level(_Probes(g), 30, 1.0)
+    assert status == TIMEOUT and mask is None
+    assert 0 < count < 1532647  # the level's first passing set has that index
 
 
 def test_mu_exact_cacerola(cacerola, cacerola_graph):
@@ -115,6 +158,19 @@ def test_timeout_brackets(cacerola_graph):
     assert not res.refutation_exhaustive
 
 
+def test_ascent_timeout_keeps_a_sound_upper_bound():
+    # The budget expires while the ascent scans the level above the
+    # certificate witness; that level is not refuted, so mu_upper may not
+    # drop below the a-priori bound (mu is 30 here).
+    ps = gen_random_general_position(9, seed=60000, bound=10000)
+    g = build_disjointness_graph(ps)
+    witness = certificate_witness(ps, g)
+    res = mu_exact(g, witness_hint=witness, time_budget_s=1e-9)
+    assert res.mu is None
+    assert res.mu_lower == len(witness) < 30
+    assert res.mu_upper == default_upper_bound(g) >= 30
+
+
 def test_mu_report_json(cacerola, cacerola_graph):
     res = mu_exact(cacerola_graph, witness_hint=certificate_witness(cacerola, cacerola_graph))
     data = mu_report_json(res, cacerola_graph)
@@ -145,4 +201,5 @@ def test_check_bounds_report_brackets_on_budget():
     assert report["mu"] is None
     assert report["mu_lower"] >= comb(12, 2) - 9
     assert report["mu_lower"] <= report["mu_upper"]
+    assert report["mu_upper"] == comb(12, 2) - 4  # no level above was refuted
     assert report["consistent"]
