@@ -63,6 +63,41 @@ def default_upper_bound(g: DisjointnessGraph) -> int:
 # Per-graph probe tables
 
 
+class _Expired(Exception):
+    def __init__(self, covered: int):
+        self.covered = covered
+
+
+def _check_deadline(deadline: Optional[float], covered: int) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Expired(covered)
+
+
+# _BIT_DIGITS[i] maps a byte to the ASCII digit of its bit i.
+_BIT_DIGITS = [bytes(0x30 | (byte >> i & 1) for byte in range(256)) for i in range(8)]
+
+
+def _columns(rows: list[int], n_cols: int, deadline: Optional[float] = None) -> list[int]:
+    """Transpose a bit matrix: bit p of column v is bit v of rows[p].
+
+    With the rows laid out as bytes, last row first, a strided slice takes
+    one byte of every row, and one bit of those bytes, read as binary
+    digits, is a column.  The cost is linear in the size of the matrix.
+    Raises ``_Expired`` once ``deadline`` has passed.
+    """
+    if not rows:
+        return [0] * n_cols
+    width = (n_cols + 7) // 8
+    laid_out = b"".join(row.to_bytes(width, "little") for row in reversed(rows))
+    cols = []
+    for j in range(width):
+        _check_deadline(deadline, 0)
+        byte_column = laid_out[j::width]
+        for i in range(min(8, n_cols - 8 * j)):
+            cols.append(int(byte_column.translate(_BIT_DIGITS[i]), 2))
+    return cols
+
+
 class _Probes:
     """Distance-2 quick reject in front of the exact blocker-set check.
 
@@ -71,24 +106,25 @@ class _Probes:
     T_p = {a, b} | (N(a) & N(b)).  ``T`` lists the T_p masks numbered by
     their highest vertex; ``hit_by[v]`` is the bitmask of pairs whose T_p
     holds v, and ``later[v]`` the OR of ``hit_by`` over the vertices >= v,
-    i.e. the pairs that a vertex >= v can still hit.
+    i.e. the pairs that a vertex >= v can still hit.  Building the tables
+    raises ``_Expired`` once ``deadline`` has passed.
     """
 
-    def __init__(self, g: DisjointnessGraph):
+    def __init__(self, g: DisjointnessGraph, deadline: Optional[float] = None):
         self.g = g
         nv = g.n_vertices
         ts = []
         for a in range(nv):
-            for b in range(a + 1, nv):
-                n2 = g.adj[a] & g.adj[b]
-                if n2 and not g.are_adjacent(a, b):  # distance 2
+            _check_deadline(deadline, 0)
+            adj_a = g.adj[a]
+            # distance 2: b > a is no neighbour of a but shares one with it
+            for b in iter_bits(g.full_mask & ~adj_a & -(2 << a)):
+                n2 = adj_a & g.adj[b]
+                if n2:
                     ts.append(n2 | (1 << a) | (1 << b))
         ts.sort(key=int.bit_length)
         self.T = ts
-        self.hit_by = [0] * nv
-        for p, t in enumerate(ts):
-            for v in iter_bits(t):
-                self.hit_by[v] |= 1 << p
+        self.hit_by = _columns(ts, nv, deadline)
         self.later = [0] * (nv + 1)
         for v in range(nv - 1, -1, -1):
             self.later[v] = self.later[v + 1] | self.hit_by[v]
@@ -104,8 +140,6 @@ class _Probes:
 # to every candidate in it, so the first passing set and its 1-based index
 # are those of a one-by-one scan.
 
-_DEADLINE_EVERY = 4096  # walk nodes between deadline checks
-
 
 def _level_plan(nv: int, k: int) -> tuple[str, int]:
     s = nv - k
@@ -115,9 +149,20 @@ def _level_plan(nv: int, k: int) -> tuple[str, int]:
     return side, (s if side == "complement" else k)
 
 
-class _Expired(Exception):
-    def __init__(self, covered: int):
-        self.covered = covered
+def _walk(root) -> Optional[tuple[int, int]]:
+    """Depth-first walk whose nodes are generators: a node yields its
+    children, as generators, or a found (mask, index) pair.  The explicit
+    stack keeps levels of any size clear of the recursion limit."""
+    stack = [root]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        elif type(item) is tuple:
+            return item
+        else:
+            stack.append(item)
+    return None
 
 
 def _scan_level(
@@ -127,21 +172,13 @@ def _scan_level(
 
     ``count`` is the number of candidates the scan covered, in the order of
     the enumerated side: every size-k set when refuted, up to and including
-    the passing set when found.
+    the passing set when found.  The deadline is read at every walk node.
     """
     g = probes.g
     nv = g.n_vertices
     full = g.full_mask
     T, hit_by, later = probes.T, probes.hit_by, probes.later
     side, size = _level_plan(nv, k)
-    nodes = 0
-
-    def tick(before: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and nodes % _DEADLINE_EVERY == 0:
-            if time.monotonic() > deadline:
-                raise _Expired(before)
 
     def passes(u_mask: int) -> bool:
         return first_failing_pair(g, u_mask) is None
@@ -151,39 +188,44 @@ def _scan_level(
     # before + comb(nv - start, r) - comb(nv - x, r) precede its child x.
     # ``unhit`` holds the pairs whose T_p no vertex of S meets yet.
 
-    def complement(start, r, s_mask, unhit, before):
-        # S is the enumerated set.
-        tick(before)
+    def complement_last(start, s_mask, unhit, before):
+        # S is the enumerated set, all but its last element chosen.  That
+        # element must lie in every unhit T_p: try the vertices of the
+        # lowest one.  A plain call, as leaves are most of the walk.
+        _check_deadline(deadline, before)
         lowest = T[(unhit & -unhit).bit_length() - 1] if unhit else full
-        if r == 1:
-            # The last element must lie in every unhit T_p: try the
-            # vertices of the lowest one.
-            last = lowest >> start
-            while last:
-                low = last & -last
-                last ^= low
-                x = start + low.bit_length() - 1
-                if not unhit & ~hit_by[x] and passes(full & ~(s_mask | 1 << x)):
-                    return full & ~(s_mask | 1 << x), before + x - start + 1
-            return None
+        last = lowest >> start
+        while last:
+            low = last & -last
+            last ^= low
+            x = start + low.bit_length() - 1
+            if not unhit & ~hit_by[x] and passes(full & ~(s_mask | 1 << x)):
+                return full & ~(s_mask | 1 << x), before + x - start + 1
+        return None
+
+    def complement(start, r, s_mask, unhit, before):
+        # S is the enumerated set; r >= 2.
+        _check_deadline(deadline, before)
         base = before + comb(nv - start, r)
         # No element above the lowest unhit pair's top vertex can hit it.
+        lowest = T[(unhit & -unhit).bit_length() - 1] if unhit else full
         stop = min(nv - r, lowest.bit_length() - 1)
         for x in range(start, stop + 1):
             rest = unhit & ~hit_by[x]
             if rest & ~later[x + 1]:
                 continue
-            found = complement(
-                x + 1, r - 1, s_mask | 1 << x, rest, base - comb(nv - x, r)
-            )
-            if found:
-                return found
-        return None
+            child_before = base - comb(nv - x, r)
+            if r > 2:
+                yield complement(x + 1, r - 1, s_mask | 1 << x, rest, child_before)
+            else:
+                found = complement_last(x + 1, s_mask | 1 << x, rest, child_before)
+                if found:
+                    yield found
 
     def direct(start, r, u_mask, unhit, before):
         # U is the enumerated set; the vertices it skips, and those left
         # after its last element, form S.
-        tick(before)
+        _check_deadline(deadline, before)
         base = before + comb(nv - start, r)
         for x in range(start, nv - r + 1):
             # [start, x) joined S and x joins U; S can still gain from
@@ -192,24 +234,26 @@ def _scan_level(
             if not unhit & ~open_later:
                 if r == 1:
                     if passes(u_mask | 1 << x):
-                        return u_mask | 1 << x, before + x - start + 1
+                        yield u_mask | 1 << x, before + x - start + 1
                 else:
-                    found = direct(
+                    yield direct(
                         x + 1, r - 1, u_mask | 1 << x, unhit, base - comb(nv - x, r)
                     )
-                    if found:
-                        return found
             unhit &= ~hit_by[x]
-        return None
 
     if deadline is not None and time.monotonic() > deadline:
         return TIMEOUT, None, 0
     if size == 0:
         u_mask = full if side == "complement" else 0
         return (FOUND, u_mask, 1) if passes(u_mask) else (REFUTED, None, 1)
-    walk = complement if side == "complement" else direct
+    unhit = (1 << len(T)) - 1
     try:
-        found = walk(0, size, 0, (1 << len(T)) - 1, 0)
+        if side == "direct":
+            found = _walk(direct(0, size, 0, unhit, 0))
+        elif size == 1:
+            found = complement_last(0, 0, unhit, 0)
+        else:
+            found = _walk(complement(0, size, 0, unhit, 0))
     except _Expired as expired:
         return TIMEOUT, None, expired.covered
     if found:
@@ -261,7 +305,6 @@ def mu_exact(
         raise ValueError("mu_exact needs a connected graph (n >= 5)")
     start = time.monotonic()
     deadline = start + time_budget_s if time_budget_s is not None else None
-    probes = _Probes(g)
     upper = default_upper_bound(g)
     nv = g.n_vertices
 
@@ -281,6 +324,14 @@ def mu_exact(
         failing = first_failing_pair(g, witness_hint.mask)
         if failing is not None:
             raise ValueError(f"witness hint is not a mutual-visibility set: {failing}")
+    try:
+        probes = _Probes(g, deadline)
+    except _Expired:
+        # the budget ran out before the first level scan
+        lower = len(witness_hint) if witness_hint is not None else 1
+        return result(None, lower, upper, witness_hint, None, False, 0)
+
+    if witness_hint is not None:
         witness = witness_hint
         k = len(witness) + 1
         while k <= nv:

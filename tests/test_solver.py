@@ -1,3 +1,6 @@
+import inspect
+import random
+import sys
 from math import comb
 
 import pytest
@@ -10,8 +13,10 @@ from segvis.geometry import (
     gen_random_general_position,
 )
 from segvis.graph import build_disjointness_graph
+from segvis import solver
 from segvis.solver import (
     TIMEOUT,
+    _columns,
     _level_plan,
     _Probes,
     _scan_level,
@@ -77,7 +82,7 @@ def test_scan_level_matches_one_by_one_scan():
 def test_scan_level_deadline_mid_walk(monkeypatch):
     ps = gen_random_general_position(9, seed=60000, bound=10000)
     g = build_disjointness_graph(ps)
-    readings = iter([0.0])  # the first reading is on time, later ones late
+    readings = iter([0.0] * 50)  # 50 readings on time, later ones late
     monkeypatch.setattr("segvis.solver.time.monotonic", lambda: next(readings, 2.0))
     status, mask, count = _scan_level(_Probes(g), 30, 1.0)
     assert status == TIMEOUT and mask is None
@@ -158,17 +163,70 @@ def test_timeout_brackets(cacerola_graph):
     assert not res.refutation_exhaustive
 
 
-def test_ascent_timeout_keeps_a_sound_upper_bound():
+def test_ascent_timeout_keeps_a_sound_upper_bound(monkeypatch):
     # The budget expires while the ascent scans the level above the
     # certificate witness; that level is not refuted, so mu_upper may not
-    # drop below the a-priori bound (mu is 30 here).
+    # drop below the a-priori bound (mu is 30 here).  The clock stands
+    # still until the first level scan begins, then reads late.
     ps = gen_random_general_position(9, seed=60000, bound=10000)
     g = build_disjointness_graph(ps)
     witness = certificate_witness(ps, g)
-    res = mu_exact(g, witness_hint=witness, time_budget_s=1e-9)
-    assert res.mu is None
+    scanning = []
+    monkeypatch.setattr(solver.time, "monotonic", lambda: 2.0 if scanning else 0.0)
+    scan_level = solver._scan_level
+
+    def late_scan(*args):
+        scanning.append(True)
+        return scan_level(*args)
+
+    monkeypatch.setattr(solver, "_scan_level", late_scan)
+    res = mu_exact(g, witness_hint=witness, time_budget_s=1.0)
+    assert scanning and res.mu is None
     assert res.mu_lower == len(witness) < 30
     assert res.mu_upper == default_upper_bound(g) >= 30
+
+
+def test_budget_spent_on_probe_tables_brackets(monkeypatch):
+    # The first clock reading starts the budget, the next one, inside the
+    # probe tables' set-up, is late: no level is scanned.
+    ps = gen_random_general_position(9, seed=60000, bound=10000)
+    g = build_disjointness_graph(ps)
+    witness = certificate_witness(ps, g)
+    readings = iter([0.0])
+    monkeypatch.setattr(solver.time, "monotonic", lambda: next(readings, 2.0))
+
+    def no_scan(*args):
+        raise AssertionError("a level was scanned after the budget ran out")
+
+    monkeypatch.setattr(solver, "_scan_level", no_scan)
+    res = mu_exact(g, witness_hint=witness, time_budget_s=1.0)
+    assert (res.mu, res.mu_lower, res.mu_upper) == (None, len(witness), default_upper_bound(g))
+    assert res.witness == witness and res.sets_examined == 0
+
+
+def test_columns_transposes_bit_matrix():
+    rng = random.Random(4)
+    for n_rows, n_cols in ((0, 5), (1, 1), (3, 8), (17, 9), (40, 23)):
+        rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
+        expected = [
+            sum(1 << p for p, row in enumerate(rows) if row >> v & 1) for v in range(n_cols)
+        ]
+        assert _columns(rows, n_cols) == expected
+
+
+def test_deep_levels_need_no_recursion():
+    # Levels 32 and 33 of a 66-vertex graph (mu = 61) walk 32 and 33
+    # elements deep, on the direct and the complement side; a walk that
+    # recursed once per element would overflow the lowered limit.
+    g = build_disjointness_graph(gen_random_general_position(12, seed=5, bound=10000))
+    assert g.n_vertices == 66
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+    try:
+        assert refute_size(g, 32) is False
+        assert refute_size(g, 33) is False
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_mu_report_json(cacerola, cacerola_graph):
