@@ -15,7 +15,6 @@ from .constructions import (
     certificate_json,
     decompose_regions,
     double_chain_blocker,
-    fallback_search,
     find_five_disjoint_clean,
     find_good_2set,
     find_good_triangle,

@@ -247,8 +247,9 @@ def cmd_sweep(args) -> int:
             stats["strategy_counts"][key] = stats["strategy_counts"].get(key, 0) + 1
             if cert.strategy == "FallbackSearch":
                 stats["fallback_invocations"] += 1
+                blockers = [list(s) for s in cert.blockers]
                 stats["fallbacks"].append(
-                    {"n": n, "seed": seed, "points": ps.coords()}
+                    {"n": n, "seed": seed, "points": ps.coords(), "blockers": blockers}
                 )
             if not cert.verified or cert.size > 9:
                 stats["unverified"].append(

@@ -13,15 +13,16 @@ cyclic orientation, covering the symmetric branches).
 
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
-slip into a loud diagnostic instead of a wrong certificate.  A fallback
-search, bounded by a candidate count and never by the clock, sits beneath
-the dispatch as a safety net; it is never expected to fire.
+slip into a loud diagnostic instead of a wrong certificate.  Beneath the
+dispatch sits an exact safety net, ``solver.min_blocker_set``: it scans
+the complements of sizes 1, 2, ..., 9 and returns the lexicographically
+first blocker set of minimum size.  A fixed count of walk nodes bounds it,
+never the clock.  It should fire only where a case is missing.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -41,6 +42,7 @@ from .geometry import (
     strictly_inside_convex,
 )
 from .graph import DisjointnessGraph, build_disjointness_graph, iter_bits
+from .solver import FOUND, REFUTED, min_blocker_set
 from .visibility import first_failing_pair
 
 STRATEGY_EXPLICIT = "ExplicitBlockers"
@@ -1235,90 +1237,29 @@ _HULL10_ENTRY = (STRATEGY_HULL10, [(None, _ch10)])
 
 
 # ---------------------------------------------------------------------------
-# Fallback search and the public entry point
-
-
-def fallback_search(
-    g: DisjointnessGraph,
-    max_size: int = 9,
-    *,
-    max_candidates: int = 1_000_000,
-    diagnostics: tuple[str, ...] = (),
-    hull: HullData | None = None,
-) -> Certificate | None:
-    """Bounded search for a verified blocker set, structured candidates
-    first (hull-edge subsets, clean-segment subsets, hull-vertex stars),
-    then random subsets from a fixed seed (at most 20,000 per size).
-    Returns None when ``max_candidates`` runs out; the outcome never depends
-    on the clock.
-    ``hull`` is the convex hull of ``g.pointset`` when the caller has it."""
-    if hull is None:
-        hull = convex_hull(g.pointset)
-    m = hull.m
-    edge_ids = [
-        g.vertex(segment(hull.hull[k], hull.hull[(k + 1) % m])) for k in range(m)
-    ]
-    clean_ids = [v for v in range(g.n_vertices) if g.is_clean_vertex(v)]
-    star_ids = {
-        h: sorted(v for v, s in enumerate(g.vertices) if h in s) for h in hull.hull
-    }
-    rng = random.Random(0)
-    tried: set[int] = set()
-    examined = 0
-
-    def check(ids) -> Certificate | None:
-        nonlocal examined
-        mask = 0
-        for v in ids:
-            mask |= 1 << v
-        if mask in tried:
-            return None
-        tried.add(mask)
-        examined += 1
-        if first_failing_pair(g, g.full_mask & ~mask) is None:
-            blockers = tuple(sorted(g.segment_of(v) for v in ids))
-            return Certificate(
-                strategy=STRATEGY_FALLBACK,
-                case=None,
-                blockers=blockers,
-                verified=True,
-                mu_lower_bound=comb(g.n_points, 2) - len(blockers),
-                diagnostics=diagnostics,
-            )
-        return None
-
-    for size in range(1, max_size + 1):
-        for pool in (edge_ids, clean_ids):
-            for ids in itertools.combinations(pool, size):
-                if examined >= max_candidates:
-                    return None
-                got = check(ids)
-                if got:
-                    return got
-        for h in hull.hull:
-            star = star_ids[h][:size]
-            if len(star) == size:
-                got = check(star)
-                if got:
-                    return got
-        random_tries = min(20000, max_candidates - examined)
-        for _ in range(random_tries):
-            got = check(tuple(rng.sample(range(g.n_vertices), size)))
-            if got:
-                return got
-    return None
+# Exact fallback and the public entry point
 
 
 def _fallback_certificate(ws: _Workspace) -> Certificate:
-    ws.note("falling back to bounded search")
-    cert = fallback_search(
-        ws.g, diagnostics=tuple(ws.diagnostics), hull=ws.hull_data
-    )
-    if cert is None:
-        raise ConstructionError(
-            f"fallback search exhausted its budget; diagnostics: {ws.diagnostics}"
+    ws.note("falling back to the exact minimum-blocker search")
+    status, s_mask = min_blocker_set(ws.g)
+    if status != FOUND:
+        reason = (
+            "found no blocker set of at most 9 segments, against mu >= C(n,2) - 9"
+            if status == REFUTED
+            else "ran out of walk nodes (solver.BLOCKER_SEARCH_NODES)"
         )
-    return cert
+        raise ConstructionError(f"fallback search {reason}; diagnostics: {ws.diagnostics}")
+    # the search's scan passed V \ S to first_failing_pair: S is verified
+    blockers = tuple(sorted(ws.g.segment_of(v) for v in iter_bits(s_mask)))
+    return Certificate(
+        strategy=STRATEGY_FALLBACK,
+        case=None,
+        blockers=blockers,
+        verified=True,
+        mu_lower_bound=comb(ws.n, 2) - len(blockers),
+        diagnostics=tuple(ws.diagnostics),
+    )
 
 
 def certificate_from_blockers(
@@ -1350,7 +1291,8 @@ def build_certificate(
     hull size.  Establishes mu(D(P)) >= C(n,2) - 9 constructively.
 
     The cases of the hull size are tried in order and the first verified
-    candidate wins; when none verifies, the fallback search decides."""
+    candidate wins; when none verifies, the exact minimum-blocker search
+    decides, and a ConstructionError says when it cannot."""
     if ps.n < 5:
         raise ValueError("certificates need n >= 5")
     ws = _Workspace(ps, graph)

@@ -12,14 +12,18 @@ that survive go, in order, to the single exact check,
 ``visibility.first_failing_pair``.  A level's count is therefore the
 number of candidates it covers, whether rejected in bulk or one by one,
 and equals that of a one-by-one scan.
+
+Run over the complements of levels |V| - 1, |V| - 2, ..., the same walk is
+``min_blocker_set``, the exact search beneath the certificate case table.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
 from .geometry import PointSet
 from .graph import DisjointnessGraph, build_disjointness_graph, is_connected, iter_bits
@@ -68,9 +72,18 @@ class _Expired(Exception):
         self.covered = covered
 
 
-def _check_deadline(deadline: Optional[float], covered: int) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise _Expired(covered)
+def _stop_check(deadline: Optional[float], nodes: Optional[Iterator[int]] = None):
+    """The check a table build runs per row and a walk at every node: it
+    raises ``_Expired(covered)`` once ``deadline`` has passed or the
+    iterator ``nodes``, one item per walk node still allowed, runs dry."""
+
+    def check(covered: int) -> None:
+        if (nodes is not None and next(nodes, None) is None) or (
+            deadline is not None and time.monotonic() > deadline
+        ):
+            raise _Expired(covered)
+
+    return check
 
 
 # _BIT_DIGITS[i] maps a byte to the ASCII digit of its bit i.
@@ -87,11 +100,17 @@ def _columns(rows: list[int], n_cols: int, deadline: Optional[float] = None) -> 
     """
     if not rows:
         return [0] * n_cols
+    check = _stop_check(deadline)
     width = (n_cols + 7) // 8
-    laid_out = b"".join(row.to_bytes(width, "little") for row in reversed(rows))
+    # filled in place: a join of one bytes object per row holds it twice
+    laid_out = bytearray(width * len(rows))
+    end = len(laid_out)
+    for row in rows:
+        laid_out[end - width:end] = row.to_bytes(width, "little")
+        end -= width
     cols = []
     for j in range(width):
-        _check_deadline(deadline, 0)
+        check(0)
         byte_column = laid_out[j::width]
         for i in range(min(8, n_cols - 8 * j)):
             cols.append(int(byte_column.translate(_BIT_DIGITS[i]), 2))
@@ -103,19 +122,20 @@ class _Probes:
 
     A pair p = (a, b) at distance 2 is visible only through a, b or a common
     neighbour lying in S = V \\ U, so U fails whenever S misses
-    T_p = {a, b} | (N(a) & N(b)).  ``T`` lists the T_p masks numbered by
-    their highest vertex; ``hit_by[v]`` is the bitmask of pairs whose T_p
-    holds v, and ``later[v]`` the OR of ``hit_by`` over the vertices >= v,
-    i.e. the pairs that a vertex >= v can still hit.  Building the tables
-    raises ``_Expired`` once ``deadline`` has passed.
+    T_p = {a, b} | (N(a) & N(b)).  ``T`` lists the T_p masks in the order of
+    their top (highest) vertex; ``hit_by[v]`` is the bitmask of pairs whose
+    T_p holds v, and ``first[v]`` the number of pairs whose top lies below
+    v: the vertices >= v can hit exactly the pairs numbered first[v] on.
+    Building the tables raises ``_Expired`` once ``deadline`` has passed.
     """
 
     def __init__(self, g: DisjointnessGraph, deadline: Optional[float] = None):
         self.g = g
         nv = g.n_vertices
+        check = _stop_check(deadline)
         ts = []
         for a in range(nv):
-            _check_deadline(deadline, 0)
+            check(0)
             adj_a = g.adj[a]
             # distance 2: b > a is no neighbour of a but shares one with it
             for b in iter_bits(g.full_mask & ~adj_a & -(2 << a)):
@@ -125,9 +145,7 @@ class _Probes:
         ts.sort(key=int.bit_length)
         self.T = ts
         self.hit_by = _columns(ts, nv, deadline)
-        self.later = [0] * (nv + 1)
-        for v in range(nv - 1, -1, -1):
-            self.later[v] = self.later[v + 1] | self.hit_by[v]
+        self.first = [bisect_right(ts, v, key=int.bit_length) for v in range(nv + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +159,12 @@ class _Probes:
 # are those of a one-by-one scan.
 
 
-def _level_plan(nv: int, k: int) -> tuple[str, int]:
+def _level_plan(nv: int, k: int, side: Optional[str] = None) -> tuple[str, int]:
     s = nv - k
     if s < 0 or k < 0:
         raise ValueError("level outside 0..|V|")
-    side = "complement" if s <= k else "direct"
+    if side is None:
+        side = "complement" if s <= k else "direct"
     return side, (s if side == "complement" else k)
 
 
@@ -166,19 +185,27 @@ def _walk(root) -> Optional[tuple[int, int]]:
 
 
 def _scan_level(
-    probes: _Probes, k: int, deadline: Optional[float]
+    probes: _Probes,
+    k: int,
+    deadline: Optional[float],
+    *,
+    nodes: Optional[Iterator[int]] = None,
+    side: Optional[str] = None,
 ) -> tuple[str, Optional[int], int]:
     """Scan every size-k set; returns (status, passing U mask or None, count).
 
     ``count`` is the number of candidates the scan covered, in the order of
     the enumerated side: every size-k set when refuted, up to and including
-    the passing set when found.  The deadline is read at every walk node.
+    the passing set when found.  The deadline is read at every walk node,
+    and each node takes one item of ``nodes`` when that is given.  ``side``
+    fixes the enumerated side; by default it is the smaller family.
     """
     g = probes.g
     nv = g.n_vertices
     full = g.full_mask
-    T, hit_by, later = probes.T, probes.hit_by, probes.later
-    side, size = _level_plan(nv, k)
+    T, hit_by, first = probes.T, probes.hit_by, probes.first
+    side, size = _level_plan(nv, k, side)
+    check = _stop_check(deadline, nodes)
 
     def passes(u_mask: int) -> bool:
         return first_failing_pair(g, u_mask) is None
@@ -192,7 +219,7 @@ def _scan_level(
         # S is the enumerated set, all but its last element chosen.  That
         # element must lie in every unhit T_p: try the vertices of the
         # lowest one.  A plain call, as leaves are most of the walk.
-        _check_deadline(deadline, before)
+        check(before)
         lowest = T[(unhit & -unhit).bit_length() - 1] if unhit else full
         last = lowest >> start
         while last:
@@ -205,15 +232,15 @@ def _scan_level(
 
     def complement(start, r, s_mask, unhit, before):
         # S is the enumerated set; r >= 2.
-        _check_deadline(deadline, before)
+        check(before)
         base = before + comb(nv - start, r)
         # No element above the lowest unhit pair's top vertex can hit it.
+        # Up to that top, every pair x leaves unhit has its top above x (x
+        # hits the pairs whose top it is), so no child is dead on arrival.
         lowest = T[(unhit & -unhit).bit_length() - 1] if unhit else full
         stop = min(nv - r, lowest.bit_length() - 1)
         for x in range(start, stop + 1):
             rest = unhit & ~hit_by[x]
-            if rest & ~later[x + 1]:
-                continue
             child_before = base - comb(nv - x, r)
             if r > 2:
                 yield complement(x + 1, r - 1, s_mask | 1 << x, rest, child_before)
@@ -225,13 +252,15 @@ def _scan_level(
     def direct(start, r, u_mask, unhit, before):
         # U is the enumerated set; the vertices it skips, and those left
         # after its last element, form S.
-        _check_deadline(deadline, before)
+        check(before)
         base = before + comb(nv - start, r)
         for x in range(start, nv - r + 1):
             # [start, x) joined S and x joins U; S can still gain from
             # (x, nv) unless the remaining r - 1 elements take all of it.
-            open_later = later[x + 1] if x < nv - r else 0
-            if not unhit & ~open_later:
+            # So every unhit pair must be numbered first[x + 1] or later,
+            # and none may be left once (x, nv) is taken (first[nv] pairs).
+            reach = first[x + 1] if x < nv - r else first[nv]
+            if not unhit or (unhit & -unhit).bit_length() > reach:
                 if r == 1:
                     if passes(u_mask | 1 << x):
                         yield u_mask | 1 << x, before + x - start + 1
@@ -278,6 +307,35 @@ def refutation_count(g: DisjointnessGraph, k: int) -> int:
     for the enumerated side, counted in bulk or one by one alike."""
     side, size = _level_plan(g.n_vertices, k)
     return comb(g.n_vertices, size)
+
+
+#: Walk nodes ``min_blocker_set`` may visit over all its levels: about 15
+#: times the most any known fallback instance needs (130,432, random:9:9827).
+BLOCKER_SEARCH_NODES = 2_000_000
+
+
+def min_blocker_set(g: DisjointnessGraph, max_size: int = 9) -> tuple[str, Optional[int]]:
+    """The lexicographically first blocker set of minimum size.
+
+    S is a blocker set when V \\ S is a mutual-visibility set, and every
+    superset of a blocker set is one, so the complement-side scans of the
+    levels |V| - 1, |V| - 2, ... meet the smallest size first.  Returns
+    (FOUND, mask of S), (REFUTED, None) when no blocker set has at most
+    ``max_size`` vertices, or (TIMEOUT, None) when ``BLOCKER_SEARCH_NODES``
+    walk nodes did not settle it.  The bound counts nodes, so the outcome
+    never depends on the clock.
+    """
+    probes = _Probes(g)
+    nodes = iter(range(BLOCKER_SEARCH_NODES))
+    for s in range(1, max_size + 1):
+        status, u_mask, _ = _scan_level(
+            probes, g.n_vertices - s, None, nodes=nodes, side="complement"
+        )
+        if status == FOUND:
+            return FOUND, g.full_mask & ~u_mask
+        if status == TIMEOUT:
+            return TIMEOUT, None
+    return REFUTED, None
 
 
 def mu_exact(

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import settings
 
+import segvis.constructions as constructions
 from segvis.geometry import PointSet, cacerola_points, gen_random_general_position
 from segvis.graph import build_disjointness_graph
 
@@ -27,6 +28,13 @@ def cacerola():
 @pytest.fixture(scope="session")
 def cacerola_graph(cacerola):
     return build_disjointness_graph(cacerola)
+
+
+@pytest.fixture
+def no_cases(monkeypatch):
+    """An empty certificate case table: every instance falls back."""
+    monkeypatch.setattr(constructions, "_CASE_TABLE", {})
+    monkeypatch.setattr(constructions, "_HULL10_ENTRY", ("Hull10Plus", []))
 
 
 def random_instances(ns, count, bound=10000, base_seed=0):

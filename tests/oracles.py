@@ -219,6 +219,21 @@ def oracle_scan_level(g, k):
     return "refuted", None, math.comb(nv, size)
 
 
+def oracle_min_blockers(g, max_size):
+    """The first blocker set by size, then lexicographically: each size's
+    vertex subsets S in lexicographic order until V \\ S passes the
+    library's ``first_failing_pair``.  Returns S as a sorted tuple of
+    vertices, or None when no blocker set has at most ``max_size``."""
+    from segvis.visibility import first_failing_pair
+
+    full = (1 << g.n_vertices) - 1
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(range(g.n_vertices), size):
+            if first_failing_pair(g, full & ~sum(1 << v for v in combo)) is None:
+                return combo
+    return None
+
+
 def float_rotation_neighbors(coords, hull_cycle, i):
     """First/last point swept by the rotating hull-edge line, via float
     angles.  Valid for small integer coordinates (angles never tie under

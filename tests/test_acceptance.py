@@ -89,7 +89,7 @@ def is_known_hull7_template_gap(ps) -> bool:
     fails its quadrant condition in both mirror orientations, because the
     protected segment to the lens point crosses the line of a long diagonal
     the case's crossing claim does not account for.  No good 2-set exists in
-    such instances at all, so the bounded search is the sanctioned route."""
+    such instances at all, so the exact fallback is the sanctioned route."""
     from segvis.constructions import decompose_regions
 
     h = convex_hull(ps)

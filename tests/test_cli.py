@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from segvis import solver
 from segvis.cli import main, parse_gen_spec
+from segvis.constructions import build_certificate
 from segvis.geometry import cacerola_points, save_pointset
 from segvis.svg import render_svg
 
@@ -168,11 +170,12 @@ def test_mu_timeout_brackets(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["certificate", "mu"])
-def test_failed_certificate_exits_3(capsys, command):
-    # random:8:8304 is a hull-7 lens instance whose fallback search runs dry
-    assert run_cli(command, "--gen", "random:8:8304") == 3
+def test_failed_certificate_exits_3(capsys, monkeypatch, no_cases, command):
+    # no case applies and the fallback search may visit no walk node
+    monkeypatch.setattr(solver, "BLOCKER_SEARCH_NODES", 0)
+    assert run_cli(command, "--gen", "convex:10") == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: fallback search exhausted its budget")
+    assert captured.err.startswith("error: fallback search ran out of walk nodes")
     assert captured.out == ""
 
 
@@ -196,6 +199,17 @@ def test_sweep_small(tmp_path):
     assert data["clean"] is True
     assert data["fallback_invocations"] == 0
     assert not data["diameter_violations"]
+
+
+def test_sweep_reports_fallback_blockers(tmp_path, no_cases):
+    out = tmp_path / "sweep.json"
+    argv = ["--n-min", "5", "--n-max", "5", "--count", "2", "--seed", "17"]
+    assert run_cli("sweep", *argv, "--out", str(out)) == 3  # fallbacks are not clean
+    data = json.loads(out.read_text())
+    assert data["fallback_invocations"] == 2
+    for entry in data["fallbacks"]:
+        cert = build_certificate(parse_gen_spec(f"random:5:{entry['seed']}"))
+        assert entry["blockers"] == [list(s) for s in cert.blockers]
 
 
 def test_reproduce_writes_json(tmp_path):

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 import segvis.constructions as constructions
+from segvis import solver
 
 from segvis.constructions import (
     ConstructionError,
@@ -13,7 +14,6 @@ from segvis.constructions import (
     certificate_json,
     decompose_regions,
     double_chain_blocker,
-    fallback_search,
     find_five_disjoint_clean,
     find_good_2set,
     find_good_triangle,
@@ -32,6 +32,7 @@ from segvis.graph import build_disjointness_graph
 from segvis.visibility import VertexSet, is_mutual_visibility_set
 
 from conftest import hull3_instance, ngon
+from oracles import oracle_min_blockers
 
 
 def verify_blockers(ps, blockers) -> bool:
@@ -385,22 +386,44 @@ def test_certificate_from_blockers_rejects_bad_set():
         certificate_from_blockers(ps, [segment(h[0], h[1])])
 
 
-def test_fallback_search_finds_alternating_edges(monkeypatch):
-    g = build_disjointness_graph(gen_convex(10))
-    cert = fallback_search(g, max_size=5)
-    assert cert is not None and cert.strategy == "FallbackSearch"
-    assert cert.size == 5 and cert.verified
-    # the outcome does not depend on the clock: a clock that jumps 100 s per
-    # reading gives the same five edges
+def test_fallback_certifies_lens_instances():
+    # hull-7 lens instances: no case applies; the minimum blocker sets
+    # have 8 segments (mu = 20)
+    for seed in (8076, 8304):
+        ps = gen_random_general_position(8, seed=seed, bound=10000)
+        cert = build_certificate(ps)
+        assert cert.strategy == "FallbackSearch" and cert.verified
+        assert cert.size == 8 and cert.mu_lower_bound == comb(8, 2) - 8
+        assert verify_blockers(ps, cert.blockers)
+
+
+def test_fallback_matches_oracle(no_cases):
+    # with no case to try, every certificate is the lexicographically first
+    # blocker set of minimum size
+    for n in (5, 6):
+        for seed in range(10):
+            ps = gen_random_general_position(n, seed=seed, bound=10000)
+            g = build_disjointness_graph(ps)
+            cert = build_certificate(ps, g)
+            assert cert.strategy == "FallbackSearch"
+            expected = oracle_min_blockers(g, 9)
+            assert cert.blockers == tuple(g.segment_of(v) for v in expected), (n, seed)
+
+
+def test_fallback_ignores_the_clock(monkeypatch):
+    ps = gen_random_general_position(8, seed=8076, bound=10000)
+    cert = build_certificate(ps)
+    # a clock that jumps 100 s per reading gives the same certificate
     clock = itertools.count(step=100.0)
     monkeypatch.setattr(time, "monotonic", lambda: next(clock))
-    assert fallback_search(g, max_size=5) == cert
+    assert build_certificate(ps) == cert
 
 
-def test_fallback_budget_contract():
-    g = build_disjointness_graph(gen_random_general_position(6, seed=9, bound=2000))
-    got = fallback_search(g, max_size=1, max_candidates=3)
-    assert got is None  # single blockers never verify on n=6
+def test_fallback_node_bound(monkeypatch):
+    monkeypatch.setattr(solver, "BLOCKER_SEARCH_NODES", 0)
+    ps = gen_random_general_position(8, seed=8076, bound=10000)
+    with pytest.raises(ConstructionError, match="fallback search ran out of walk nodes"):
+        build_certificate(ps)
 
 
 def test_certificate_json(cacerola):

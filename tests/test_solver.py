@@ -15,6 +15,7 @@ from segvis.geometry import (
 from segvis.graph import build_disjointness_graph
 from segvis import solver
 from segvis.solver import (
+    REFUTED,
     TIMEOUT,
     _columns,
     _level_plan,
@@ -24,6 +25,7 @@ from segvis.solver import (
     check_bounds_report,
     default_upper_bound,
     mu_exact,
+    min_blocker_set,
     mu_report_json,
     refutation_count,
     refute_size,
@@ -87,6 +89,12 @@ def test_scan_level_deadline_mid_walk(monkeypatch):
     status, mask, count = _scan_level(_Probes(g), 30, 1.0)
     assert status == TIMEOUT and mask is None
     assert 0 < count < 1532647  # the level's first passing set has that index
+
+
+def test_min_blocker_set_refutes_small_sizes():
+    # no single segment blocks a 6-point set: the search proves it
+    g = build_disjointness_graph(gen_random_general_position(6, seed=9, bound=2000))
+    assert min_blocker_set(g, max_size=1) == (REFUTED, None)
 
 
 def test_mu_exact_cacerola(cacerola, cacerola_graph):
