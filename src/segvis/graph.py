@@ -4,6 +4,10 @@ Vertices are the C(n,2) closed segments in lexicographic (i, j) order; two
 vertices are adjacent exactly when the segments are disjoint.  Adjacency is
 stored as one Python-int bitset row per vertex, which the solver relies on
 for fast common-neighbour queries.
+
+The rows come from half-plane masks and one bit-matrix transpose, with no
+loop over segment pairs: O(n^3) exact orientation tests plus O(|V|^2 / word)
+bit work (see ``DisjointnessGraph._build_adjacency``).
 """
 
 from __future__ import annotations
@@ -36,28 +40,33 @@ class DisjointnessGraph:
         self.adj: tuple[int, ...] = self._build_adjacency()
 
     def _build_adjacency(self) -> tuple[int, ...]:
+        """``sep[u]``, for u = (i, j), holds the segments whose endpoints lie
+        strictly on both sides of line ij: the ``star`` rows of the points
+        on each side, ORed, then intersected.  Segments with four distinct
+        endpoints cross iff each separates the other's endpoints, so
+        ``sep[u] & column u of sep`` are the segments crossing u; all but
+        those and the ones touching u are disjoint from it.  Cost: O(n^3)
+        orientation tests plus O(|V|^2 / word) bit work."""
         pts = self.pointset.points
-        segs = self.vertices
-        nv = len(segs)
-        rows = [0] * nv
-        for u in range(nv):
-            i, j = segs[u]
-            p1, p2 = pts[i], pts[j]
-            for v in range(u + 1, nv):
-                k, l = segs[v]
-                if i == k or i == l or j == k or j == l:
-                    continue  # shared endpoint: segments intersect
-                q1, q2 = pts[k], pts[l]
-                d1 = cross(p1, p2, q1)
-                d2 = cross(p1, p2, q2)
-                if (d1 > 0) != (d2 > 0):
-                    d3 = cross(q1, q2, p1)
-                    d4 = cross(q1, q2, p2)
-                    if (d3 > 0) != (d4 > 0):
-                        continue  # proper crossing
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return tuple(rows)
+        star = self.star
+        sep = []
+        for i, j in self.vertices:
+            p, q = pts[i], pts[j]
+            left = right = 0
+            for r, point in enumerate(pts):
+                if r == i or r == j:
+                    continue
+                # never 0: no three points are collinear
+                if cross(p, q, point) > 0:
+                    left |= star[r]
+                else:
+                    right |= star[r]
+            sep.append(left & right)
+        full = self.full_mask
+        return tuple(
+            full & ~(row & col) & ~touch
+            for row, col, touch in zip(sep, bit_columns(sep, self.n_vertices), self.touch_mask)
+        )
 
     # -- vertex helpers ----------------------------------------------------
 
@@ -85,15 +94,20 @@ class DisjointnessGraph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     @cached_property
+    def star(self) -> tuple[int, ...]:
+        """star[p]: vertices whose segment has point p as an endpoint."""
+        star = [0] * self.n_points
+        for k, (i, j) in enumerate(self.vertices):
+            star[i] |= 1 << k
+            star[j] |= 1 << k
+        return tuple(star)
+
+    @cached_property
     def touch_mask(self) -> tuple[int, ...]:
         """touch_mask[v]: vertices whose segment shares an endpoint with v
         (v itself included)."""
-        by_point = [0] * self.n_points
-        for k, (i, j) in enumerate(self.vertices):
-            bit = 1 << k
-            by_point[i] |= bit
-            by_point[j] |= bit
-        return tuple(by_point[i] | by_point[j] for (i, j) in self.vertices)
+        star = self.star
+        return tuple(star[i] | star[j] for (i, j) in self.vertices)
 
     @cached_property
     def cross_mask(self) -> tuple[int, ...]:
@@ -110,27 +124,37 @@ class DisjointnessGraph:
     def distance_layers(self) -> tuple[tuple[int, ...], ...]:
         """distance_layers[a][k]: the vertices at distance exactly k from a,
         for k = 0 .. the eccentricity of a; vertices a cannot reach lie in no
-        layer.  One BFS per source, shared by every distance query."""
+        layer.  One BFS per source, shared by every distance query; a step
+        ORs the frontier's rows, or tests each unseen vertex's row against
+        the frontier when fewer vertices are unseen."""
         adj = self.adj
+        full = self.full_mask
         out = []
         for a in range(self.n_vertices):
             seen = frontier = 1 << a
             layers = [frontier]
             while True:
-                reach = 0
-                for v in iter_bits(frontier):
-                    reach |= adj[v]
-                frontier = reach & ~seen
-                if not frontier:
+                unseen = full & ~seen
+                nxt = 0
+                if unseen.bit_count() < frontier.bit_count():
+                    for w in iter_bits(unseen):
+                        if adj[w] & frontier:
+                            nxt |= 1 << w
+                else:
+                    for v in iter_bits(frontier):
+                        nxt |= adj[v]
+                    nxt &= unseen
+                if not nxt:
                     break
-                seen |= frontier
-                layers.append(frontier)
+                seen |= nxt
+                frontier = nxt
+                layers.append(nxt)
             out.append(tuple(layers))
         return tuple(out)
 
 
 def build_disjointness_graph(ps: PointSet) -> DisjointnessGraph:
-    """Classify every segment pair with the exact intersection predicate."""
+    """D(P) from exact orientation tests; every segment pair is classified."""
     if ps.n < 3:
         raise ValueError("graph construction needs n >= 3")
     return DisjointnessGraph(ps)
@@ -142,6 +166,38 @@ def iter_bits(m: int):
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
+
+
+# _BIT_DIGITS[i] maps a byte to the ASCII digit of its bit i.
+_BIT_DIGITS = [bytes(0x30 | (byte >> i & 1) for byte in range(256)) for i in range(8)]
+
+
+def bit_columns(rows: list[int], n_cols: int, check=None) -> list[int]:
+    """Transpose a bit matrix: bit p of column v is bit v of rows[p].
+
+    With the rows laid out as bytes, last row first, a strided slice takes
+    one byte of every row, and one bit of those bytes, read as binary
+    digits, is a column.  The cost is linear in the size of the matrix.
+    ``check``, if given, is called once per byte of columns; a deadline
+    check stops the transpose by raising.
+    """
+    if not rows:
+        return [0] * n_cols
+    width = (n_cols + 7) // 8
+    # filled in place: a join of one bytes object per row holds it twice
+    laid_out = bytearray(width * len(rows))
+    end = len(laid_out)
+    for row in rows:
+        laid_out[end - width:end] = row.to_bytes(width, "little")
+        end -= width
+    cols = []
+    for j in range(width):
+        if check is not None:
+            check()
+        byte_column = laid_out[j::width]
+        for i in range(min(8, n_cols - 8 * j)):
+            cols.append(int(byte_column.translate(_BIT_DIGITS[i]), 2))
+    return cols
 
 
 def distances_from(g: DisjointnessGraph, a: int) -> list:
@@ -175,14 +231,12 @@ def is_connected(g: DisjointnessGraph) -> bool:
 
 def to_dot(g: DisjointnessGraph) -> str:
     """Undirected DOT export with vertices labelled "i-j", stable order."""
+    labels = [f'"{i}-{j}"' for i, j in g.vertices]
     lines = ["graph disjointness {"]
-    for i, j in g.vertices:
-        lines.append(f'  "{i}-{j}";')
+    lines.extend(f"  {label};" for label in labels)
     for u in range(g.n_vertices):
-        for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)):
-            ui, uj = g.vertices[u]
-            vi, vj = g.vertices[v]
-            lines.append(f'  "{ui}-{uj}" -- "{vi}-{vj}";')
+        head = f"  {labels[u]} -- "
+        lines.extend(f"{head}{labels[v]};" for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

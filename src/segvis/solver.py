@@ -26,7 +26,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .geometry import PointSet
-from .graph import DisjointnessGraph, build_disjointness_graph, is_connected, iter_bits
+from .graph import DisjointnessGraph, bit_columns, build_disjointness_graph, is_connected, iter_bits
 from .visibility import VertexSet, first_failing_pair
 
 REFUTED = "refuted"
@@ -77,44 +77,13 @@ def _stop_check(deadline: Optional[float], nodes: Optional[Iterator[int]] = None
     raises ``_Expired(covered)`` once ``deadline`` has passed or the
     iterator ``nodes``, one item per walk node still allowed, runs dry."""
 
-    def check(covered: int) -> None:
+    def check(covered: int = 0) -> None:
         if (nodes is not None and next(nodes, None) is None) or (
             deadline is not None and time.monotonic() > deadline
         ):
             raise _Expired(covered)
 
     return check
-
-
-# _BIT_DIGITS[i] maps a byte to the ASCII digit of its bit i.
-_BIT_DIGITS = [bytes(0x30 | (byte >> i & 1) for byte in range(256)) for i in range(8)]
-
-
-def _columns(rows: list[int], n_cols: int, deadline: Optional[float] = None) -> list[int]:
-    """Transpose a bit matrix: bit p of column v is bit v of rows[p].
-
-    With the rows laid out as bytes, last row first, a strided slice takes
-    one byte of every row, and one bit of those bytes, read as binary
-    digits, is a column.  The cost is linear in the size of the matrix.
-    Raises ``_Expired`` once ``deadline`` has passed.
-    """
-    if not rows:
-        return [0] * n_cols
-    check = _stop_check(deadline)
-    width = (n_cols + 7) // 8
-    # filled in place: a join of one bytes object per row holds it twice
-    laid_out = bytearray(width * len(rows))
-    end = len(laid_out)
-    for row in rows:
-        laid_out[end - width:end] = row.to_bytes(width, "little")
-        end -= width
-    cols = []
-    for j in range(width):
-        check(0)
-        byte_column = laid_out[j::width]
-        for i in range(min(8, n_cols - 8 * j)):
-            cols.append(int(byte_column.translate(_BIT_DIGITS[i]), 2))
-    return cols
 
 
 class _Probes:
@@ -144,7 +113,7 @@ class _Probes:
                     ts.append(n2 | (1 << a) | (1 << b))
         ts.sort(key=int.bit_length)
         self.T = ts
-        self.hit_by = _columns(ts, nv, deadline)
+        self.hit_by = bit_columns(ts, nv, check)
         self.first = [bisect_right(ts, v, key=int.bit_length) for v in range(nv + 1)]
 
 

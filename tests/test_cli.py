@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -55,6 +56,23 @@ def test_build_dot(tmp_path):
     out = tmp_path / "g.dot"
     assert run_cli("build", "--gen", "convex:5", "--format", "dot", "--out", str(out)) == 0
     assert out.read_text().startswith("graph disjointness {")
+
+
+#: sha256 of the exports as the segment-pair build wrote them, at sizes
+#: (496 and 190 vertices) where every build and export path is exercised.
+EXPORT_DIGESTS = {
+    ("random:32:32000:1048576", "json"): "ea9c20b2962106f7acaba5af1827cd5aa383640f44ad86b420808a6fdb37307d",
+    ("random:32:32000:1048576", "dot"): "cd69fffafa35834477e0b0f5405ddcdd3b12454a2e4637a0067e1d46a4125a86",
+    ("convex:20", "json"): "3f9fb9dd524d6d04294c9899a6ae2d4776846c541506927af8831f51f79fe31e",
+    ("convex:20", "dot"): "1d8432c23bf3ee9597bc62be398b1d6c756ebfca20d6d2c9cab65234a8da0e24",
+}
+
+
+@pytest.mark.parametrize("spec, fmt", list(EXPORT_DIGESTS))
+def test_build_export_bytes_frozen(tmp_path, spec, fmt):
+    out = tmp_path / f"g.{fmt}"
+    assert run_cli("build", "--gen", spec, "--format", fmt, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_DIGESTS[spec, fmt]
 
 
 def test_build_rejects_collinear(tmp_path, capsys):

@@ -2,8 +2,17 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from segvis.geometry import PointSet, gen_convex, gen_random_general_position, segment
+from segvis.geometry import (
+    MAX_COORD,
+    PointSet,
+    cross,
+    gen_convex,
+    gen_double_chain,
+    gen_random_general_position,
+    segment,
+)
 from segvis.graph import (
     INFINITY,
     build_disjointness_graph,
@@ -24,13 +33,52 @@ def test_vertex_layout(cacerola_graph):
     assert g.vertices == tuple(sorted(g.vertices))
 
 
+def assert_rows_match_oracle(ps):
+    g = build_disjointness_graph(ps)
+    segs, adj = oracle_adjacency([(p.x, p.y) for p in ps.points])
+    assert g.vertices == tuple(segs)
+    assert g.adj == tuple(g.mask_of(adj[s]) for s in segs), ps.points
+
+
+def near_cap_chain() -> PointSet:
+    # k * (N + 1, N) + e * (1, 1): every orientation is a small integer
+    # while the products inside it reach 2^60, where floats get 32 of the
+    # 336 ordered triples' signs wrong
+    big = MAX_COORD // 8
+    offsets = [3, -5, 8, 0, -9, 6, -2, 11]
+    return PointSet.from_coords(
+        [(k * (big + 1) + e + 20, k * big + e + 20) for k, e in enumerate(offsets)]
+    )
+
+
 def test_adjacency_matches_rational_oracle():
-    for seed in (3, 4):
-        ps = gen_random_general_position(7, seed=seed, bound=800)
-        g = build_disjointness_graph(ps)
-        segs, adj = oracle_adjacency([(p.x, p.y) for p in ps.points])
-        for s1, s2 in itertools.combinations(segs, 2):
-            assert g.are_adjacent(g.vertex(s1), g.vertex(s2)) == (s2 in adj[s1])
+    point_sets = [
+        gen_random_general_position(n, seed=seed, bound=800)
+        for n in range(3, 11)
+        for seed in (3, 4, 5)
+    ]
+    point_sets += [gen_convex(n) for n in range(3, 13)]
+    point_sets += [gen_double_chain(2, 6), gen_double_chain(3, 6), near_cap_chain()]
+    for ps in point_sets:
+        assert_rows_match_oracle(ps)
+
+
+def general_position_subset(coords):
+    """Greedily keep each point off every line through two kept ones."""
+    kept = []
+    for c in coords:
+        if c not in kept and all(cross(a, b, c) for a, b in itertools.combinations(kept, 2)):
+            kept.append(c)
+    return kept
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=12))
+def test_adjacency_matches_oracle_on_grids(coords):
+    # small grids are full of near-degenerate configurations: segments
+    # passing next to an endpoint, nested triangles, touching hulls
+    kept = general_position_subset(coords)
+    assume(len(kept) >= 3)
+    assert_rows_match_oracle(PointSet.from_coords(kept))
 
 
 def test_convex5_structure():
@@ -63,14 +111,32 @@ def test_distances(cacerola_graph):
     assert d0[0] == 0
     neighbor = next(v for v in range(g.n_vertices) if g.are_adjacent(0, v))
     assert d0[neighbor] == 1
-    # full check against an independent BFS on the oracle adjacency
-    coords = [(p.x, p.y) for p in g.pointset.points]
-    segs, adj = oracle_adjacency(coords)
-    for a in (0, 5, 17):
-        expect = oracle_distances(segs, adj, g.vertices[a])
-        got = distances_from(g, a)
-        for s in segs:
-            assert got[g.vertex(s)] == expect[s]
+    # full check, from every source, against an independent BFS on the
+    # oracle adjacency
+    graphs = [
+        build_disjointness_graph(PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])),
+        cacerola_graph,
+        build_disjointness_graph(gen_convex(5)),
+        # a bottom-up step here is followed by a further layer
+        build_disjointness_graph(gen_random_general_position(5, seed=0, bound=10000)),
+        build_disjointness_graph(gen_random_general_position(12, seed=7, bound=10000)),
+    ]
+    bottom_up = set()
+    unreachable = False
+    for g in graphs:
+        segs, adj = oracle_adjacency([(p.x, p.y) for p in g.pointset.points])
+        for a, s in enumerate(segs):
+            expect = oracle_distances(segs, adj, s)
+            assert distances_from(g, a) == [expect[t] for t in segs]
+            # a BFS step goes bottom-up when fewer vertices are unvisited
+            # than lie in its frontier
+            sizes = [list(expect.values()).count(k) for k in range(len(g.distance_layers[a]))]
+            unvisited = len(segs)
+            for size in sizes:
+                unvisited -= size
+                bottom_up.add(unvisited < size)
+            unreachable |= unvisited > 0
+    assert bottom_up == {False, True} and unreachable
 
 
 def test_distance_three_pair_frozen(cacerola_graph):

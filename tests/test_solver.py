@@ -12,12 +12,11 @@ from segvis.geometry import (
     gen_double_chain,
     gen_random_general_position,
 )
-from segvis.graph import build_disjointness_graph
+from segvis.graph import bit_columns, build_disjointness_graph
 from segvis import solver
 from segvis.solver import (
     REFUTED,
     TIMEOUT,
-    _columns,
     _level_plan,
     _Probes,
     _scan_level,
@@ -219,7 +218,18 @@ def test_columns_transposes_bit_matrix():
         expected = [
             sum(1 << p for p, row in enumerate(rows) if row >> v & 1) for v in range(n_cols)
         ]
-        assert _columns(rows, n_cols) == expected
+        assert bit_columns(rows, n_cols) == expected
+
+
+def test_probe_tables_stop_inside_the_transpose(monkeypatch):
+    # The clock is early for every per-vertex check of the T rows and late
+    # from the transpose's first column on: the transpose stops the build.
+    g = build_disjointness_graph(gen_random_general_position(7, seed=3, bound=1000))
+    readings = iter([0.0] * g.n_vertices)
+    monkeypatch.setattr(solver.time, "monotonic", lambda: next(readings, 2.0))
+    with pytest.raises(solver._Expired):
+        _Probes(g, deadline=1.0)
+    assert next(readings, None) is None
 
 
 def test_deep_levels_need_no_recursion():
