@@ -52,8 +52,9 @@ EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
 EXIT_BRACKETED = 4
 
-# vertices (n = 16); larger exact runs want a time budget.  Exact mu took
-# at most about 4 s at 120 vertices on random, convex and double-chain sets.
+# `mu` warns above this many vertices (n = 16); larger exact runs want a time
+# budget.  Exact mu took at most about 4 s at 120 vertices on random, convex
+# and double-chain sets.
 DESK_SCALE_WARN = 120
 
 
@@ -63,7 +64,7 @@ class CliError(Exception):
         self.code = code
 
 
-def parse_gen_spec(spec: str, default_bound: int = 10000) -> PointSet:
+def parse_gen_spec(spec: str) -> PointSet:
     """Compact generator specs: convex:N, double-chain:P,Q,
     random:N:SEED[:BOUND], cacerola."""
     if spec == "cacerola":
@@ -78,7 +79,7 @@ def parse_gen_spec(spec: str, default_bound: int = 10000) -> PointSet:
         if kind == "random":
             parts = rest.split(":")
             n, seed = int(parts[0]), int(parts[1])
-            bound = int(parts[2]) if len(parts) > 2 else default_bound
+            bound = int(parts[2]) if len(parts) > 2 else 10000
             return gen_random_general_position(n, seed, bound)
     except (ValueError, IndexError) as exc:
         raise CliError(f"malformed generator spec {spec!r}: {exc}") from exc
@@ -107,7 +108,10 @@ def resolve_pointset(args) -> PointSet:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -17,7 +17,8 @@ slip into a loud diagnostic instead of a wrong certificate.  Beneath the
 dispatch sits an exact safety net, ``solver.min_blocker_set``: it scans
 the complements of sizes 1, 2, ..., 9 and returns the lexicographically
 first blocker set of minimum size.  A fixed count of walk nodes bounds it,
-never the clock.  It should fire only where a case is missing.
+never the clock.  It should fire only where a case is missing, and the
+set it finds is verified like any case's candidate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .geometry import (
     Point,
     PointSet,
     SegmentId,
-    _hull_indices_clockwise,
     _sign,
     convex_hull,
     cross,
@@ -274,7 +274,13 @@ class _Frame:
 
 
 class _Workspace:
-    """One query's graph (built when not given), hull, frames and notes."""
+    """One query's graph (built when not given), hull, frames and notes.
+
+    The hull is computed once; the y-mirrored frames reuse it reversed.
+    ``attempt`` is the one place a Certificate is built: it rejects
+    duplicate or oversized blocker sets and verifies the rest with
+    ``first_failing_pair``, for the case table and the fallback alike.
+    """
 
     def __init__(self, ps: PointSet, g: DisjointnessGraph | None = None):
         self.ps = ps
@@ -290,13 +296,12 @@ class _Workspace:
         self.diagnostics.append(msg)
 
     @cached_property
-    def _mirror_hull(self) -> tuple[int, ...]:
-        return tuple(_hull_indices_clockwise(self._mirror_pts))
-
-    @cached_property
     def _frame_list(self) -> list["_Frame"]:
-        base = _Frame(self._pts, self.hull_data.hull, mirrored=False)
-        mirrored = _Frame(self._mirror_pts, self._mirror_hull, mirrored=True)
+        # Mirroring reverses the clockwise order; the cycle still starts at
+        # the lowest index, so the mirrored hull needs no second hull pass.
+        hull = self.hull_data.hull
+        base = _Frame(self._pts, hull, mirrored=False)
+        mirrored = _Frame(self._mirror_pts, hull[:1] + hull[:0:-1], mirrored=True)
         return [base.rotated(r) for r in range(self.m)] + [
             mirrored.rotated(r) for r in range(self.m)
         ]
@@ -448,21 +453,23 @@ def _good_2set_diagonals(ws: _Workspace, frame: _Frame, uv: SegmentId, xy: Segme
         if g.vertex(d2) in _cross_ids(g, d1):
             return d1, d2
     # Triangle case: one endpoint sits inside the triangle of the others.
-    corners = [u, v, x, y]
-    for t in corners:
-        others = [c for c in corners if c != t]
-        if frame.inside(_cw_triangle(frame, others), t):
-            partner = v if t == u else u if t == v else y if t == x else x
-            d = [segment(t, c) for c in others if c != partner]
-            return d[0], d[1]
-    raise ConstructionError("could not locate the diagonals of the 4-point drawing")
+    t = _inner_point(frame, [u, v, x, y])
+    if t is None:
+        raise ConstructionError("could not locate the diagonals of the 4-point drawing")
+    partner = v if t == u else u if t == v else y if t == x else x
+    d = [segment(t, c) for c in (u, v, x, y) if c != t and c != partner]
+    return d[0], d[1]
 
 
-def _cw_triangle(frame: _Frame, idx: list[int]) -> list[int]:
-    a, b, c = idx
-    if frame.orient(a, b, c) == -1:
-        return [a, b, c]
-    return [a, c, b]
+def _inner_point(frame: _Frame, four: list[int]) -> int | None:
+    """The one of four points strictly inside the triangle of the other
+    three, or None when the four are in convex position."""
+    for t in four:
+        a, b, c = (p for p in four if p != t)
+        tri = [a, b, c] if frame.orient(a, b, c) == -1 else [a, c, b]
+        if frame.inside(tri, t):
+            return t
+    return None
 
 
 def _cross_ids(g: DisjointnessGraph, s: SegmentId):
@@ -643,18 +650,6 @@ def find_five_disjoint_clean(ps: PointSet, graph: DisjointnessGraph | None = Non
 # Hull-size 3 and 4
 
 
-def _in_convex_position(pts: list[Point], idx: list[int]) -> bool:
-    """Are the four points in convex position (none inside the others'
-    triangle)?"""
-    for t in idx:
-        others = [c for c in idx if c != t]
-        a, b, c = (pts[o] for o in others)
-        tri = [a, b, c] if _sign(cross(a, b, c)) == -1 else [a, c, b]
-        if strictly_inside_convex(tri, pts[t]):
-            return False
-    return True
-
-
 def _ch3(ws: _Workspace):
     """Triangular hulls: blocker set of size 8.
 
@@ -668,7 +663,7 @@ def _ch3(ws: _Workspace):
     for i in range(3):
         um, up = rotation_neighbors(ws.ps, hull, i)
         u, v, w = hull.hull[i], hull.hull[(i + 1) % 3], hull.hull[(i + 2) % 3]
-        if _in_convex_position(ws._pts, [um, up, v, w]):
+        if _inner_point(ws.base_frame(), [um, up, v, w]) is None:
             yield f"apex={u}", [
                 segment(u, um),
                 segment(u, up),
@@ -1250,27 +1245,19 @@ def _fallback_certificate(ws: _Workspace) -> Certificate:
             else "ran out of walk nodes (solver.BLOCKER_SEARCH_NODES)"
         )
         raise ConstructionError(f"fallback search {reason}; diagnostics: {ws.diagnostics}")
-    # the search's scan passed V \ S to first_failing_pair: S is verified
-    blockers = tuple(sorted(ws.g.segment_of(v) for v in iter_bits(s_mask)))
-    return Certificate(
-        strategy=STRATEGY_FALLBACK,
-        case=None,
-        blockers=blockers,
-        verified=True,
-        mu_lower_bound=comb(ws.n, 2) - len(blockers),
-        diagnostics=tuple(ws.diagnostics),
-    )
+    segs = [ws.g.segment_of(v) for v in iter_bits(s_mask)]
+    cert = ws.attempt(STRATEGY_FALLBACK, None, segs, "minimum blocker set")
+    if cert is None:
+        raise ConstructionError(f"fallback blocker set failed verification: {ws.diagnostics}")
+    return cert
 
 
 def certificate_from_blockers(
-    ps: PointSet,
-    blockers,
-    strategy: str = STRATEGY_EXPLICIT,
-    graph: DisjointnessGraph | None = None,
+    ps: PointSet, blockers, *, graph: DisjointnessGraph | None = None
 ) -> Certificate:
     """Package and verify an externally chosen blocker set."""
     ws = _Workspace(ps, graph)
-    cert = ws.attempt(strategy, None, list(blockers), "explicit")
+    cert = ws.attempt(STRATEGY_EXPLICIT, None, list(blockers), "explicit")
     if cert is None:
         raise ConstructionError(f"blocker set failed verification: {ws.diagnostics}")
     return cert

@@ -7,7 +7,8 @@ lie in the complement S = V \\ U.  One check decides this:
 source a in U and keeps R_k, the vertices of L_k that a shortest path from
 a reaches while staying inside S.  A pair (a, b) at distance d is visible
 exactly when b has a neighbour in R_{d-1}.  ``is_mutually_visible`` runs
-the same walk for one pair and rebuilds a witness path from it.
+the same walk for one pair and rebuilds a witness path from it, and
+``classify_pair`` reads its distance tag off that walk.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import INFINITY, DisjointnessGraph, distances_from, iter_bits
+from .graph import INFINITY, DisjointnessGraph, iter_bits
 
 ADJACENT = "adjacent"
 DIST2 = "dist2"
@@ -129,6 +130,21 @@ def first_failing_pair(
     return None
 
 
+def _walk_to(g: DisjointnessGraph, a: int, b: int, s_mask: int):
+    """Walk a's reach layers inside ``s_mask`` up to b's layer.
+
+    Returns (d, [R_0, ..., R_{d-1}], visible) with d = dist(a, b) and
+    visible telling whether b has a neighbour in R_{d-1}; an unreachable b
+    gives (INFINITY, every R_k, False).
+    """
+    reaches = []
+    for dist, (layer, reach, nbrs) in enumerate(_reach_layers(g, a, s_mask), start=1):
+        reaches.append(reach)
+        if layer >> b & 1:
+            return dist, reaches, bool(nbrs >> b & 1)
+    return INFINITY, reaches, False
+
+
 def is_mutually_visible(
     g: DisjointnessGraph, u: VertexSet, a: int, b: int
 ) -> PairVerdict:
@@ -141,16 +157,8 @@ def is_mutually_visible(
         raise ValueError("pair endpoints must be distinct")
     if g.are_adjacent(a, b):
         return PairVerdict(a, b, True, 1, None, ADJACENT)
-    reaches = []
-    for dist, (layer, reach, nbrs) in enumerate(
-        _reach_layers(g, a, g.full_mask & ~u.mask), start=1
-    ):
-        reaches.append(reach)
-        if layer >> b & 1:
-            break
-    else:
-        return PairVerdict(a, b, False, INFINITY, None, None)
-    if not nbrs >> b & 1:
+    dist, reaches, visible = _walk_to(g, a, b, g.full_mask & ~u.mask)
+    if not visible:
         return PairVerdict(a, b, False, dist, None, None)
     path = [b]
     for reach in reversed(reaches):  # R_{dist-1}, ..., R_0 = {a}
@@ -180,39 +188,13 @@ def classify_pair(
     drawn from s?
 
     Disjoint pairs classify as "adjacent".  For intersecting pairs the tag
-    matches the graph distance when a witness path inside s exists, else
-    None.  Distance 4 only ever occurs on five-point configurations.
+    names the graph distance (up to 4) when some shortest path has all its
+    internal vertices in s, else None.  Distance 4 only ever occurs on
+    five-point configurations.
     """
     if a in s or b in s:
         raise ValueError("pair endpoints must lie outside the blocker set")
     if a == b:
         raise ValueError("pair endpoints must be distinct")
-    if g.are_adjacent(a, b):
-        return ADJACENT
-    dist = distances_from(g, a)[b]
-    if dist == 2:
-        if g.adj[a] & g.adj[b] & s.mask:
-            return DIST2
-        return None
-    if dist == 3:
-        xs = g.adj[a] & s.mask
-        ys = g.adj[b] & s.mask
-        for f1 in iter_bits(xs):
-            if g.adj[f1] & ys:
-                return DIST3
-        return None
-    if dist == 4:
-        # Path a-f1-f2-f3-b inside s; the extra non-adjacency constraints on
-        # a shortest such path are implied, but check them anyway.
-        xs = g.adj[a] & s.mask
-        for f1 in iter_bits(xs):
-            if g.are_adjacent(f1, b):
-                continue
-            for f2 in iter_bits(g.adj[f1] & s.mask):
-                if g.are_adjacent(f2, a) or g.are_adjacent(f2, b):
-                    continue
-                for f3 in iter_bits(g.adj[f2] & g.adj[b] & s.mask):
-                    if not g.are_adjacent(f3, a) and not g.are_adjacent(f1, f3):
-                        return DIST4
-        return None
-    return None
+    dist, _, visible = _walk_to(g, a, b, s.mask)
+    return _CONDITION_BY_DISTANCE.get(dist) if visible else None

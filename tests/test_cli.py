@@ -259,3 +259,59 @@ def test_bounds_command(tmp_path):
 def test_bounds_rejects_bad_input(capsys, argv):
     assert run_cli("bounds", *argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_OUT_COMMANDS = {
+    "build": ["build", "--points", "cacerola"],
+    "certificate": ["certificate", "--points", "cacerola"],
+    "mu": ["mu", "--gen", "convex:5"],
+    "bounds": ["bounds", "--gen", "convex:5"],
+    "reproduce": ["reproduce"],
+    "sweep": ["sweep", "--n-min", "5", "--n-max", "5", "--count", "1"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path
+    assert run_cli(*_OUT_COMMANDS[command], "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
+def test_reproduce_text_table(capsys):
+    assert run_cli("reproduce") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 1 and all("  PASS  " in line for line in lines[:-1])
+    assert lines[-1] == "all rows pass"
+
+
+def test_certificate_text_frozen(capsys):
+    assert run_cli("certificate", "--points", "cacerola", "--format", "text") == 0
+    assert capsys.readouterr().out == (
+        "strategy: Hull6Case(2)\n"
+        "size: 9\n"
+        "mu_lower_bound: 12\n"
+        "verified: True\n"
+        "S: 0-1 0-4 1-4 2-3 2-5 3-5 4-5 4-6 5-6\n"
+    )
+
+
+def test_desk_scale_warning_goes_to_stderr_only(capsys, monkeypatch):
+    def mu_stdout():
+        assert run_cli("mu", "--points", "cacerola") == 0
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        del data["elapsed_ms"]
+        return data, captured.err
+
+    quiet, quiet_err = mu_stdout()
+    assert quiet_err == ""
+    monkeypatch.setattr("segvis.cli.DESK_SCALE_WARN", 20)  # cacerola has 21 vertices
+    loud, loud_err = mu_stdout()
+    assert loud_err == (
+        "warning: 21 vertices is beyond desk scale; consider --time-budget\n"
+    )
+    assert loud == quiet

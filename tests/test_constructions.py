@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import segvis.constructions as constructions
-from segvis import solver
+from segvis import geometry, solver
 
 from segvis.constructions import (
     ConstructionError,
@@ -21,6 +21,7 @@ from segvis.constructions import (
     s_from_good_triangle,
 )
 from segvis.geometry import (
+    Point,
     PointSet,
     convex_hull,
     gen_convex,
@@ -334,10 +335,12 @@ def test_build_certificate_small_sweep():
 
 
 def test_build_certificate_computes_one_hull(monkeypatch):
-    # the hull-7 lens instance exhausts its cases and falls back: even then
-    # one call builds one workspace and computes the convex hull once
-    calls = {"hull": 0, "workspace": 0}
+    # the hull-7 lens instance exhausts its cases and falls back, scanning
+    # the mirrored frames too: even then one call builds one workspace and
+    # runs the monotone chain once
+    calls = {"hull": 0, "workspace": 0, "chain": 0}
     hull, init = constructions.convex_hull, constructions._Workspace.__init__
+    chain = geometry._hull_indices_clockwise
 
     def counting_hull(ps):
         calls["hull"] += 1
@@ -347,11 +350,42 @@ def test_build_certificate_computes_one_hull(monkeypatch):
         calls["workspace"] += 1
         init(self, *args)
 
+    def counting_chain(pts):
+        calls["chain"] += 1
+        return chain(pts)
+
     monkeypatch.setattr(constructions, "convex_hull", counting_hull)
     monkeypatch.setattr(constructions._Workspace, "__init__", counting_init)
+    monkeypatch.setattr(geometry, "_hull_indices_clockwise", counting_chain)
+    monkeypatch.setattr(
+        constructions, "_hull_indices_clockwise", counting_chain, raising=False
+    )
     cert = build_certificate(gen_random_general_position(8, seed=8076, bound=10000))
     assert cert.strategy == "FallbackSearch" and cert.verified
-    assert calls == {"hull": 1, "workspace": 1}
+    assert calls == {"hull": 1, "workspace": 1, "chain": 1}
+
+
+def _mirror_hull_instances():
+    for bound in (60, 10000):
+        for n in range(3, 16):
+            for seed in range(4):
+                yield gen_random_general_position(n, seed=100 * n + seed, bound=bound)
+    for n in range(3, 20):
+        yield gen_convex(n)
+    for p, q in ((2, 6), (3, 6), (3, 7), (4, 8), (5, 9)):
+        yield gen_double_chain(p, q)
+
+
+def test_mirrored_frames_reverse_the_hull():
+    # the mirrored frames reuse the one hull, reversed; a second monotone
+    # chain over the y-mirrored points is the reference
+    for ps in _mirror_hull_instances():
+        ws = constructions._Workspace(ps)
+        mirror_pts = [Point(p.x, -p.y) for p in ps.points]
+        ref = tuple(geometry._hull_indices_clockwise(mirror_pts))
+        mirrored = ws.frames()[ws.m:]
+        assert [f.mirrored for f in mirrored] == [True] * ws.m
+        assert [f.hull for f in mirrored] == [ref[r:] + ref[:r] for r in range(ws.m)]
 
 
 def test_build_certificate_rejects_small_n():
@@ -408,6 +442,31 @@ def test_fallback_matches_oracle(no_cases):
             assert cert.strategy == "FallbackSearch"
             expected = oracle_min_blockers(g, 9)
             assert cert.blockers == tuple(g.segment_of(v) for v in expected), (n, seed)
+
+
+def test_fallback_certificate_frozen():
+    # the lens instance's whole fallback record, diagnostics included
+    cert = build_certificate(gen_random_general_position(8, seed=8076, bound=10000))
+    assert cert.strategy == "FallbackSearch" and cert.case is None
+    assert cert.blockers == (
+        (0, 2), (0, 4), (0, 7), (1, 5), (2, 4), (2, 7), (3, 6), (4, 7),
+    )
+    assert cert.mu_lower_bound == 20 and cert.verified
+    assert cert.diagnostics == (
+        "good-2-set [case7 start=0]: (1, 7) is not interior to the opposite lateral quadrant",
+        "good-2-set [case7 mirror,start=0]: (1, 3) is not interior to the opposite lateral quadrant",
+        "Hull7Case: no case produced a verified blocker set",
+        "falling back to the exact minimum-blocker search",
+    )
+
+
+def test_fallback_set_is_verified(monkeypatch, no_cases):
+    # the exact search's set goes through the same verification as any case
+    ps = gen_random_general_position(6, seed=3, bound=10000)
+    g = build_disjointness_graph(ps)
+    monkeypatch.setattr(constructions, "min_blocker_set", lambda g: (solver.FOUND, 1))
+    with pytest.raises(ConstructionError, match="fallback blocker set failed verification"):
+        build_certificate(ps, g)
 
 
 def test_fallback_ignores_the_clock(monkeypatch):

@@ -9,6 +9,7 @@ from segvis.visibility import (
     ADJACENT,
     DIST2,
     DIST3,
+    DIST4,
     VertexSet,
     classify_pair,
     is_mutual_visibility_set,
@@ -16,7 +17,7 @@ from segvis.visibility import (
     verdict_json,
 )
 
-from oracles import oracle_pair_visible
+from oracles import all_shortest_paths, oracle_pair_visible
 
 
 def test_vertex_set_basics():
@@ -254,3 +255,31 @@ def test_distance4_only_for_five_points():
             assert all(
                 d <= 3 for a in range(g.n_vertices) for d in distances_from(g, a)
             )
+
+
+def test_classify_pair_matches_shortest_path_oracle():
+    # The tag names dist(a, b) exactly when some shortest path has all its
+    # internal vertices in S, else it is None.  convex:5 contributes every
+    # distance-4 pair and the quadrilateral unreachable ones.
+    rng = random.Random(31)
+    quad = PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
+    graphs = [build_disjointness_graph(quad), build_disjointness_graph(gen_convex(5))]
+    graphs += [
+        build_disjointness_graph(gen_random_general_position(n, seed=seed, bound=2000))
+        for n in range(5, 9)
+        for seed in (1, 2)
+    ]
+    tag = {1: ADJACENT, 2: DIST2, 3: DIST3, 4: DIST4}
+    seen = set()
+    for g in graphs:
+        nv = g.n_vertices
+        for a, b in itertools.permutations(range(nv), 2):
+            paths = all_shortest_paths(g, a, b)
+            for _ in range(3 if nv < 16 else 1):
+                others = [v for v in range(nv) if v not in (a, b)]
+                s = VertexSet.from_indices(nv, rng.sample(others, rng.randint(0, len(others))))
+                visible = any(all(v in s for v in p[1:-1]) for p in paths)
+                expected = tag[len(paths[0]) - 1] if visible else None
+                assert classify_pair(g, s, a, b) == expected, (a, b, s.indices())
+                seen.add((len(paths[0]) - 1 if paths else None, visible))
+    assert {(None, False), (3, False), (3, True), (4, False), (4, True)} <= seen
