@@ -220,6 +220,11 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # an empty sweep checks nothing, so it must not report clean
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
+    if args.n_min > args.n_max:
+        raise CliError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     stats = {
         "instances": 0,
         "diameter_violations": [],

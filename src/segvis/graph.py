@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import compress, repeat
 
 from .geometry import PointSet, SegmentId, all_segments, cross
 
@@ -228,24 +229,49 @@ def is_connected(g: DisjointnessGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Exports
 
+# _BYTE_SELECTORS[b]: the bits of byte b, least significant first, one byte
+# (0 or 1) each.
+_BYTE_SELECTORS = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
+
+
+def _upper_neighbours(g: DisjointnessGraph):
+    """(u, the vertices v > u adjacent to u, ascending), for u ascending.
+
+    Each row's upper part is read as bytes and decoded once through a
+    256-entry table; ``map``, ``join`` and ``compress`` run the per-byte and
+    per-bit loops, so the Python loop runs once per row, not once per edge.
+    """
+    selectors = _BYTE_SELECTORS.__getitem__
+    for u, row in enumerate(g.adj):
+        base = u + 1
+        upper = row >> base
+        data = upper.to_bytes((upper.bit_length() + 7) // 8, "little")
+        yield u, list(compress(range(base, base + 8 * len(data)), b"".join(map(selectors, data))))
+
 
 def to_dot(g: DisjointnessGraph) -> str:
     """Undirected DOT export with vertices labelled "i-j", stable order."""
     labels = [f'"{i}-{j}"' for i, j in g.vertices]
-    lines = ["graph disjointness {"]
-    lines.extend(f"  {label};" for label in labels)
-    for u in range(g.n_vertices):
-        head = f"  {labels[u]} -- "
-        lines.extend(f"{head}{labels[v]};" for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    ends = [f"{label};\n" for label in labels]
+    parts = ["graph disjointness {\n"]
+    parts.extend(f"  {end}" for end in ends)
+    for u, vs in _upper_neighbours(g):
+        if vs:
+            head = f"  {labels[u]} -- "
+            parts.append(head + head.join([ends[v] for v in vs]))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def to_json_dict(g: DisjointnessGraph) -> dict:
+    """The graph as plain data: ``n_points``, ``vertices`` as [i, j] lists
+    and ``edges`` as (u, v) tuples with u < v, in ascending lexicographic
+    order.  ``json.dumps`` writes a tuple as it writes a list, so the JSON is
+    the same as with [u, v] lists; all-int tuples, unlike lists, drop out of
+    the cyclic collector's passes once they survive one."""
     edges = []
-    for u in range(g.n_vertices):
-        for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)):
-            edges.append([u, v])
+    for u, vs in _upper_neighbours(g):
+        edges.extend(zip(repeat(u), vs))
     return {
         "n_points": g.n_points,
         "vertices": [list(s) for s in g.vertices],

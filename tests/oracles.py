@@ -253,3 +253,14 @@ def float_rotation_neighbors(coords, hull_cycle, i):
         best.append((cw, c))
     best.sort()
     return best[0][1], best[-1][1]
+
+
+def oracle_edges(g):
+    """Every (u, v) with u < v and u, v adjacent in g, by a plain double
+    loop over vertex pairs."""
+    return [
+        (u, v)
+        for u in range(g.n_vertices)
+        for v in range(u + 1, g.n_vertices)
+        if g.are_adjacent(u, v)
+    ]

@@ -75,6 +75,26 @@ def test_build_export_bytes_frozen(tmp_path, spec, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_DIGESTS[spec, fmt]
 
 
+#: sha256 of the exports as written to stdout before the byte-table row
+#: decoder, on graphs small enough to build in milliseconds (21, 45 and 276
+#: vertices).
+SMALL_EXPORT_DIGESTS = {
+    ("cacerola", "json"): "cbc8e5b6fa3168cbb080ae353c4e6319c5d5f4c964ec76ec34851b824a2779c6",
+    ("cacerola", "dot"): "5660ab87dae5eaa6811278dffd6f5ec060bfb4bc5d251b9c51bf65128f78c602",
+    ("convex:10", "json"): "38e65d2baf12df26c896c45eefb0282f4542618b2d8112828305ca86ba023d61",
+    ("convex:10", "dot"): "63b2009111e89ee294838b718a7cc1b1de803537935434331a6f10ed9c9fe439",
+    ("random:24:7", "json"): "faea79d86da2a61b05fbe8ace0d9218eea05e2124b1dfa1754680437ded7b4ce",
+    ("random:24:7", "dot"): "8bf19eaeba25478e03e7c189b280381b60759c35f203c18e0a1e86aef2fa0ff0",
+}
+
+
+@pytest.mark.parametrize("spec, fmt", list(SMALL_EXPORT_DIGESTS))
+def test_build_exports_frozen(capsys, spec, fmt):
+    assert run_cli("build", "--gen", spec, "--format", fmt) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == SMALL_EXPORT_DIGESTS[spec, fmt]
+
+
 def test_build_rejects_collinear(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"points": [[0,0],[1,1],[2,2],[0,5]]}')
@@ -217,6 +237,16 @@ def test_sweep_small(tmp_path):
     assert data["clean"] is True
     assert data["fallback_invocations"] == 0
     assert not data["diameter_violations"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["--count", "0"], ["--count", "-1"], ["--n-min", "9", "--n-max", "5"]]
+)
+def test_empty_sweep_exits_2(capsys, argv):
+    assert run_cli("sweep", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_sweep_reports_fallback_blockers(tmp_path, no_cases):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 from segvis.geometry import (
     MAX_COORD,
     PointSet,
+    cacerola_points,
     cross,
     gen_convex,
     gen_double_chain,
@@ -23,7 +24,7 @@ from segvis.graph import (
     to_json_dict,
 )
 
-from oracles import oracle_adjacency, oracle_distances
+from oracles import oracle_adjacency, oracle_distances, oracle_edges
 
 
 def test_vertex_layout(cacerola_graph):
@@ -220,3 +221,33 @@ def test_json_export(cacerola_graph):
     assert len(data["vertices"]) == 21
     assert all(u < v for u, v in data["edges"])
     assert len(data["edges"]) == cacerola_graph.n_edges
+
+
+def oracle_dot(g, edges) -> str:
+    """The DOT export written one line per vertex and per edge."""
+    labels = [f'"{i}-{j}"' for i, j in g.vertices]
+    lines = ["graph disjointness {"]
+    lines += [f"  {label};" for label in labels]
+    lines += [f"  {labels[u]} -- {labels[v]};" for u, v in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+EXPORT_CASES = {f"convex:{n}": (gen_convex, n) for n in range(3, 13)}
+EXPORT_CASES["quadrilateral"] = (PointSet.from_coords, [(0, 0), (10, 0), (10, 10), (0, 10)])
+EXPORT_CASES["cacerola"] = (cacerola_points,)
+# 10 .. 136 vertices: on and off multiples of 8, rows with no upper part
+EXPORT_CASES.update(
+    (f"random:{n}:{n}:{bound}", (gen_random_general_position, n, n, bound))
+    for n in range(5, 18)
+    for bound in (60, 10000)
+)
+
+
+@pytest.mark.parametrize("case", list(EXPORT_CASES))
+def test_exports_match_oracle(case):
+    make, *args = EXPORT_CASES[case]
+    g = build_disjointness_graph(make(*args))
+    edges = oracle_edges(g)
+    assert list(map(tuple, to_json_dict(g)["edges"])) == edges
+    assert to_dot(g) == oracle_dot(g, edges)
