@@ -173,14 +173,12 @@ def iter_bits(m: int):
 _BIT_DIGITS = [bytes(0x30 | (byte >> i & 1) for byte in range(256)) for i in range(8)]
 
 
-def bit_columns(rows: list[int], n_cols: int, check=None) -> list[int]:
+def bit_columns(rows: list[int], n_cols: int) -> list[int]:
     """Transpose a bit matrix: bit p of column v is bit v of rows[p].
 
     With the rows laid out as bytes, last row first, a strided slice takes
     one byte of every row, and one bit of those bytes, read as binary
     digits, is a column.  The cost is linear in the size of the matrix.
-    ``check``, if given, is called once per byte of columns; a deadline
-    check stops the transpose by raising.
     """
     if not rows:
         return [0] * n_cols
@@ -193,8 +191,6 @@ def bit_columns(rows: list[int], n_cols: int, check=None) -> list[int]:
         end -= width
     cols = []
     for j in range(width):
-        if check is not None:
-            check()
         byte_column = laid_out[j::width]
         for i in range(min(8, n_cols - 8 * j)):
             cols.append(int(byte_column.translate(_BIT_DIGITS[i]), 2))

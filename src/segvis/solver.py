@@ -31,18 +31,19 @@ from .visibility import VertexSet, first_failing_pair
 
 REFUTED = "refuted"
 FOUND = "found"
-TIMEOUT = "timeout"
+EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
 class MuResult:
     """Outcome of an exact (or budget-bracketed) mutual-visibility search.
 
-    ``mu`` is None exactly when the time budget expired first; the bracket
-    [mu_lower, mu_upper] is then still valid.  ``sets_examined`` is the
-    number of candidates the refutation of ``refuted_size`` covers: every
-    size-k set of that level, whether the quick reject dismissed it within
-    a subtree counted in bulk or the exact check tested it alone.
+    ``mu`` is None exactly when the walk-node budget ran out first; the
+    bracket [mu_lower, mu_upper] is then still valid, and depends on the
+    input and the budget alone.  ``sets_examined`` is the number of
+    candidates the refutation of ``refuted_size`` covers: every size-k set
+    of that level, whether the quick reject dismissed it within a subtree
+    counted in bulk or the exact check tested it alone.
     """
 
     mu: Optional[int]
@@ -50,9 +51,12 @@ class MuResult:
     mu_upper: int
     witness: Optional[VertexSet]
     refuted_size: Optional[int]
-    refutation_exhaustive: bool
     sets_examined: int
     elapsed_s: float
+
+    @property
+    def refutation_exhaustive(self) -> bool:
+        return self.refuted_size is not None
 
 
 def default_upper_bound(g: DisjointnessGraph) -> int:
@@ -72,15 +76,15 @@ class _Expired(Exception):
         self.covered = covered
 
 
-def _stop_check(deadline: Optional[float], nodes: Optional[Iterator[int]] = None):
-    """The check a table build runs per row and a walk at every node: it
-    raises ``_Expired(covered)`` once ``deadline`` has passed or the
-    iterator ``nodes``, one item per walk node still allowed, runs dry."""
+def _stop_check(nodes: Optional[Iterator[int]]):
+    """The check a walk runs at every node: it raises ``_Expired(covered)``
+    once the iterator ``nodes``, one item per walk node still allowed, runs
+    dry.  Without ``nodes`` it does nothing."""
+    if nodes is None:
+        return lambda covered: None
 
-    def check(covered: int = 0) -> None:
-        if (nodes is not None and next(nodes, None) is None) or (
-            deadline is not None and time.monotonic() > deadline
-        ):
+    def check(covered: int) -> None:
+        if next(nodes, None) is None:
             raise _Expired(covered)
 
     return check
@@ -95,16 +99,13 @@ class _Probes:
     their top (highest) vertex; ``hit_by[v]`` is the bitmask of pairs whose
     T_p holds v, and ``first[v]`` the number of pairs whose top lies below
     v: the vertices >= v can hit exactly the pairs numbered first[v] on.
-    Building the tables raises ``_Expired`` once ``deadline`` has passed.
     """
 
-    def __init__(self, g: DisjointnessGraph, deadline: Optional[float] = None):
+    def __init__(self, g: DisjointnessGraph):
         self.g = g
         nv = g.n_vertices
-        check = _stop_check(deadline)
         ts = []
         for a in range(nv):
-            check(0)
             adj_a = g.adj[a]
             # distance 2: b > a is no neighbour of a but shares one with it
             for b in iter_bits(g.full_mask & ~adj_a & -(2 << a)):
@@ -113,7 +114,7 @@ class _Probes:
                     ts.append(n2 | (1 << a) | (1 << b))
         ts.sort(key=int.bit_length)
         self.T = ts
-        self.hit_by = bit_columns(ts, nv, check)
+        self.hit_by = bit_columns(ts, nv)
         self.first = [bisect_right(ts, v, key=int.bit_length) for v in range(nv + 1)]
 
 
@@ -156,7 +157,6 @@ def _walk(root) -> Optional[tuple[int, int]]:
 def _scan_level(
     probes: _Probes,
     k: int,
-    deadline: Optional[float],
     *,
     nodes: Optional[Iterator[int]] = None,
     side: Optional[str] = None,
@@ -165,16 +165,17 @@ def _scan_level(
 
     ``count`` is the number of candidates the scan covered, in the order of
     the enumerated side: every size-k set when refuted, up to and including
-    the passing set when found.  The deadline is read at every walk node,
-    and each node takes one item of ``nodes`` when that is given.  ``side``
-    fixes the enumerated side; by default it is the smaller family.
+    the passing set when found.  Each walk node takes one item of
+    ``nodes`` when that is given; once it runs dry the scan returns
+    EXHAUSTED with the count covered so far.  ``side`` fixes the enumerated
+    side; by default it is the smaller family.
     """
     g = probes.g
     nv = g.n_vertices
     full = g.full_mask
     T, hit_by, first = probes.T, probes.hit_by, probes.first
     side, size = _level_plan(nv, k, side)
-    check = _stop_check(deadline, nodes)
+    check = _stop_check(nodes)
 
     def passes(u_mask: int) -> bool:
         return first_failing_pair(g, u_mask) is None
@@ -239,8 +240,6 @@ def _scan_level(
                     )
             unhit &= ~hit_by[x]
 
-    if deadline is not None and time.monotonic() > deadline:
-        return TIMEOUT, None, 0
     if size == 0:
         u_mask = full if side == "complement" else 0
         return (FOUND, u_mask, 1) if passes(u_mask) else (REFUTED, None, 1)
@@ -253,7 +252,7 @@ def _scan_level(
         else:
             found = _walk(complement(0, size, 0, unhit, 0))
     except _Expired as expired:
-        return TIMEOUT, None, expired.covered
+        return EXHAUSTED, None, expired.covered
     if found:
         return (FOUND, *found)
     return REFUTED, None, comb(nv, size)
@@ -267,7 +266,7 @@ def refute_size(g: DisjointnessGraph, k: int) -> bool:
     """True iff no mutual-visibility set of size k exists (exhaustive)."""
     if not 0 < k <= g.n_vertices:
         raise ValueError("k must be within 1..|V|")
-    status, _, _ = _scan_level(_Probes(g), k, None)
+    status, _, _ = _scan_level(_Probes(g), k)
     return status == REFUTED
 
 
@@ -282,6 +281,11 @@ def refutation_count(g: DisjointnessGraph, k: int) -> int:
 #: times the most any known fallback instance needs (130,432, random:9:9827).
 BLOCKER_SEARCH_NODES = 2_000_000
 
+#: Walk nodes ``check_bounds_report``, and so ``segvis bounds``, allows the
+#: exact search by default: about 5 times the most any measured instance up
+#: to n = 18 needs (973,817, random:18:3; convex:18 needs 448,153).
+BOUNDS_SEARCH_NODES = 5_000_000
+
 
 def min_blocker_set(g: DisjointnessGraph, max_size: int = 9) -> tuple[str, Optional[int]]:
     """The lexicographically first blocker set of minimum size.
@@ -290,7 +294,7 @@ def min_blocker_set(g: DisjointnessGraph, max_size: int = 9) -> tuple[str, Optio
     superset of a blocker set is one, so the complement-side scans of the
     levels |V| - 1, |V| - 2, ... meet the smallest size first.  Returns
     (FOUND, mask of S), (REFUTED, None) when no blocker set has at most
-    ``max_size`` vertices, or (TIMEOUT, None) when ``BLOCKER_SEARCH_NODES``
+    ``max_size`` vertices, or (EXHAUSTED, None) when ``BLOCKER_SEARCH_NODES``
     walk nodes did not settle it.  The bound counts nodes, so the outcome
     never depends on the clock.
     """
@@ -298,12 +302,12 @@ def min_blocker_set(g: DisjointnessGraph, max_size: int = 9) -> tuple[str, Optio
     nodes = iter(range(BLOCKER_SEARCH_NODES))
     for s in range(1, max_size + 1):
         status, u_mask, _ = _scan_level(
-            probes, g.n_vertices - s, None, nodes=nodes, side="complement"
+            probes, g.n_vertices - s, nodes=nodes, side="complement"
         )
         if status == FOUND:
             return FOUND, g.full_mask & ~u_mask
-        if status == TIMEOUT:
-            return TIMEOUT, None
+        if status == EXHAUSTED:
+            return EXHAUSTED, None
     return REFUTED, None
 
 
@@ -312,7 +316,7 @@ def mu_exact(
     *,
     witness_hint: Optional[VertexSet] = None,
     threads: int = 1,
-    time_budget_s: Optional[float] = None,
+    node_budget: Optional[int] = None,
 ) -> MuResult:
     """Exact mu of a connected disjointness graph.
 
@@ -320,7 +324,9 @@ def mu_exact(
     witness, then refutes one level above it; downward closure makes that
     single exhaustive refutation cover every larger size.  Without a
     witness it descends from a sound upper bound, refuting level by level.
-    On timeout the bracket found so far is returned with ``mu`` = None.
+    ``node_budget`` caps the walk nodes of all the levels scanned together,
+    as ``BLOCKER_SEARCH_NODES`` does for ``min_blocker_set``; once they are
+    spent the bracket found so far is returned with ``mu`` = None.
 
     The search is serial.  ``threads`` is kept only so that existing
     callers passing ``threads=1`` keep working; any other value raises
@@ -331,18 +337,17 @@ def mu_exact(
     if not is_connected(g):
         raise ValueError("mu_exact needs a connected graph (n >= 5)")
     start = time.monotonic()
-    deadline = start + time_budget_s if time_budget_s is not None else None
+    nodes = iter(range(node_budget)) if node_budget is not None else None
     upper = default_upper_bound(g)
     nv = g.n_vertices
 
-    def result(mu, lower, up, witness, refuted, exhaustive, examined):
+    def result(mu, lower, up, witness, refuted, examined):
         return MuResult(
             mu=mu,
             mu_lower=lower,
             mu_upper=up,
             witness=witness,
             refuted_size=refuted,
-            refutation_exhaustive=exhaustive,
             sets_examined=examined,
             elapsed_s=time.monotonic() - start,
         )
@@ -351,24 +356,19 @@ def mu_exact(
         failing = first_failing_pair(g, witness_hint.mask)
         if failing is not None:
             raise ValueError(f"witness hint is not a mutual-visibility set: {failing}")
-    try:
-        probes = _Probes(g, deadline)
-    except _Expired:
-        # the budget ran out before the first level scan
-        lower = len(witness_hint) if witness_hint is not None else 1
-        return result(None, lower, upper, witness_hint, None, False, 0)
+    probes = _Probes(g)
 
     if witness_hint is not None:
         witness = witness_hint
         k = len(witness) + 1
         while k <= nv:
-            status, wit_mask, examined = _scan_level(probes, k, deadline)
-            if status == TIMEOUT:
+            status, wit_mask, examined = _scan_level(probes, k, nodes=nodes)
+            if status == EXHAUSTED:
                 # level k was not refuted, so only the a-priori bound holds
-                return result(None, len(witness), upper, witness, None, False, examined)
+                return result(None, len(witness), upper, witness, None, examined)
             if status == REFUTED:
                 size = len(witness)
-                return result(size, size, size, witness, k, True, examined)
+                return result(size, size, size, witness, k, examined)
             witness = VertexSet(nv, wit_mask)
             k += 1
         raise RuntimeError("the full vertex set verified; graph corrupt")
@@ -376,15 +376,13 @@ def mu_exact(
     prev_examined = 0
     k = upper
     while k >= 1:
-        status, wit_mask, examined = _scan_level(probes, k, deadline)
-        if status == TIMEOUT:
-            return result(None, 1, k, None, None, False, examined)
+        status, wit_mask, examined = _scan_level(probes, k, nodes=nodes)
+        if status == EXHAUSTED:
+            return result(None, 1, k, None, None, examined)
         if status == FOUND:
             witness = VertexSet(nv, wit_mask)
             refuted = k + 1 if k < upper else None
-            return result(
-                k, k, k, witness, refuted, refuted is not None, prev_examined
-            )
+            return result(k, k, k, witness, refuted, prev_examined)
         prev_examined = examined
         k -= 1
     raise RuntimeError("no mutual-visibility set of any size; graph corrupt")
@@ -394,15 +392,16 @@ def check_bounds_report(
     ps: PointSet,
     *,
     extra_blockers=None,
-    exact_time_budget_s: Optional[float] = 30.0,
+    node_budget: Optional[int] = BOUNDS_SEARCH_NODES,
 ) -> dict:
     """Certificate lower bound vs exact value vs a-priori upper bound.
 
-    The exact computation ascends from the certificate witness under a time
-    budget; if the decisive refutation level does not fit the budget the
-    report carries the bracket instead of an exact value.  ``extra_blockers``
-    lets a caller supply a stronger known blocker set (it is verified before
-    use).  Any bound violation is flagged as a critical defect.
+    The exact computation ascends from the certificate witness under a
+    budget of ``node_budget`` walk nodes; if the decisive refutation level
+    does not fit the budget the report carries the bracket instead of an
+    exact value.  ``extra_blockers`` lets a caller supply a stronger known
+    blocker set (it is verified before use).  Any bound violation is
+    flagged as a critical defect.
     """
     from .constructions import build_certificate, certificate_from_blockers
 
@@ -431,7 +430,7 @@ def check_bounds_report(
         "defects": [],
     }
     witness = _witness_from_blockers(g, cert.blockers)
-    res = mu_exact(g, witness_hint=witness, time_budget_s=exact_time_budget_s)
+    res = mu_exact(g, witness_hint=witness, node_budget=node_budget)
     report["refuted"] = res.refuted_size
     report["sets_examined"] = res.sets_examined
     if res.mu is not None:

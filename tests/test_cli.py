@@ -1,7 +1,10 @@
 import hashlib
+import itertools
 import json
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -197,14 +200,34 @@ def test_mu_command(tmp_path):
 
 def test_mu_timeout_brackets(tmp_path):
     out = tmp_path / "mu.json"
-    code = run_cli("mu", "--gen", "convex:10", "--time-budget", "0.0000001", "--out", str(out))
+    code = run_cli("mu", "--gen", "convex:10", "--node-budget", "1", "--out", str(out))
     assert code == 4
     data = json.loads(out.read_text())
     assert data["mu"] is None
     assert data["mu_lower"] == 40  # certificate bound survives the timeout
     # a budget of zero or less is an input error, not "no budget"
     for budget in ("0", "-1"):
-        assert run_cli("mu", "--gen", "convex:10", "--time-budget", budget) == 2
+        assert run_cli("mu", "--gen", "convex:10", "--node-budget", budget) == 2
+
+
+def test_budgeted_runs_ignore_the_clock(capsys, monkeypatch):
+    # 50,000 walk nodes stop random:11:5 mid-level (a whole run walks
+    # 129,784); a clock that jumps 100 s per reading changes nothing but
+    # elapsed_ms
+    def outputs():
+        texts = []
+        for command, code in (("mu", 4), ("bounds", 0)):
+            assert run_cli(command, "--gen", "random:11:5", "--node-budget", "50000") == code
+            out = capsys.readouterr().out
+            data = json.loads(out)
+            assert data["mu"] is None and data["sets_examined"] > 0
+            texts.append(re.sub(r'\n *"elapsed_ms": \d+,', "", out))
+        return texts
+
+    steady = outputs()
+    clock = itertools.count(step=100.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    assert outputs() == steady
 
 
 @pytest.mark.parametrize("command", ["certificate", "mu"])
@@ -249,6 +272,17 @@ def test_empty_sweep_exits_2(capsys, argv):
     assert captured.out == ""
 
 
+def test_sweep_rejects_small_n_min_up_front(capsys, monkeypatch):
+    def no_build(ps):
+        raise AssertionError("a graph was built before the check")
+
+    monkeypatch.setattr("segvis.cli.build_disjointness_graph", no_build)
+    assert run_cli("sweep", "--n-min", "3", "--n-max", "6", "--count", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --n-min must be at least 5")
+    assert captured.out == ""
+
+
 def test_sweep_reports_fallback_blockers(tmp_path, no_cases):
     out = tmp_path / "sweep.json"
     argv = ["--n-min", "5", "--n-max", "5", "--count", "2", "--seed", "17"]
@@ -283,7 +317,7 @@ def test_bounds_command(tmp_path):
     [
         ["--gen", "random:x"],
         ["--gen", "convex:4"],
-        ["--points", "cacerola", "--time-budget", "0"],
+        ["--points", "cacerola", "--node-budget", "0"],
     ],
 )
 def test_bounds_rejects_bad_input(capsys, argv):
@@ -342,6 +376,6 @@ def test_desk_scale_warning_goes_to_stderr_only(capsys, monkeypatch):
     monkeypatch.setattr("segvis.cli.DESK_SCALE_WARN", 20)  # cacerola has 21 vertices
     loud, loud_err = mu_stdout()
     assert loud_err == (
-        "warning: 21 vertices is beyond desk scale; consider --time-budget\n"
+        "warning: 21 vertices is beyond desk scale; consider --node-budget\n"
     )
     assert loud == quiet

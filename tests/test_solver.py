@@ -13,10 +13,10 @@ from segvis.geometry import (
     gen_random_general_position,
 )
 from segvis.graph import bit_columns, build_disjointness_graph
-from segvis import solver
 from segvis.solver import (
+    EXHAUSTED,
+    FOUND,
     REFUTED,
-    TIMEOUT,
     _level_plan,
     _Probes,
     _scan_level,
@@ -73,21 +73,21 @@ def test_scan_level_matches_one_by_one_scan():
         probes = _Probes(g)
         for k in levels:
             expected = oracle_scan_level(g, k)
-            assert _scan_level(probes, k, None) == expected, (g.pointset.coords, k)
+            assert _scan_level(probes, k) == expected, (g.pointset.coords, k)
             seen.add((_level_plan(g.n_vertices, k)[0], expected[0]))
     assert {("direct", "found"), ("complement", "found"),
             ("complement", "refuted")} <= seen
     assert expected == ("refuted", None, 7140)  # double-chain:3,6, the last case
 
 
-def test_scan_level_deadline_mid_walk(monkeypatch):
+def test_scan_level_stops_mid_walk():
+    # 50 walk nodes cover the first 916 candidates of a level whose first
+    # passing set is candidate 1,532,647, on every run
     ps = gen_random_general_position(9, seed=60000, bound=10000)
-    g = build_disjointness_graph(ps)
-    readings = iter([0.0] * 50)  # 50 readings on time, later ones late
-    monkeypatch.setattr("segvis.solver.time.monotonic", lambda: next(readings, 2.0))
-    status, mask, count = _scan_level(_Probes(g), 30, 1.0)
-    assert status == TIMEOUT and mask is None
-    assert 0 < count < 1532647  # the level's first passing set has that index
+    probes = _Probes(build_disjointness_graph(ps))
+    for _ in range(2):
+        assert _scan_level(probes, 30, nodes=iter(range(50))) == (EXHAUSTED, None, 916)
+    assert _scan_level(probes, 30)[::2] == (FOUND, 1532647)
 
 
 def test_min_blocker_set_refutes_small_sizes():
@@ -164,51 +164,24 @@ def test_mu_bound_relations():
 
 
 def test_timeout_brackets(cacerola_graph):
-    res = mu_exact(cacerola_graph, time_budget_s=1e-9)
+    # the descent's one node refutes level 20 (a single complement
+    # element), and level 19 finds the budget spent
+    res = mu_exact(cacerola_graph, node_budget=1)
+    assert (res.mu, res.mu_lower, res.mu_upper) == (None, 1, 19)
+    assert res.refuted_size is None and not res.refutation_exhaustive
+
+
+def test_ascent_timeout_keeps_a_sound_upper_bound():
+    # The ascent finds level 29 above the certificate witness and runs out
+    # of nodes in level 30; that level is not refuted, so mu_upper may not
+    # drop below the a-priori bound (mu is 30 here).
+    ps = gen_random_general_position(9, seed=60000, bound=10000)
+    g = build_disjointness_graph(ps)
+    witness = certificate_witness(ps, g)
+    res = mu_exact(g, witness_hint=witness, node_budget=10_000)
     assert res.mu is None
-    assert res.mu_lower <= res.mu_upper
-    assert not res.refutation_exhaustive
-
-
-def test_ascent_timeout_keeps_a_sound_upper_bound(monkeypatch):
-    # The budget expires while the ascent scans the level above the
-    # certificate witness; that level is not refuted, so mu_upper may not
-    # drop below the a-priori bound (mu is 30 here).  The clock stands
-    # still until the first level scan begins, then reads late.
-    ps = gen_random_general_position(9, seed=60000, bound=10000)
-    g = build_disjointness_graph(ps)
-    witness = certificate_witness(ps, g)
-    scanning = []
-    monkeypatch.setattr(solver.time, "monotonic", lambda: 2.0 if scanning else 0.0)
-    scan_level = solver._scan_level
-
-    def late_scan(*args):
-        scanning.append(True)
-        return scan_level(*args)
-
-    monkeypatch.setattr(solver, "_scan_level", late_scan)
-    res = mu_exact(g, witness_hint=witness, time_budget_s=1.0)
-    assert scanning and res.mu is None
-    assert res.mu_lower == len(witness) < 30
+    assert len(witness) < res.mu_lower == len(res.witness) < 30
     assert res.mu_upper == default_upper_bound(g) >= 30
-
-
-def test_budget_spent_on_probe_tables_brackets(monkeypatch):
-    # The first clock reading starts the budget, the next one, inside the
-    # probe tables' set-up, is late: no level is scanned.
-    ps = gen_random_general_position(9, seed=60000, bound=10000)
-    g = build_disjointness_graph(ps)
-    witness = certificate_witness(ps, g)
-    readings = iter([0.0])
-    monkeypatch.setattr(solver.time, "monotonic", lambda: next(readings, 2.0))
-
-    def no_scan(*args):
-        raise AssertionError("a level was scanned after the budget ran out")
-
-    monkeypatch.setattr(solver, "_scan_level", no_scan)
-    res = mu_exact(g, witness_hint=witness, time_budget_s=1.0)
-    assert (res.mu, res.mu_lower, res.mu_upper) == (None, len(witness), default_upper_bound(g))
-    assert res.witness == witness and res.sets_examined == 0
 
 
 def test_columns_transposes_bit_matrix():
@@ -219,17 +192,6 @@ def test_columns_transposes_bit_matrix():
             sum(1 << p for p, row in enumerate(rows) if row >> v & 1) for v in range(n_cols)
         ]
         assert bit_columns(rows, n_cols) == expected
-
-
-def test_probe_tables_stop_inside_the_transpose(monkeypatch):
-    # The clock is early for every per-vertex check of the T rows and late
-    # from the transpose's first column on: the transpose stops the build.
-    g = build_disjointness_graph(gen_random_general_position(7, seed=3, bound=1000))
-    readings = iter([0.0] * g.n_vertices)
-    monkeypatch.setattr(solver.time, "monotonic", lambda: next(readings, 2.0))
-    with pytest.raises(solver._Expired):
-        _Probes(g, deadline=1.0)
-    assert next(readings, None) is None
 
 
 def test_deep_levels_need_no_recursion():
@@ -273,7 +235,7 @@ def test_check_bounds_report_double_chain():
 
 def test_check_bounds_report_brackets_on_budget():
     ps = gen_random_general_position(12, seed=8, bound=9000)
-    report = check_bounds_report(ps, exact_time_budget_s=1e-9)
+    report = check_bounds_report(ps, node_budget=1)
     assert report["mu"] is None
     assert report["mu_lower"] >= comb(12, 2) - 9
     assert report["mu_lower"] <= report["mu_upper"]
