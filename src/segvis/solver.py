@@ -282,9 +282,9 @@ def refutation_count(g: DisjointnessGraph, k: int) -> int:
 BLOCKER_SEARCH_NODES = 2_000_000
 
 #: Walk nodes ``check_bounds_report``, and so ``segvis bounds``, allows the
-#: exact search by default: about 5 times the most any measured instance up
+#: exact search by default: about twice the most any measured instance up
 #: to n = 18 needs (973,817, random:18:3; convex:18 needs 448,153).
-BOUNDS_SEARCH_NODES = 5_000_000
+BOUNDS_SEARCH_NODES = 2_000_000
 
 
 def min_blocker_set(g: DisjointnessGraph, max_size: int = 9) -> tuple[str, Optional[int]]:
