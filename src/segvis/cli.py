@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation error, 3 reproduction or sweep
 mismatch, a bounds report that flags a defect, or no certificate could be
-built, 4 result bracketed by the walk-node budget.
+built, 4 result bracketed by the search-node budget.
 """
 
 from __future__ import annotations
@@ -53,10 +53,16 @@ EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
 EXIT_BRACKETED = 4
 
-# `mu` warns above this many vertices (n = 16); larger exact runs want a
-# walk-node budget.  At 120 vertices exact mu walked 364,530 nodes on
-# random:16:5 and 198,926 on convex:16.
-DESK_SCALE_WARN = 120
+# `mu` warns above this many vertices (n = 28); larger exact runs want a
+# search-node budget.  At 378 vertices exact mu spent 97,574 nodes (2.5 s)
+# on convex:28 and 21,194 on random:28:1; at 496, convex:32 took 250,537
+# nodes (15 s).
+DESK_SCALE_WARN = 378
+
+# Generator specs (and `sweep --n-max`) may ask for at most this many
+# points: n = 64 builds its 2,016-vertex graph in about 1 s, n = 100 in 7 s
+# and n = 128 in 31 s.  Point files are not capped.
+MAX_GEN_POINTS = 64
 
 
 class CliError(Exception):
@@ -73,18 +79,27 @@ def parse_gen_spec(spec: str) -> PointSet:
     kind, _, rest = spec.partition(":")
     try:
         if kind == "convex":
-            return gen_convex(int(rest))
+            n = int(rest)
+            _check_gen_size(n)
+            return gen_convex(n)
         if kind == "double-chain":
             p, q = (int(t) for t in rest.split(","))
+            _check_gen_size(p + q)
             return gen_double_chain(p, q)
         if kind == "random":
             parts = rest.split(":")
             n, seed = int(parts[0]), int(parts[1])
             bound = int(parts[2]) if len(parts) > 2 else 10000
+            _check_gen_size(n)
             return gen_random_general_position(n, seed, bound)
     except (ValueError, IndexError) as exc:
         raise CliError(f"malformed generator spec {spec!r}: {exc}") from exc
     raise CliError(f"unknown generator spec {spec!r}")
+
+
+def _check_gen_size(n: int) -> None:
+    if n > MAX_GEN_POINTS:
+        raise CliError(f"generator size {n} exceeds the limit of {MAX_GEN_POINTS} points")
 
 
 def resolve_pointset(args) -> PointSet:
@@ -226,6 +241,7 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--n-min must be at least 5 (certificates need n >= 5), got {args.n_min}")
     if args.n_min > args.n_max:
         raise CliError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    _check_gen_size(args.n_max)
     stats = {
         "instances": 0,
         "diameter_violations": [],

@@ -14,10 +14,10 @@ cyclic orientation, covering the symmetric branches).
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
 slip into a loud diagnostic instead of a wrong certificate.  Beneath the
-dispatch sits an exact safety net, ``solver.min_blocker_set``: it scans
-the complements of sizes 1, 2, ..., 9 and returns the lexicographically
-first blocker set of minimum size.  A fixed count of walk nodes bounds it,
-never the clock.  It should fire only where a case is missing, and the
+dispatch sits an exact safety net, ``solver.min_blocker_set``: it
+searches blocker sets of sizes 1, 2, ..., 9 and returns the
+lexicographically first one of minimum size.  A fixed count of search
+nodes bounds it, never the clock.  It should fire only where a case is missing, and the
 set it finds is verified like any case's candidate.
 """
 
@@ -1242,7 +1242,7 @@ def _fallback_certificate(ws: _Workspace) -> Certificate:
         reason = (
             "found no blocker set of at most 9 segments, against mu >= C(n,2) - 9"
             if status == REFUTED
-            else "ran out of walk nodes (solver.BLOCKER_SEARCH_NODES)"
+            else "ran out of search nodes (solver.BLOCKER_SEARCH_NODES)"
         )
         raise ConstructionError(f"fallback search {reason}; diagnostics: {ws.diagnostics}")
     segs = [ws.g.segment_of(v) for v in iter_bits(s_mask)]

@@ -1,29 +1,37 @@
 """Exact mutual-visibility numbers by exhaustive subset refutation.
 
-The search exploits downward closure: every subset of a mutual-visibility
-set is one, so candidate sizes can be bracketed by refuting a single level
-exhaustively.  A level k is scanned through whichever of the k-subsets or
-their complements is the smaller family, in lexicographic order.  Each
-candidate U first meets a quick reject: a pair of U at distance 2 none of
-whose common neighbours lies outside U cannot be visible.  The scan walks
-the level depth first and counts whole subtrees of quick-rejected
-candidates with ``math.comb`` instead of visiting them; the candidates
-that survive go, in order, to the single exact check,
-``visibility.first_failing_pair``.  A level's count is therefore the
-number of candidates it covers, whether rejected in bulk or one by one,
-and equals that of a one-by-one scan.
+Every subset of a mutual-visibility set is one (downward closure), so one
+exhaustive refutation of level k, the sets U of k vertices, shows mu < k.
+Each candidate U first meets a quick reject: a pair of U at distance 2 none
+of whose common neighbours lies in S = V \\ U cannot be visible, so S must
+hit T_p = {a, b} | (N(a) & N(b)) for every such pair p = (a, b).  That is a
+d-Hitting Set condition, and one engine decides every level with the
+bounded search tree for d-Hitting Set (Niedermeier & Rossmanith, J.
+Discrete Algorithms 2003): it branches on the vertices of one T_p that S
+does not hit yet, the i-th branch taking the i-th vertex into S and keeping
+the earlier ones out.  The branches partition the candidates, so a closed
+branch settles a known ``math.comb`` of them, and a refuted level settles
+exactly C(|V|, k), whatever the order.  Every candidate that passes the
+quick reject goes to the single exact check,
+``visibility.first_failing_pair``.
 
-Run over the complements of levels |V| - 1, |V| - 2, ..., the same walk is
-``min_blocker_set``, the exact search beneath the certificate case table.
+Order matters only for the one set a search reports: the lexicographically
+first passing set of a level, on the smaller of its two families (the sets
+U or their complements S).  Existence queries find it one position at a
+time, and a closed-form rank gives its 1-based index among the level's
+candidates, so both equal those of a one-by-one scan in that order.
+``mu_exact`` ascends from a certificate by existence queries and refutes
+the level above mu; ``min_blocker_set``, the exact search beneath the
+certificate case table, ascends over blocker sizes 1..9.  Each orders only
+the set it reports.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 from .geometry import PointSet
 from .graph import DisjointnessGraph, bit_columns, build_disjointness_graph, is_connected, iter_bits
@@ -38,12 +46,17 @@ EXHAUSTED = "exhausted"
 class MuResult:
     """Outcome of an exact (or budget-bracketed) mutual-visibility search.
 
-    ``mu`` is None exactly when the walk-node budget ran out first; the
-    bracket [mu_lower, mu_upper] is then still valid, and depends on the
-    input and the budget alone.  ``sets_examined`` is the number of
-    candidates the refutation of ``refuted_size`` covers: every size-k set
-    of that level, whether the quick reject dismissed it within a subtree
-    counted in bulk or the exact check tested it alone.
+    ``mu`` is None exactly when the search-node budget ran out before the
+    decisive level was refuted; the bracket [mu_lower, mu_upper] is then
+    still valid, and depends on the input and the budget alone.  (A budget
+    spent while ordering the witness leaves ``mu`` exact and the witness the
+    passing set the search met first.)  ``sets_examined`` is the number of
+    candidates the refutation of ``refuted_size`` settles: every size-k set
+    of that level, whether the quick reject dismissed it within a closed
+    branch or the exact check tested it alone.  On a spent budget it counts
+    the candidates of the level then searched that closed branches settled
+    before the budget ran out: a part of that level's C(|V|, k), 0 only if
+    none of its nodes closed.
     """
 
     mu: Optional[int]
@@ -68,37 +81,17 @@ def default_upper_bound(g: DisjointnessGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-graph probe tables
-
-
-class _Expired(Exception):
-    def __init__(self, covered: int):
-        self.covered = covered
-
-
-def _stop_check(nodes: Optional[Iterator[int]]):
-    """The check a walk runs at every node: it raises ``_Expired(covered)``
-    once the iterator ``nodes``, one item per walk node still allowed, runs
-    dry.  Without ``nodes`` it does nothing."""
-    if nodes is None:
-        return lambda covered: None
-
-    def check(covered: int) -> None:
-        if next(nodes, None) is None:
-            raise _Expired(covered)
-
-    return check
+# The branching engine
 
 
 class _Probes:
-    """Distance-2 quick reject in front of the exact blocker-set check.
+    """The quick reject as a hitting-set instance.
 
     A pair p = (a, b) at distance 2 is visible only through a, b or a common
     neighbour lying in S = V \\ U, so U fails whenever S misses
-    T_p = {a, b} | (N(a) & N(b)).  ``T`` lists the T_p masks in the order of
-    their top (highest) vertex; ``hit_by[v]`` is the bitmask of pairs whose
-    T_p holds v, and ``first[v]`` the number of pairs whose top lies below
-    v: the vertices >= v can hit exactly the pairs numbered first[v] on.
+    T_p = {a, b} | (N(a) & N(b)).  ``T`` lists the T_p masks, smallest
+    first, so that a search looks at the hardest pairs first; ``miss[v]``
+    is the bitmask of the pairs whose T_p does not hold v.
     """
 
     def __init__(self, g: DisjointnessGraph):
@@ -112,24 +105,157 @@ class _Probes:
                 n2 = adj_a & g.adj[b]
                 if n2:
                     ts.append(n2 | (1 << a) | (1 << b))
-        ts.sort(key=int.bit_length)
+        ts.sort(key=int.bit_count)
         self.T = ts
-        self.hit_by = bit_columns(ts, nv)
-        self.first = [bisect_right(ts, v, key=int.bit_length) for v in range(nv + 1)]
+        every = (1 << len(ts)) - 1
+        self.miss = [every ^ hit for hit in bit_columns(ts, nv)]
 
 
-# ---------------------------------------------------------------------------
-# Level scans
+#: Unhit pairs a search node looks at to choose its branching T_p.  Up to
+#: n = 18, 64 pairs gave about the node counts of 8 in four times the time.
+_SCAN = 8
 
-# A level-k scan enumerates candidate sets U of size k through the smaller
-# of (k-subsets, complements); the canonical order is the lexicographic
-# order of the enumerated side.  The walk skips a subtree as soon as some
-# pair's T_p can no longer meet S, which the quick reject would have done
-# to every candidate in it, so the first passing set and its 1-based index
-# are those of a one-by-one scan.
+
+class _Engine:
+    """Existence and lexicographic-first searches on one graph.
+
+    Every search run through one engine draws on one budget of
+    ``node_budget`` search nodes (None: no limit); ``nodes`` counts the
+    nodes spent so far.  The budget counts nodes, never the clock.
+    """
+
+    def __init__(self, probes: _Probes, node_budget: Optional[int] = None):
+        self.probes = probes
+        self.limit = node_budget
+        self.nodes = 0
+
+    def exists(self, s_in: int, allowed: int, r: int) -> tuple[str, Optional[int], int]:
+        """Is U = V \\ S a mutual-visibility set for some S made of
+        ``s_in`` and r vertices of ``allowed``?
+
+        Returns (status, S mask or None, settled): FOUND with the first such
+        S the search meets, REFUTED, or EXHAUSTED once the budget is spent.
+        ``settled`` counts the choices of the r vertices that closed
+        branches decided; it is C(|allowed|, r) when refuted.
+        """
+        g = self.probes.g
+        T, miss = self.probes.T, self.probes.miss
+        full = g.full_mask
+        unhit = (1 << len(T)) - 1
+        for v in iter_bits(s_in):
+            unhit &= miss[v]
+        nodes, limit = self.nodes, self.limit
+        settled = 0
+        # A node still adds r vertices of ``allowed`` to S, and ``unhit``
+        # holds the pairs whose T_p S misses so far.  Its i-th child takes
+        # the i-th vertex of the branching set into S and keeps the earlier
+        # ones out, so the children, plus the candidates that miss the
+        # branched T_p, partition the node's C(|allowed|, r) candidates.
+        stack = [(s_in, allowed, r, unhit)] if r >= 0 else []
+        while stack:
+            if nodes == limit:
+                self.nodes = nodes
+                return EXHAUSTED, None, settled
+            nodes += 1
+            s, allowed, r, unhit = stack.pop()
+            if not r:  # only a root: S is complete
+                if not unhit and first_failing_pair(g, full & ~s) is None:
+                    self.nodes = nodes
+                    return FOUND, s, settled
+                settled += 1
+                continue
+            rest = unhit
+            if r == 1:
+                # The last vertex must lie in every unhit T_p: intersect
+                # the first few, then check the rest for each candidate.
+                last = allowed
+                for _ in range(_SCAN):
+                    if not (rest and last):
+                        break
+                    low = rest & -rest
+                    last &= T[low.bit_length() - 1]
+                    rest ^= low
+                for x in iter_bits(last):
+                    if not unhit & miss[x]:
+                        if first_failing_pair(g, full & ~(s | 1 << x)) is None:
+                            self.nodes = nodes
+                            return FOUND, s | 1 << x, settled
+                settled += allowed.bit_count()
+                continue
+            branch = allowed
+            if unhit:
+                # Branch on the unhit T_p with the fewest allowed vertices
+                # among the first few.  Those whose allowed vertices are
+                # disjoint need a new vertex each: more than r is dead.
+                width = g.n_vertices + 1
+                used = packed = 0
+                for _ in range(_SCAN):
+                    low = rest & -rest
+                    t = T[low.bit_length() - 1] & allowed
+                    if not t & used:
+                        used |= t
+                        packed += 1
+                    w = t.bit_count()
+                    if w < width:
+                        branch, width = t, w
+                    rest ^= low
+                    if not (rest and w):
+                        break
+                if not width or packed > r:
+                    settled += comb(allowed.bit_count(), r)
+                    continue
+            m = allowed.bit_count()
+            settled += comb(m - branch.bit_count(), r)
+            children = []
+            for x in iter_bits(branch):
+                m -= 1
+                if m < r - 1:
+                    break
+                allowed ^= 1 << x
+                children.append((s | 1 << x, allowed, r - 1, unhit & miss[x]))
+            stack.extend(reversed(children))
+        self.nodes = nodes
+        return REFUTED, None, settled
+
+    def first(self, side: str, size: int, s_known: int) -> Optional[int]:
+        """The lexicographically first passing set of a level, given the S
+        mask of one passing set of it; returns its S mask, or None once the
+        budget is spent.
+
+        ``side`` names the enumerated side (S itself, or U = V \\ S) and
+        ``size`` its size.  Position by position, the least x such that
+        some passing set extends prefix + x is taken; the known set bounds
+        x, and each success gives a new known set.
+        """
+        full = self.probes.g.full_mask
+        nv = self.probes.g.n_vertices
+        direct = side == "direct"
+        known = full & ~s_known if direct else s_known
+        prefix = 0
+        for j in range(size):
+            ahead = known & ~prefix
+            y = (ahead & -ahead).bit_length() - 1
+            for x in range(prefix.bit_length(), y):
+                if direct:  # the vertices U skips before x join S
+                    s_in = ((1 << x) - 1) & ~prefix
+                    r = (nv - x - 1) - (size - j - 1)
+                else:
+                    s_in = prefix | 1 << x
+                    r = size - j - 1
+                status, s_mask, _ = self.exists(s_in, full & -(2 << x), r)
+                if status == EXHAUSTED:
+                    return None
+                if status == FOUND:
+                    known = full & ~s_mask if direct else s_mask
+                    y = x
+                    break
+            prefix |= 1 << y
+        return full & ~prefix if direct else prefix
 
 
 def _level_plan(nv: int, k: int, side: Optional[str] = None) -> tuple[str, int]:
+    """The enumerated side of level k (the smaller family by default) and
+    its size: S itself ("complement") or U ("direct")."""
     s = nv - k
     if s < 0 or k < 0:
         raise ValueError("level outside 0..|V|")
@@ -138,124 +264,65 @@ def _level_plan(nv: int, k: int, side: Optional[str] = None) -> tuple[str, int]:
     return side, (s if side == "complement" else k)
 
 
-def _walk(root) -> Optional[tuple[int, int]]:
-    """Depth-first walk whose nodes are generators: a node yields its
-    children, as generators, or a found (mask, index) pair.  The explicit
-    stack keeps levels of any size clear of the recursion limit."""
-    stack = [root]
-    while stack:
-        item = next(stack[-1], None)
-        if item is None:
-            stack.pop()
-        elif type(item) is tuple:
-            return item
-        else:
-            stack.append(item)
-    return None
+def _rank(mask: int, nv: int, size: int) -> int:
+    """Position of the size-subset ``mask`` of range(nv) among all of them
+    in lexicographic order (that of ``itertools.combinations``), from 0."""
+    rank, prev = 0, -1
+    for x in iter_bits(mask):
+        # the sets that agree up to prev and take a vertex below x next
+        rank += comb(nv - prev - 1, size) - comb(nv - x, size)
+        prev, size = x, size - 1
+    return rank
 
 
 def _scan_level(
-    probes: _Probes,
-    k: int,
-    *,
-    nodes: Optional[Iterator[int]] = None,
-    side: Optional[str] = None,
+    probes: _Probes, k: int, *, node_budget: Optional[int] = None
 ) -> tuple[str, Optional[int], int]:
-    """Scan every size-k set; returns (status, passing U mask or None, count).
+    """Decide level k; returns (status, passing U mask or None, count).
 
-    ``count`` is the number of candidates the scan covered, in the order of
-    the enumerated side: every size-k set when refuted, up to and including
-    the passing set when found.  Each walk node takes one item of
-    ``nodes`` when that is given; once it runs dry the scan returns
-    EXHAUSTED with the count covered so far.  ``side`` fixes the enumerated
-    side; by default it is the smaller family.
+    FOUND gives the first passing set in the lexicographic order of the
+    smaller family and its 1-based index there, as a one-by-one scan
+    would.  REFUTED gives the candidates settled, C(|V|, k); EXHAUSTED,
+    once ``node_budget`` search nodes are spent, the count settled so far.
     """
     g = probes.g
+    engine = _Engine(probes, node_budget)
+    side, size = _level_plan(g.n_vertices, k)
+    status, s_mask, settled = engine.exists(0, g.full_mask, g.n_vertices - k)
+    if status != FOUND:
+        return status, None, settled
+    s_mask = engine.first(side, size, s_mask)
+    if s_mask is None:
+        return EXHAUSTED, None, settled
+    u_mask = g.full_mask & ~s_mask
+    return FOUND, u_mask, _rank(u_mask if side == "direct" else s_mask, g.n_vertices, size) + 1
+
+
+def _least_blockers(
+    engine: _Engine, sizes, side: Optional[str] = None
+) -> tuple[str, Optional[int], Optional[int], int]:
+    """Ascend over blocker sizes until some S of that size leaves a
+    mutual-visibility set.
+
+    Returns (status, size, S mask, count): FOUND with the first size that
+    has one and the lexicographically first such S, on the level's
+    enumerated side (``side`` as in ``_level_plan``), or the S the search
+    met first if the budget runs out while ordering it, with the count of
+    the last refuted size (0 if none); EXHAUSTED with the size whose search
+    spent the budget and its settled count; REFUTED once ``sizes`` run out.
+    """
+    g = engine.probes.g
     nv = g.n_vertices
-    full = g.full_mask
-    T, hit_by, first = probes.T, probes.hit_by, probes.first
-    side, size = _level_plan(nv, k, side)
-    check = _stop_check(nodes)
-
-    def passes(u_mask: int) -> bool:
-        return first_failing_pair(g, u_mask) is None
-
-    # A walk node chooses r more elements of the enumerated side from
-    # start..nv-1.  ``before`` candidates precede its subtree, and
-    # before + comb(nv - start, r) - comb(nv - x, r) precede its child x.
-    # ``unhit`` holds the pairs whose T_p no vertex of S meets yet.
-
-    def complement_last(start, s_mask, unhit, before):
-        # S is the enumerated set, all but its last element chosen.  That
-        # element must lie in every unhit T_p: try the vertices of the
-        # lowest one.  A plain call, as leaves are most of the walk.
-        check(before)
-        lowest = T[(unhit & -unhit).bit_length() - 1] if unhit else full
-        last = lowest >> start
-        while last:
-            low = last & -last
-            last ^= low
-            x = start + low.bit_length() - 1
-            if not unhit & ~hit_by[x] and passes(full & ~(s_mask | 1 << x)):
-                return full & ~(s_mask | 1 << x), before + x - start + 1
-        return None
-
-    def complement(start, r, s_mask, unhit, before):
-        # S is the enumerated set; r >= 2.
-        check(before)
-        base = before + comb(nv - start, r)
-        # No element above the lowest unhit pair's top vertex can hit it.
-        # Up to that top, every pair x leaves unhit has its top above x (x
-        # hits the pairs whose top it is), so no child is dead on arrival.
-        lowest = T[(unhit & -unhit).bit_length() - 1] if unhit else full
-        stop = min(nv - r, lowest.bit_length() - 1)
-        for x in range(start, stop + 1):
-            rest = unhit & ~hit_by[x]
-            child_before = base - comb(nv - x, r)
-            if r > 2:
-                yield complement(x + 1, r - 1, s_mask | 1 << x, rest, child_before)
-            else:
-                found = complement_last(x + 1, s_mask | 1 << x, rest, child_before)
-                if found:
-                    yield found
-
-    def direct(start, r, u_mask, unhit, before):
-        # U is the enumerated set; the vertices it skips, and those left
-        # after its last element, form S.
-        check(before)
-        base = before + comb(nv - start, r)
-        for x in range(start, nv - r + 1):
-            # [start, x) joined S and x joins U; S can still gain from
-            # (x, nv) unless the remaining r - 1 elements take all of it.
-            # So every unhit pair must be numbered first[x + 1] or later,
-            # and none may be left once (x, nv) is taken (first[nv] pairs).
-            reach = first[x + 1] if x < nv - r else first[nv]
-            if not unhit or (unhit & -unhit).bit_length() > reach:
-                if r == 1:
-                    if passes(u_mask | 1 << x):
-                        yield u_mask | 1 << x, before + x - start + 1
-                else:
-                    yield direct(
-                        x + 1, r - 1, u_mask | 1 << x, unhit, base - comb(nv - x, r)
-                    )
-            unhit &= ~hit_by[x]
-
-    if size == 0:
-        u_mask = full if side == "complement" else 0
-        return (FOUND, u_mask, 1) if passes(u_mask) else (REFUTED, None, 1)
-    unhit = (1 << len(T)) - 1
-    try:
-        if side == "direct":
-            found = _walk(direct(0, size, 0, unhit, 0))
-        elif size == 1:
-            found = complement_last(0, 0, unhit, 0)
-        else:
-            found = _walk(complement(0, size, 0, unhit, 0))
-    except _Expired as expired:
-        return EXHAUSTED, None, expired.covered
-    if found:
-        return (FOUND, *found)
-    return REFUTED, None, comb(nv, size)
+    examined = 0
+    for s in sizes:
+        status, s_mask, settled = engine.exists(0, g.full_mask, s)
+        if status == FOUND:
+            first = engine.first(*_level_plan(nv, nv - s, side), s_mask)
+            return FOUND, s, s_mask if first is None else first, examined
+        if status == EXHAUSTED:
+            return EXHAUSTED, s, None, settled
+        examined = settled
+    return REFUTED, None, None, examined
 
 
 # ---------------------------------------------------------------------------
@@ -266,49 +333,43 @@ def refute_size(g: DisjointnessGraph, k: int) -> bool:
     """True iff no mutual-visibility set of size k exists (exhaustive)."""
     if not 0 < k <= g.n_vertices:
         raise ValueError("k must be within 1..|V|")
-    status, _, _ = _scan_level(_Probes(g), k)
+    status, _, _ = _Engine(_Probes(g)).exists(0, g.full_mask, g.n_vertices - k)
     return status == REFUTED
 
 
 def refutation_count(g: DisjointnessGraph, k: int) -> int:
-    """Number of candidate sets a full level-k scan covers: C(|V|, size)
-    for the enumerated side, counted in bulk or one by one alike."""
+    """Number of candidate sets a full level-k refutation settles: C(|V|, k),
+    the same whichever side is enumerated."""
     side, size = _level_plan(g.n_vertices, k)
     return comb(g.n_vertices, size)
 
 
-#: Walk nodes ``min_blocker_set`` may visit over all its levels: about 15
-#: times the most any known fallback instance needs (130,432, random:9:9827).
-BLOCKER_SEARCH_NODES = 2_000_000
+#: Search nodes ``min_blocker_set`` may spend over all its levels: about
+#: 30 times the most any known fallback instance needs (1,722,
+#: random:9:9827), and more than twice what the whole search takes on any
+#: measured instance up to n = 18 (20,182, random:18:3).
+BLOCKER_SEARCH_NODES = 50_000
 
-#: Walk nodes ``check_bounds_report``, and so ``segvis bounds``, allows the
-#: exact search by default: about twice the most any measured instance up
-#: to n = 18 needs (973,817, random:18:3; convex:18 needs 448,153).
-BOUNDS_SEARCH_NODES = 2_000_000
+#: Search nodes ``check_bounds_report``, and so ``segvis bounds``, allows
+#: the exact search by default: about twice the most any measured instance
+#: up to n = 32 needs (250,537, convex:32; random:18:3 needs 21,072).
+BOUNDS_SEARCH_NODES = 500_000
 
 
 def min_blocker_set(g: DisjointnessGraph, max_size: int = 9) -> tuple[str, Optional[int]]:
     """The lexicographically first blocker set of minimum size.
 
     S is a blocker set when V \\ S is a mutual-visibility set, and every
-    superset of a blocker set is one, so the complement-side scans of the
-    levels |V| - 1, |V| - 2, ... meet the smallest size first.  Returns
-    (FOUND, mask of S), (REFUTED, None) when no blocker set has at most
-    ``max_size`` vertices, or (EXHAUSTED, None) when ``BLOCKER_SEARCH_NODES``
-    walk nodes did not settle it.  The bound counts nodes, so the outcome
-    never depends on the clock.
+    superset of a blocker set is one, so the ascent over sizes 1, 2, ...
+    meets the smallest size first.  Returns (FOUND, mask of S), (REFUTED,
+    None) when no blocker set has at most ``max_size`` vertices, or
+    (EXHAUSTED, None) when ``BLOCKER_SEARCH_NODES`` search nodes did not
+    settle it.  The bound counts nodes, so the outcome never depends on the
+    clock.
     """
-    probes = _Probes(g)
-    nodes = iter(range(BLOCKER_SEARCH_NODES))
-    for s in range(1, max_size + 1):
-        status, u_mask, _ = _scan_level(
-            probes, g.n_vertices - s, nodes=nodes, side="complement"
-        )
-        if status == FOUND:
-            return FOUND, g.full_mask & ~u_mask
-        if status == EXHAUSTED:
-            return EXHAUSTED, None
-    return REFUTED, None
+    engine = _Engine(_Probes(g), BLOCKER_SEARCH_NODES)
+    status, _, s_mask, _ = _least_blockers(engine, range(1, max_size + 1), "complement")
+    return status, s_mask
 
 
 def mu_exact(
@@ -320,13 +381,17 @@ def mu_exact(
 ) -> MuResult:
     """Exact mu of a connected disjointness graph.
 
-    With a verified starting witness the search ascends: it confirms the
-    witness, then refutes one level above it; downward closure makes that
-    single exhaustive refutation cover every larger size.  Without a
-    witness it descends from a sound upper bound, refuting level by level.
-    ``node_budget`` caps the walk nodes of all the levels scanned together,
-    as ``BLOCKER_SEARCH_NODES`` does for ``min_blocker_set``; once they are
-    spent the bracket found so far is returned with ``mu`` = None.
+    With a verified starting witness the search ascends: existence searches
+    find a passing set one level above another until a level is refuted;
+    downward closure makes that single exhaustive refutation cover every
+    larger size.  The lexicographically first set of the last found level
+    is the witness (the set the search met first, if the budget runs out
+    while ordering it), or the hint itself if no level above it was found.
+    Without a witness the search ascends over blocker sizes from a sound
+    upper bound, as ``min_blocker_set`` does.  ``node_budget`` caps the
+    search nodes of all the levels together, as ``BLOCKER_SEARCH_NODES``
+    does for ``min_blocker_set``; once they are spent the bracket found so
+    far is returned with ``mu`` = None.
 
     The search is serial.  ``threads`` is kept only so that existing
     callers passing ``threads=1`` keep working; any other value raises
@@ -337,55 +402,49 @@ def mu_exact(
     if not is_connected(g):
         raise ValueError("mu_exact needs a connected graph (n >= 5)")
     start = time.monotonic()
-    nodes = iter(range(node_budget)) if node_budget is not None else None
     upper = default_upper_bound(g)
     nv = g.n_vertices
+    full = g.full_mask
 
     def result(mu, lower, up, witness, refuted, examined):
         return MuResult(
             mu=mu,
             mu_lower=lower,
             mu_upper=up,
-            witness=witness,
+            witness=None if witness is None else VertexSet(nv, witness),
             refuted_size=refuted,
             sets_examined=examined,
             elapsed_s=time.monotonic() - start,
         )
 
-    if witness_hint is not None:
-        failing = first_failing_pair(g, witness_hint.mask)
-        if failing is not None:
-            raise ValueError(f"witness hint is not a mutual-visibility set: {failing}")
-    probes = _Probes(g)
-
-    if witness_hint is not None:
-        witness = witness_hint
-        k = len(witness) + 1
-        while k <= nv:
-            status, wit_mask, examined = _scan_level(probes, k, nodes=nodes)
-            if status == EXHAUSTED:
-                # level k was not refuted, so only the a-priori bound holds
-                return result(None, len(witness), upper, witness, None, examined)
-            if status == REFUTED:
-                size = len(witness)
-                return result(size, size, size, witness, k, examined)
-            witness = VertexSet(nv, wit_mask)
-            k += 1
-        raise RuntimeError("the full vertex set verified; graph corrupt")
-
-    prev_examined = 0
-    k = upper
-    while k >= 1:
-        status, wit_mask, examined = _scan_level(probes, k, nodes=nodes)
+    engine = _Engine(_Probes(g), node_budget)
+    if witness_hint is None:
+        status, s, s_mask, examined = _least_blockers(engine, range(nv - upper, nv))
         if status == EXHAUSTED:
-            return result(None, 1, k, None, None, examined)
-        if status == FOUND:
-            witness = VertexSet(nv, wit_mask)
-            refuted = k + 1 if k < upper else None
-            return result(k, k, k, witness, refuted, prev_examined)
-        prev_examined = examined
-        k -= 1
-    raise RuntimeError("no mutual-visibility set of any size; graph corrupt")
+            return result(None, 1, nv - s, None, None, examined)
+        if status == REFUTED:
+            raise RuntimeError("no mutual-visibility set of any size; graph corrupt")
+        k = nv - s
+        return result(k, k, k, full & ~s_mask, k + 1 if k < upper else None, examined)
+
+    failing = first_failing_pair(g, witness_hint.mask)
+    if failing is not None:
+        raise ValueError(f"witness hint is not a mutual-visibility set: {failing}")
+    witness = witness_hint.mask
+    for s in range(nv - len(witness_hint) - 1, -1, -1):
+        status, s_mask, settled = engine.exists(0, full, s)
+        if status == EXHAUSTED:
+            # level nv - s was not refuted, so only the a-priori bound holds
+            return result(None, nv - s - 1, upper, witness, None, settled)
+        if status == REFUTED:
+            mu = nv - s - 1
+            if mu > len(witness_hint):
+                first = engine.first(*_level_plan(nv, mu), full & ~witness)
+                if first is not None:
+                    witness = full & ~first
+            return result(mu, mu, mu, witness, mu + 1, settled)
+        witness = full & ~s_mask
+    raise RuntimeError("the full vertex set verified; graph corrupt")
 
 
 def check_bounds_report(
@@ -397,7 +456,7 @@ def check_bounds_report(
     """Certificate lower bound vs exact value vs a-priori upper bound.
 
     The exact computation ascends from the certificate witness under a
-    budget of ``node_budget`` walk nodes; if the decisive refutation level
+    budget of ``node_budget`` search nodes; if the decisive refutation level
     does not fit the budget the report carries the bracket instead of an
     exact value.  ``extra_blockers`` lets a caller supply a stronger known
     blocker set (it is verified before use).  Any bound violation is

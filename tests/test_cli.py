@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from segvis import solver
-from segvis.cli import main, parse_gen_spec
+from segvis.cli import MAX_GEN_POINTS, main, parse_gen_spec
 from segvis.constructions import build_certificate
 from segvis.geometry import cacerola_points, save_pointset
 from segvis.svg import render_svg
@@ -198,6 +198,59 @@ def test_mu_command(tmp_path):
     assert data["mu"] == 32 and data["refuted"] == 33
 
 
+# `segvis mu` on the instances whose witness comes from a level found
+# above the certificate, not from the certificate itself: (strategy, case,
+# blockers, n, vertices, mu, refuted, sets examined, vertices the witness
+# leaves out).  Frozen from the lexicographic level scan; the ascent must
+# report the same first set of level mu.
+MU_FOUND_ABOVE_CERTIFICATE = {
+    "double-chain:3,6": (
+        "Hull4", None, [(0, 2), (0, 3), (0, 4), (0, 8), (2, 3), (2, 4), (2, 8), (3, 4), (4, 8)],
+        9, 36, 32, 33, 7140, (0, 21, 30, 35),
+    ),
+    "random:9:60000": (
+        "Hull7Case", 7, [(0, 1), (0, 2), (0, 6), (1, 2), (1, 6), (2, 6), (4, 5), (7, 8)],
+        9, 36, 30, 31, 376992, (7, 12, 16, 17, 24, 26),
+    ),
+    "random:10:5": (
+        "Hull6Case", 6, [(1, 7), (1, 8), (3, 4), (3, 5), (3, 6), (3, 7), (4, 7), (5, 6), (7, 8)],
+        10, 45, 40, 41, 148995, (8, 9, 24, 26, 39),
+    ),
+    "random:11:5": (
+        "Hull6Case", 6, [(1, 7), (1, 8), (3, 4), (3, 5), (3, 6), (3, 7), (4, 7), (5, 6), (7, 8)],
+        11, 55, 50, 51, 341055, (5, 21, 27, 50, 53),
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MU_FOUND_ABOVE_CERTIFICATE))
+def test_mu_json_frozen(capsys, spec):
+    strategy, case, blockers, n, nv, mu, refuted, examined, left_out = (
+        MU_FOUND_ABOVE_CERTIFICATE[spec]
+    )
+    expected = {
+        "certificate": {
+            "S": [list(b) for b in blockers],
+            "case": case,
+            "mu_lower_bound": n * (n - 1) // 2 - len(blockers),
+            "size": len(blockers),
+            "strategy": strategy,
+            "verified": True,
+        },
+        "mu": mu,
+        "mu_lower": mu,
+        "mu_upper": mu,
+        "n": n,
+        "refuted": refuted,
+        "sets_examined": examined,
+        "vertices": nv,
+        "witness": [v for v in range(nv) if v not in left_out],
+    }
+    assert run_cli("mu", "--gen", spec) == 0
+    out = re.sub(r'\n *"elapsed_ms": \d+,', "", capsys.readouterr().out)
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_mu_timeout_brackets(tmp_path):
     out = tmp_path / "mu.json"
     code = run_cli("mu", "--gen", "convex:10", "--node-budget", "1", "--out", str(out))
@@ -211,13 +264,13 @@ def test_mu_timeout_brackets(tmp_path):
 
 
 def test_budgeted_runs_ignore_the_clock(capsys, monkeypatch):
-    # 50,000 walk nodes stop random:11:5 mid-level (a whole run walks
-    # 129,784); a clock that jumps 100 s per reading changes nothing but
+    # 1,000 search nodes stop random:11:5 mid-level (a whole run spends
+    # 2,921); a clock that jumps 100 s per reading changes nothing but
     # elapsed_ms
     def outputs():
         texts = []
         for command, code in (("mu", 4), ("bounds", 0)):
-            assert run_cli(command, "--gen", "random:11:5", "--node-budget", "50000") == code
+            assert run_cli(command, "--gen", "random:11:5", "--node-budget", "1000") == code
             out = capsys.readouterr().out
             data = json.loads(out)
             assert data["mu"] is None and data["sets_examined"] > 0
@@ -232,11 +285,11 @@ def test_budgeted_runs_ignore_the_clock(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["certificate", "mu"])
 def test_failed_certificate_exits_3(capsys, monkeypatch, no_cases, command):
-    # no case applies and the fallback search may visit no walk node
+    # no case applies and the fallback search may visit no search node
     monkeypatch.setattr(solver, "BLOCKER_SEARCH_NODES", 0)
     assert run_cli(command, "--gen", "convex:10") == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: fallback search ran out of walk nodes")
+    assert captured.err.startswith("error: fallback search ran out of search nodes")
     assert captured.out == ""
 
 
@@ -281,6 +334,26 @@ def test_sweep_rejects_small_n_min_up_front(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --n-min must be at least 5")
     assert captured.out == ""
+
+
+def test_generator_size_cap_exits_2(capsys, monkeypatch):
+    # one limit for every command that takes a generator spec, and for the
+    # sweep's --n-max; nothing is generated before the check
+    def no_generation(*args):
+        raise AssertionError("points were generated before the check")
+
+    for name in ("gen_convex", "gen_double_chain", "gen_random_general_position"):
+        monkeypatch.setattr(f"segvis.cli.{name}", no_generation)
+    n = MAX_GEN_POINTS + 1
+    message = f"error: generator size {n} exceeds the limit of {MAX_GEN_POINTS} points\n"
+    for spec in (f"convex:{n}", f"double-chain:{n - 6},6", f"random:{n}:1", f"random:{n}:1:500"):
+        for command in ("build", "certificate", "mu", "bounds"):
+            assert run_cli(command, "--gen", spec) == 2
+            assert capsys.readouterr() == ("", message)
+    assert run_cli("sweep", "--n-max", str(n), "--count", "1") == 2
+    assert capsys.readouterr() == ("", message)
+    monkeypatch.undo()
+    assert parse_gen_spec(f"convex:{MAX_GEN_POINTS}").n == MAX_GEN_POINTS
 
 
 def test_sweep_reports_fallback_blockers(tmp_path, no_cases):

@@ -481,7 +481,7 @@ def test_fallback_ignores_the_clock(monkeypatch):
 def test_fallback_node_bound(monkeypatch):
     monkeypatch.setattr(solver, "BLOCKER_SEARCH_NODES", 0)
     ps = gen_random_general_position(8, seed=8076, bound=10000)
-    with pytest.raises(ConstructionError, match="fallback search ran out of walk nodes"):
+    with pytest.raises(ConstructionError, match="fallback search ran out of search nodes"):
         build_certificate(ps)
 
 

@@ -1,9 +1,12 @@
 import inspect
+import itertools
 import random
 import sys
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segvis.constructions import build_certificate, double_chain_blocker
 from segvis.geometry import (
@@ -17,8 +20,10 @@ from segvis.solver import (
     EXHAUSTED,
     FOUND,
     REFUTED,
+    _Engine,
     _level_plan,
     _Probes,
+    _rank,
     _scan_level,
     _witness_from_blockers,
     check_bounds_report,
@@ -29,7 +34,7 @@ from segvis.solver import (
     refutation_count,
     refute_size,
 )
-from segvis.visibility import VertexSet, is_mutual_visibility_set
+from segvis.visibility import VertexSet, first_failing_pair, is_mutual_visibility_set
 
 from oracles import oracle_mu, oracle_scan_level
 
@@ -81,13 +86,92 @@ def test_scan_level_matches_one_by_one_scan():
 
 
 def test_scan_level_stops_mid_walk():
-    # 50 walk nodes cover the first 916 candidates of a level whose first
-    # passing set is candidate 1,532,647, on every run
+    # 50 search nodes settle 1,428,471 of the C(36, 6) = 1,947,792
+    # candidates of a level whose first passing set is candidate 1,532,647,
+    # on every run
     ps = gen_random_general_position(9, seed=60000, bound=10000)
     probes = _Probes(build_disjointness_graph(ps))
     for _ in range(2):
-        assert _scan_level(probes, 30, nodes=iter(range(50))) == (EXHAUSTED, None, 916)
+        assert _scan_level(probes, 30, node_budget=50) == (EXHAUSTED, None, 1428471)
     assert _scan_level(probes, 30)[::2] == (FOUND, 1532647)
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(5, 7), seed=st.integers(0, 10**6), data=st.data())
+def test_exists_matches_brute_force(n, seed, data):
+    # S = forced-in vertices plus r free ones: the search finds a passing S
+    # exactly when enumeration does, and settles every choice when not
+    g = build_disjointness_graph(gen_random_general_position(n, seed=seed, bound=3000))
+    nv = g.n_vertices
+    vertex = st.integers(0, nv - 1)
+    forced_in = data.draw(st.sets(vertex, max_size=10), label="forced in")
+    forced_out = data.draw(st.sets(vertex, max_size=6), label="forced out") - forced_in
+    free = [v for v in range(nv) if v not in forced_in | forced_out]
+    r = data.draw(st.integers(0, min(len(free) + 1, 4)), label="r")
+    s_in = _mask(forced_in)
+    passing = {
+        s_in | _mask(c)
+        for c in itertools.combinations(free, r)
+        if first_failing_pair(g, g.full_mask & ~(s_in | _mask(c))) is None
+    }
+    status, s_mask, settled = _Engine(_Probes(g)).exists(s_in, _mask(free), r)
+    if passing:
+        assert status == FOUND and s_mask in passing
+    else:
+        assert (status, s_mask, settled) == (REFUTED, None, comb(len(free), r))
+
+
+def test_rank_matches_combinations_order():
+    for nv in range(13):
+        for size in range(nv + 1):
+            for index, combo in enumerate(itertools.combinations(range(nv), size)):
+                assert _rank(_mask(combo), nv, size) == index
+
+
+def test_refuted_levels_settle_every_candidate():
+    # A closed branch settles C(|allowed|, r) candidates.  On a refuted
+    # level they add up to C(|V|, k), with or without a budget that runs
+    # out; one that runs out settles a part of them, the same on every run.
+    cases = [
+        build_disjointness_graph(gen_random_general_position(n, seed=seed, bound=3000))
+        for n, seed in ((5, 1), (6, 2), (7, 3), (8, 4))
+    ]
+    cases.append(build_disjointness_graph(cacerola_points()))
+    refuted = 0
+    for g in cases:
+        probes = _Probes(g)
+        nv = g.n_vertices
+        for k in range(1, nv + 1):
+            status, _, count = _scan_level(probes, k)
+            if status != REFUTED:
+                continue
+            refuted += 1
+            assert count == comb(nv, k)
+            for budget in (1, 4, 16):
+                cut = _scan_level(probes, k, node_budget=budget)
+                assert cut == _scan_level(probes, k, node_budget=budget)
+                assert cut[:2] == (REFUTED, None) and cut[2] == count or (
+                    cut[:2] == (EXHAUSTED, None) and cut[2] < count
+                )
+    assert refuted >= 20
+
+
+def test_min_blocker_set_frozen():
+    # the lexicographically first minimum blocker sets of the instances that
+    # reach the fallback (sizes 8, 8, 7 and 6), frozen
+    expected = {
+        (8, 8076): 17974346,
+        (8, 8304): 134744126,
+        (9, 9827): 8632009746,
+        (9, 9921): 4296573984,
+    }
+    for (n, seed), mask in expected.items():
+        g = build_disjointness_graph(gen_random_general_position(n, seed=seed, bound=10000))
+        assert min_blocker_set(g) == (FOUND, mask), (n, seed)
 
 
 def test_min_blocker_set_refutes_small_sizes():
@@ -172,16 +256,19 @@ def test_timeout_brackets(cacerola_graph):
 
 
 def test_ascent_timeout_keeps_a_sound_upper_bound():
-    # The ascent finds level 29 above the certificate witness and runs out
-    # of nodes in level 30; that level is not refuted, so mu_upper may not
-    # drop below the a-priori bound (mu is 30 here).
+    # The ascent needs 303 search nodes to find level 29 above the
+    # certificate witness (28) and runs out of nodes in level 30; that level
+    # is not refuted, so mu_upper may not drop below the a-priori bound (mu
+    # is 30 here, exact from 448 nodes on).
     ps = gen_random_general_position(9, seed=60000, bound=10000)
     g = build_disjointness_graph(ps)
     witness = certificate_witness(ps, g)
-    res = mu_exact(g, witness_hint=witness, node_budget=10_000)
+    res = mu_exact(g, witness_hint=witness, node_budget=350)
     assert res.mu is None
     assert len(witness) < res.mu_lower == len(res.witness) < 30
+    assert is_mutual_visibility_set(g, res.witness)[0]
     assert res.mu_upper == default_upper_bound(g) >= 30
+    assert 0 < res.sets_examined < comb(36, 6)
 
 
 def test_columns_transposes_bit_matrix():
