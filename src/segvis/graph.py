@@ -7,7 +7,10 @@ for fast common-neighbour queries.
 
 The rows come from half-plane masks and one bit-matrix transpose, with no
 loop over segment pairs: O(n^3) exact orientation tests plus O(|V|^2 / word)
-bit work (see ``DisjointnessGraph._build_adjacency``).
+bit work (see ``DisjointnessGraph._build_adjacency``).  Distances take one
+BFS per source; a few high-degree rows settle most of layer 2 at once, so a
+source costs O(log |V|) row ORs plus a row test for each vertex they leave
+(see ``DisjointnessGraph.distance_layers``).
 """
 
 from __future__ import annotations
@@ -127,18 +130,33 @@ class DisjointnessGraph:
         for k = 0 .. the eccentricity of a; vertices a cannot reach lie in no
         layer.  One BFS per source, shared by every distance query; a step
         ORs the frontier's rows, or tests each unseen vertex's row against
-        the frontier when fewer vertices are unseen."""
+        the frontier when fewer vertices are unseen.
+
+        Layer 2 is mostly settled at once by hubs, the rows of the
+        ``n_vertices.bit_length()`` highest-degree vertices (ties broken by
+        index): every unseen vertex w in ``near``, the union of the hub rows
+        that hold a, is at distance 2, since a-h-w is a path and w is not a
+        neighbour of a.  Only the unseen vertices outside ``near`` go
+        through the step above."""
         adj = self.adj
         full = self.full_mask
+        nv = self.n_vertices
+        by_degree = sorted(range(nv), key=lambda v: -adj[v].bit_count())
+        hubs = [adj[h] for h in by_degree[:nv.bit_length()]]
         out = []
-        for a in range(self.n_vertices):
+        for a in range(nv):
             seen = frontier = 1 << a
             layers = [frontier]
+            near = 0
+            for row in hubs:
+                if row >> a & 1:
+                    near |= row
             while True:
                 unseen = full & ~seen
-                nxt = 0
-                if unseen.bit_count() < frontier.bit_count():
-                    for w in iter_bits(unseen):
+                nxt = near & unseen if len(layers) == 2 else 0
+                rest = unseen & ~nxt
+                if rest.bit_count() < frontier.bit_count():
+                    for w in iter_bits(rest):
                         if adj[w] & frontier:
                             nxt |= 1 << w
                 else:

@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from segvis import solver
-from segvis.cli import MAX_GEN_POINTS, main, parse_gen_spec
+from segvis.cli import MAX_GEN_POINTS, _graph_json_dumps, main, parse_gen_spec
 from segvis.constructions import build_certificate
-from segvis.geometry import cacerola_points, save_pointset
+from segvis.geometry import PointSet, cacerola_points, gen_convex, save_pointset
+from segvis.graph import build_disjointness_graph, to_json_dict
 from segvis.svg import render_svg
 
 
@@ -96,6 +97,20 @@ def test_build_exports_frozen(capsys, spec, fmt):
     assert run_cli("build", "--gen", spec, "--format", fmt) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == SMALL_EXPORT_DIGESTS[spec, fmt]
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [
+        pytest.param(gen_convex(3), id="convex:3-no-edges"),
+        pytest.param(PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)]), id="quadrilateral"),
+    ],
+)
+def test_graph_json_writer_matches_generic_dump(ps):
+    data = to_json_dict(build_disjointness_graph(ps))
+    data["diameter"] = None
+    data["connected"] = False
+    assert _graph_json_dumps(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def test_build_rejects_collinear(tmp_path, capsys):

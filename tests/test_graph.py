@@ -140,6 +140,56 @@ def test_distances(cacerola_graph):
     assert bottom_up == {False, True} and unreachable
 
 
+def plain_bfs_layers(g, a):
+    """Layers of a top-down bitset BFS from a: each ORs its frontier's rows."""
+    seen = frontier = 1 << a
+    layers = [frontier]
+    while True:
+        nxt = 0
+        for v in range(g.n_vertices):
+            if frontier >> v & 1:
+                nxt |= g.adj[v]
+        nxt &= ~seen
+        if not nxt:
+            return layers
+        seen |= nxt
+        frontier = nxt
+        layers.append(nxt)
+
+
+def test_distance_layers_match_plain_bfs(cacerola_graph):
+    graphs = [
+        build_disjointness_graph(gen_convex(3)),  # no edges
+        build_disjointness_graph(PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])),
+        build_disjointness_graph(gen_convex(5)),  # diameter 4
+        cacerola_graph,  # diameter 3
+        build_disjointness_graph(gen_double_chain(3, 6)),
+        build_disjointness_graph(gen_random_general_position(32, seed=32000, bound=1 << 20)),
+    ]
+    graphs += [
+        build_disjointness_graph(gen_random_general_position(n, seed=seed, bound=10000))
+        for n in range(5, 13)
+        for seed in (1, 2, 3)
+    ]
+    # how much of layer 2 the rows of the bit_length() highest-degree
+    # vertices that hold the source cover: the inputs must reach every case
+    cover = set()
+    for g in graphs:
+        by_degree = sorted(range(g.n_vertices), key=lambda v: (-g.degree(v), v))
+        hubs = [g.adj[h] for h in by_degree[: g.n_vertices.bit_length()]]
+        for a in range(g.n_vertices):
+            layers = plain_bfs_layers(g, a)
+            assert g.distance_layers[a] == tuple(layers), (g.pointset.points, a)
+            if len(layers) > 2:
+                near = 0
+                for row in hubs:
+                    if row >> a & 1:
+                        near |= row
+                covered = near & layers[2]
+                cover.add("empty" if not covered else "complete" if covered == layers[2] else "partial")
+    assert cover == {"empty", "partial", "complete"}
+
+
 def test_distance_three_pair_frozen(cacerola_graph):
     # crossing diagonals far apart in the graph; value fixed by the oracle BFS
     g = cacerola_graph
