@@ -32,12 +32,12 @@ from .geometry import (
 )
 from .graph import (
     INFINITY,
+    _upper_neighbours,
     build_disjointness_graph,
     diameter,
     diameter_bounds,
     is_connected,
     to_dot,
-    to_json_dict,
 )
 from .solver import (
     BOUNDS_SEARCH_NODES,
@@ -136,13 +136,20 @@ def _json_dumps(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _graph_json_dumps(data) -> str:
-    """``_json_dumps(data)`` of a graph export.  The encoder writes each edge
-    over four lines, token by token; one join of that four-line template
-    renders all of them, spliced into the dump of the rest."""
-    if not data["edges"]:
-        return _json_dumps(data)
-    edges = ",\n".join(map("    [\n      %d,\n      %d\n    ]".__mod__, data["edges"]))
+def _graph_json_dumps(g, **extra) -> str:
+    """``_json_dumps`` of ``to_json_dict(g)`` updated with ``extra``.  The
+    encoder writes each edge over four lines, token by token; here one join
+    per row of ``_upper_neighbours`` renders them, with no tuple per edge,
+    spliced into the dump of the rest."""
+    rows = []
+    for u, vs in _upper_neighbours(g):
+        if vs:
+            head = f"    [\n      {u},\n      "
+            rows.append(head + f"\n    ],\n{head}".join(map(str, vs)) + "\n    ]")
+    data = {"n_points": g.n_points, "vertices": [list(s) for s in g.vertices], **extra}
+    if not rows:
+        return _json_dumps({**data, "edges": []})
+    edges = ",\n".join(rows)
     return _json_dumps({**data, "edges": "\0"}).replace('"\\u0000"', f"[\n{edges}\n  ]", 1)
 
 
@@ -153,10 +160,8 @@ def cmd_build(args) -> int:
     if args.format == "dot":
         _emit(to_dot(g), args.out)
     elif args.format == "json":
-        data = to_json_dict(g)
-        data["diameter"] = None if d == INFINITY else int(d)
-        data["connected"] = is_connected(g)
-        _emit(_graph_json_dumps(data), args.out)
+        diam = None if d == INFINITY else int(d)
+        _emit(_graph_json_dumps(g, diameter=diam, connected=is_connected(g)), args.out)
     else:
         _emit(
             f"points: {ps.n}\nvertices: {g.n_vertices}\nedges: {g.n_edges}\n"

@@ -107,6 +107,15 @@ class RegionDecomposition:
       ``core[k] = span_tri[k] - (edge_quad[k+2] + edge_quad[k+4] + ear[k])``;
       ``core_tip[k] = core[k] & edge_quad[k] & edge_quad[k+6]``; and
       ``lens[k] = (edge_quad[k+2] & edge_quad[k+4]) - (ear[k+3] + ear[k+4])``.
+
+    One query decomposes once, on its base frame (unmirrored, rotation 0);
+    every other frame relabels those tuples, all indices mod m.  Rotation r:
+    ``X[k] = base.X[k + r]`` for every field.  Mirrored frame r, with
+    ``s = -(k + r)``: ``ear``, ``ear_mid``, ``span_tri``, ``core``,
+    ``core_tip`` and ``lens`` read ``base.X[s]``; ``ear_fwd`` and
+    ``ear_bwd`` swap (``ear_fwd[k] = base.ear_bwd[s]``), since mirroring
+    flips the side of every ray; ``edge_quad[k] = base.edge_quad[s - 1]``.
+    ``center`` is shared.
     """
 
     m: int
@@ -139,21 +148,36 @@ class _Frame:
     """One labelling of the hull: a rotation of the clockwise order, over
     either the original coordinates or their y-mirrored copy."""
 
-    def __init__(self, pts: list[Point], hull_cw: tuple[int, ...], mirrored: bool):
+    def __init__(
+        self,
+        pts: list[Point],
+        hull_cw: tuple[int, ...],
+        mirrored: bool,
+        parent: "_Frame | None" = None,
+        shift: int = 0,
+    ):
         self.pts = pts
         self.hull = hull_cw
         self.m = len(hull_cw)
         self.mirrored = mirrored
         self.n = len(pts)
-        self._hull_set = set(hull_cw)
-        self.interior = tuple(i for i in range(self.n) if i not in self._hull_set)
+        if parent is None:
+            self._hull_set = set(hull_cw)
+            self.interior = tuple(i for i in range(self.n) if i not in self._hull_set)
+            self._base = self
+        else:
+            self._hull_set, self.interior = parent._hull_set, parent.interior
+            self._base = parent._base
+        # the base frame (unmirrored, as given) decomposes the regions; this
+        # frame's hull is its own unrotated hull turned by `shift` positions
+        self._shift = shift
 
     def describe(self) -> str:
         return f"{'mirror,' if self.mirrored else ''}start={self.hull[0]}"
 
     def rotated(self, r: int) -> "_Frame":
         h = self.hull[r:] + self.hull[:r]
-        return _Frame(self.pts, h, self.mirrored)
+        return _Frame(self.pts, h, self.mirrored, self, (self._shift + r) % self.m)
 
     # -- labelled accessors --------------------------------------------------
 
@@ -199,7 +223,38 @@ class _Frame:
 
     @cached_property
     def regions(self) -> RegionDecomposition:
-        return self.region_decomposition()
+        base = self._base
+        if base is self:
+            return self.region_decomposition()
+        # relabel the base frame's regions (see RegionDecomposition): a
+        # mirrored frame reads them in reverse, one position earlier
+        mirrored = self.mirrored
+        r = self._shift
+        q = (r - 1) % self.m if mirrored else r
+        b = base.regions
+
+        def cyc(t, q=q):
+            if t is None:
+                return None
+            if mirrored:
+                t = t[::-1]
+            return t[q:] + t[:q]
+
+        fwd, bwd = (b.ear_bwd, b.ear_fwd) if mirrored else (b.ear_fwd, b.ear_bwd)
+        return RegionDecomposition(
+            m=b.m,
+            hull=self.hull,
+            ear=cyc(b.ear),
+            ear_fwd=cyc(fwd),
+            ear_mid=cyc(b.ear_mid),
+            ear_bwd=cyc(bwd),
+            center=b.center,
+            edge_quad=cyc(b.edge_quad, r),
+            span_tri=cyc(b.span_tri),
+            core=cyc(b.core),
+            core_tip=cyc(b.core_tip),
+            lens=cyc(b.lens),
+        )
 
     def region_decomposition(self) -> RegionDecomposition:
         m = self.m
@@ -277,6 +332,8 @@ class _Workspace:
     """One query's graph (built when not given), hull, frames and notes.
 
     The hull is computed once; the y-mirrored frames reuse it reversed.
+    The regions are decomposed once, on the base frame; the other frames
+    relabel them.
     ``attempt`` is the one place a Certificate is built: it rejects
     duplicate or oversized blocker sets and verifies the rest with
     ``first_failing_pair``, for the case table and the fallback alike.
@@ -299,12 +356,11 @@ class _Workspace:
     def _frame_list(self) -> list["_Frame"]:
         # Mirroring reverses the clockwise order; the cycle still starts at
         # the lowest index, so the mirrored hull needs no second hull pass.
+        # Every frame relabels the base frame's one region decomposition.
         hull = self.hull_data.hull
         base = _Frame(self._pts, hull, mirrored=False)
-        mirrored = _Frame(self._mirror_pts, hull[:1] + hull[:0:-1], mirrored=True)
-        return [base.rotated(r) for r in range(self.m)] + [
-            mirrored.rotated(r) for r in range(self.m)
-        ]
+        mirrored = _Frame(self._mirror_pts, hull[:1] + hull[:0:-1], True, base)
+        return [f.rotated(r) if r else f for f in (base, mirrored) for r in range(self.m)]
 
     def frames(self) -> list["_Frame"]:
         return self._frame_list

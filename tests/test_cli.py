@@ -104,13 +104,15 @@ def test_build_exports_frozen(capsys, spec, fmt):
     [
         pytest.param(gen_convex(3), id="convex:3-no-edges"),
         pytest.param(PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)]), id="quadrilateral"),
+        pytest.param(cacerola_points(), id="cacerola"),
     ],
 )
 def test_graph_json_writer_matches_generic_dump(ps):
-    data = to_json_dict(build_disjointness_graph(ps))
-    data["diameter"] = None
-    data["connected"] = False
-    assert _graph_json_dumps(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    # the row-wise writer against the generic dump of to_json_dict's edges
+    g = build_disjointness_graph(ps)
+    data = {**to_json_dict(g), "diameter": None, "connected": False}
+    expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert _graph_json_dumps(g, diameter=None, connected=False) == expected
 
 
 def test_build_rejects_collinear(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 from math import comb
@@ -32,7 +33,7 @@ from segvis.geometry import (
 from segvis.graph import build_disjointness_graph
 from segvis.visibility import VertexSet, is_mutual_visibility_set
 
-from conftest import hull3_instance, ngon
+from conftest import hull3_instance, ngon, random_instances
 from oracles import oracle_min_blockers
 
 
@@ -82,6 +83,23 @@ def test_regions_m7_coverage():
                 cover |= r.ear[k] | r.core[k] | r.lens[k]
             assert cover >= set(h.interior)
     assert count > 3
+
+
+def test_frame_regions_match_fresh_decomposition():
+    # every frame (each rotation, plain and mirrored) relabels the base
+    # frame's decomposition; a fresh decomposition of that frame is the
+    # reference
+    instances = [ps for _, ps in random_instances(range(6, 13), 40, base_seed=900)]
+    instances.append(gen_random_general_position(8, seed=8076, bound=10000))
+    sizes = set()
+    for ps in instances:
+        ws = constructions._Workspace(ps)
+        if ws.m not in (5, 6, 7):
+            continue
+        sizes.add(ws.m)
+        for f in ws.frames():
+            assert f.regions == f.region_decomposition(), f.describe()
+    assert sizes == {5, 6, 7}
 
 
 def test_regions_need_hull_5_to_7():
@@ -334,11 +352,25 @@ def test_build_certificate_small_sweep():
     assert fallbacks == 0
 
 
+def test_certificate_records_pinned():
+    # every field of 800 certificates, diagnostics included: they name each
+    # frame a case tried, so a change in frame order or region content moves
+    # the digest
+    digest = hashlib.sha256()
+    for _, ps in random_instances(range(5, 13), 100, base_seed=500):
+        c = build_certificate(ps)
+        record = (c.strategy, c.case, c.blockers, c.mu_lower_bound, c.diagnostics)
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == (
+        "6641a00e7d76e27b80ab54263931e9ea1d39030c83b2d94f8fcb17a4d1d7adb9"
+    )
+
+
 def test_build_certificate_computes_one_hull(monkeypatch):
     # the hull-7 lens instance exhausts its cases and falls back, scanning
-    # the mirrored frames too: even then one call builds one workspace and
-    # runs the monotone chain once
-    calls = {"hull": 0, "workspace": 0, "chain": 0}
+    # the mirrored frames too: even then one call builds one workspace,
+    # runs the monotone chain once and decomposes the regions once
+    calls = {"hull": 0, "workspace": 0, "chain": 0, "regions": 0}
     hull, init = constructions.convex_hull, constructions._Workspace.__init__
     chain = geometry._hull_indices_clockwise
 
@@ -360,9 +392,16 @@ def test_build_certificate_computes_one_hull(monkeypatch):
     monkeypatch.setattr(
         constructions, "_hull_indices_clockwise", counting_chain, raising=False
     )
+    decompose = constructions._Frame.region_decomposition
+
+    def counting_decompose(self):
+        calls["regions"] += 1
+        return decompose(self)
+
+    monkeypatch.setattr(constructions._Frame, "region_decomposition", counting_decompose)
     cert = build_certificate(gen_random_general_position(8, seed=8076, bound=10000))
     assert cert.strategy == "FallbackSearch" and cert.verified
-    assert calls == {"hull": 1, "workspace": 1, "chain": 1}
+    assert calls == {"hull": 1, "workspace": 1, "chain": 1, "regions": 1}
 
 
 def _mirror_hull_instances():
