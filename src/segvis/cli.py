@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import golden
 from .constructions import (
+    STRATEGY_FALLBACK,
     ConstructionError,
     build_certificate,
     certificate_json,
@@ -286,7 +287,7 @@ def cmd_sweep(args) -> int:
                 continue
             key = cert.strategy + (f"({cert.case})" if cert.case is not None else "")
             stats["strategy_counts"][key] = stats["strategy_counts"].get(key, 0) + 1
-            if cert.strategy == "FallbackSearch":
+            if cert.strategy == STRATEGY_FALLBACK:
                 stats["fallback_invocations"] += 1
                 blockers = [list(s) for s in cert.blockers]
                 stats["fallbacks"].append(

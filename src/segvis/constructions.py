@@ -24,9 +24,11 @@ set it finds is verified like any case's candidate.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
+from operator import itemgetter
 
 from .geometry import (
     HullData,
@@ -91,31 +93,27 @@ def certificate_json(cert: Certificate) -> dict:
 
 @dataclass(frozen=True)
 class RegionDecomposition:
-    """Interior-point regions relative to a labelled hull of size 5, 6 or 7.
+    """Interior-point regions of a hull of size 5, 6 or 7, listed by the
+    hull positions of one frame (clockwise order, 0-based, indices mod m;
+    H(k) is the hull point at position k).
 
-    For hull position k (clockwise order, 0-based):
-
-    - ``ear[k]``: points strictly inside the triangle of hull vertices
-      k-1, k, k+1.
-    - ``ear_fwd[k]`` / ``ear_bwd[k]``: the parts of ``ear[k]`` cut off by
-      the rays from vertex k towards vertices k+2 and k+(m-2); they hug the
-      hull edge (k, k+1) and (k-1, k) respectively.  ``ear_mid[k]`` is the
-      remainder, and ``ear_fwd[k] == ear_bwd[k+1]``.
+    - ``ear[k]``: points strictly inside the triangle H(k-1), H(k), H(k+1).
+    - ``ear_fwd[k]`` / ``ear_bwd[k]``: the wedges of ``ear[k]`` that hug the
+      hull edges (k, k+1) and (k-1, k).  The wedge of the ear at v towards
+      its neighbour w is the part of the ear on w's side of the chord from
+      v to w's other neighbour.  ``ear_mid[k]`` is the remainder, and
+      ``ear_fwd[k] == ear_bwd[k+1]``.
     - ``center`` (m = 6 only): interior points inside no ear.
-    - m = 7 only: ``edge_quad[k]`` is the quadrilateral on hull vertices
-      k-1 .. k+2; ``span_tri[k]`` the triangle on vertices k, k+3, k+4;
-      ``core[k] = span_tri[k] - (edge_quad[k+2] + edge_quad[k+4] + ear[k])``;
-      ``core_tip[k] = core[k] & edge_quad[k] & edge_quad[k+6]``; and
-      ``lens[k] = (edge_quad[k+2] & edge_quad[k+4]) - (ear[k+3] + ear[k+4])``.
+    - m = 7 only: ``edge_quad[k]`` is the quadrilateral H(k-1) .. H(k+2) on
+      the hull edge (k, k+1); ``span_tri[k]`` the triangle H(k), H(k+3),
+      H(k+4); ``core[k] = span_tri[k] - (edge_quad[k+2] + edge_quad[k+4] +
+      ear[k])``; ``core_tip[k] = core[k] & edge_quad[k] & edge_quad[k+6]``;
+      and ``lens[k] = (edge_quad[k+2] & edge_quad[k+4]) - (ear[k+3] +
+      ear[k+4])``.
 
-    One query decomposes once, on its base frame (unmirrored, rotation 0);
-    every other frame relabels those tuples, all indices mod m.  Rotation r:
-    ``X[k] = base.X[k + r]`` for every field.  Mirrored frame r, with
-    ``s = -(k + r)``: ``ear``, ``ear_mid``, ``span_tri``, ``core``,
-    ``core_tip`` and ``lens`` read ``base.X[s]``; ``ear_fwd`` and
-    ``ear_bwd`` swap (``ear_fwd[k] = base.ear_bwd[s]``), since mirroring
-    flips the side of every ray; ``edge_quad[k] = base.edge_quad[s - 1]``.
-    ``center`` is shared.
+    Each region is named by the hull points that bound it (see
+    ``_NamedRegions``), so every frame, rotated or mirrored, lists the same
+    named regions under its own labels.
     """
 
     m: int
@@ -132,12 +130,89 @@ class RegionDecomposition:
     lens: tuple[frozenset[int], ...] | None = None
 
 
+class _NamedRegions:
+    """One query's interior regions, each named by the hull points that
+    bound it.
+
+    ``ear``, ``ear_mid``, ``span_tri``, ``core``, ``core_tip`` and ``lens``
+    are keyed by their vertex v, ``edge_quad`` by its hull edge (v, w) in
+    either direction, and ``wedge`` by a directed hull edge (v, w).  Every
+    region is an intersection of chord sides, "the interior points on c's
+    side of the hull chord ab", and each chord's sides take one orientation
+    test per interior point.  Mirroring keeps every side, so the original
+    coordinates serve the mirrored frames too.
+    """
+
+    def __init__(self, pts: list[Point], hull: HullData):
+        h, m = hull.hull, hull.m
+        interior = frozenset(hull.interior)
+        chord_sides: dict[tuple[int, int], tuple[frozenset[int], frozenset[int]]] = {}
+
+        def H(k: int) -> int:
+            return h[k % m]
+
+        def side(a: int, b: int, c: int) -> frozenset[int]:
+            # chord_sides[a, b] (a < b) holds the interior points right and
+            # left of a -> b; the hull point c picks one
+            a, b = min(a, b), max(a, b)
+            pa, pb = pts[a], pts[b]
+            if (a, b) not in chord_sides:
+                left = frozenset(p for p in interior if cross(pa, pb, pts[p]) > 0)
+                chord_sides[a, b] = (interior - left, left)
+            return chord_sides[a, b][cross(pa, pb, pts[c]) > 0]
+
+        self.ear, self.wedge, self.ear_mid = {}, {}, {}
+        for k in range(m):
+            v, nxt, prv = H(k), H(k + 1), H(k - 1)
+            ear = self.ear[v] = side(prv, nxt, v)
+            fwd = self.wedge[v, nxt] = ear & side(v, H(k + 2), nxt)
+            bwd = self.wedge[v, prv] = ear & side(v, H(k - 2), prv)
+            self.ear_mid[v] = ear - fwd - bwd
+        self.center = interior.difference(*self.ear.values()) if m == 6 else None
+        self.edge_quad = self.span_tri = self.core = self.core_tip = self.lens = None
+        if m == 7:
+            quad = self.edge_quad = {}
+            for k in range(7):
+                quad[H(k), H(k + 1)] = quad[H(k + 1), H(k)] = side(H(k - 1), H(k + 2), H(k))
+
+            def Q(k: int) -> frozenset[int]:
+                return quad[H(k), H(k + 1)]
+
+            self.span_tri, self.core, self.core_tip, self.lens = {}, {}, {}, {}
+            for k in range(7):
+                v, x, y = H(k), H(k + 3), H(k + 4)
+                span = self.span_tri[v] = side(v, x, y) & side(v, y, x)
+                core = self.core[v] = span - (Q(k + 2) | Q(k + 4) | self.ear[v])
+                self.core_tip[v] = core & Q(k) & Q(k - 1)
+                self.lens[v] = (Q(k + 2) & Q(k + 4)) - (self.ear[x] | self.ear[y])
+
+    def labelled(self, hull_cw: tuple[int, ...]) -> RegionDecomposition:
+        """The regions listed by the positions of one clockwise hull order."""
+        at_vertex = itemgetter(*hull_cw)
+        fwd = itemgetter(*zip(hull_cw, hull_cw[1:] + hull_cw[:1]))
+        bwd = itemgetter(*zip(hull_cw, hull_cw[-1:] + hull_cw[:-1]))
+        m7 = self.edge_quad is not None
+        return RegionDecomposition(
+            m=len(hull_cw),
+            hull=hull_cw,
+            ear=at_vertex(self.ear),
+            ear_fwd=fwd(self.wedge),
+            ear_mid=at_vertex(self.ear_mid),
+            ear_bwd=bwd(self.wedge),
+            center=self.center,
+            edge_quad=fwd(self.edge_quad) if m7 else None,
+            span_tri=at_vertex(self.span_tri) if m7 else None,
+            core=at_vertex(self.core) if m7 else None,
+            core_tip=at_vertex(self.core_tip) if m7 else None,
+            lens=at_vertex(self.lens) if m7 else None,
+        )
+
+
 def decompose_regions(ps: PointSet, hull: HullData) -> RegionDecomposition:
     """Assign every interior point to its regions via exact side tests."""
     if hull.m not in (5, 6, 7):
         raise ValueError("region decomposition is defined for hull sizes 5, 6, 7")
-    frame = _Frame(ps.points, hull.hull, mirrored=False)
-    return frame.region_decomposition()
+    return _NamedRegions(list(ps.points), hull).labelled(hull.hull)
 
 
 # ---------------------------------------------------------------------------
@@ -145,39 +220,26 @@ def decompose_regions(ps: PointSet, hull: HullData) -> RegionDecomposition:
 
 
 class _Frame:
-    """One labelling of the hull: a rotation of the clockwise order, over
-    either the original coordinates or their y-mirrored copy."""
+    """One labelling of a workspace's hull: a rotation of the clockwise
+    order, over either the original coordinates or their y-mirrored copy."""
 
     def __init__(
         self,
         pts: list[Point],
         hull_cw: tuple[int, ...],
         mirrored: bool,
-        parent: "_Frame | None" = None,
-        shift: int = 0,
+        interior: tuple[int, ...],
+        named_regions: Callable[[], "_NamedRegions"],
     ):
         self.pts = pts
         self.hull = hull_cw
         self.m = len(hull_cw)
         self.mirrored = mirrored
-        self.n = len(pts)
-        if parent is None:
-            self._hull_set = set(hull_cw)
-            self.interior = tuple(i for i in range(self.n) if i not in self._hull_set)
-            self._base = self
-        else:
-            self._hull_set, self.interior = parent._hull_set, parent.interior
-            self._base = parent._base
-        # the base frame (unmirrored, as given) decomposes the regions; this
-        # frame's hull is its own unrotated hull turned by `shift` positions
-        self._shift = shift
+        self.interior = interior
+        self._named_regions = named_regions
 
     def describe(self) -> str:
         return f"{'mirror,' if self.mirrored else ''}start={self.hull[0]}"
-
-    def rotated(self, r: int) -> "_Frame":
-        h = self.hull[r:] + self.hull[:r]
-        return _Frame(self.pts, h, self.mirrored, self, (self._shift + r) % self.m)
 
     # -- labelled accessors --------------------------------------------------
 
@@ -219,109 +281,9 @@ class _Frame:
             key=lambda p: (self.pts[p][0] - vx) ** 2 + (self.pts[p][1] - vy) ** 2,
         )
 
-    # -- regions --------------------------------------------------------------
-
     @cached_property
     def regions(self) -> RegionDecomposition:
-        base = self._base
-        if base is self:
-            return self.region_decomposition()
-        # relabel the base frame's regions (see RegionDecomposition): a
-        # mirrored frame reads them in reverse, one position earlier
-        mirrored = self.mirrored
-        r = self._shift
-        q = (r - 1) % self.m if mirrored else r
-        b = base.regions
-
-        def cyc(t, q=q):
-            if t is None:
-                return None
-            if mirrored:
-                t = t[::-1]
-            return t[q:] + t[:q]
-
-        fwd, bwd = (b.ear_bwd, b.ear_fwd) if mirrored else (b.ear_fwd, b.ear_bwd)
-        return RegionDecomposition(
-            m=b.m,
-            hull=self.hull,
-            ear=cyc(b.ear),
-            ear_fwd=cyc(fwd),
-            ear_mid=cyc(b.ear_mid),
-            ear_bwd=cyc(bwd),
-            center=b.center,
-            edge_quad=cyc(b.edge_quad, r),
-            span_tri=cyc(b.span_tri),
-            core=cyc(b.core),
-            core_tip=cyc(b.core_tip),
-            lens=cyc(b.lens),
-        )
-
-    def region_decomposition(self) -> RegionDecomposition:
-        m = self.m
-        ear, ear_fwd, ear_mid, ear_bwd = [], [], [], []
-        for k in range(m):
-            tri = [self.H(k - 1), self.H(k), self.H(k + 1)]
-            members = frozenset(p for p in self.interior if self.inside(tri, p))
-            fwd = frozenset(
-                p for p in members if self.orient(self.H(k), self.H(k + 2), p) == 1
-            )
-            bwd = frozenset(
-                p for p in members if self.orient(self.H(k), self.H(k + m - 2), p) == -1
-            )
-            if fwd & bwd:
-                raise ConstructionError("ear sub-regions overlap; predicate bug")
-            ear.append(members)
-            ear_fwd.append(fwd)
-            ear_bwd.append(bwd)
-            ear_mid.append(members - fwd - bwd)
-        center = None
-        edge_quad = span_tri = core = core_tip = lens = None
-        if m == 6:
-            covered = frozenset().union(*ear) if ear else frozenset()
-            center = frozenset(self.interior) - covered
-        if m == 7:
-            edge_quad = [
-                frozenset(
-                    p
-                    for p in self.interior
-                    if self.inside([self.H(k - 1), self.H(k), self.H(k + 1), self.H(k + 2)], p)
-                )
-                for k in range(7)
-            ]
-            span_tri = [
-                frozenset(
-                    p
-                    for p in self.interior
-                    if self.inside([self.H(k), self.H(k + 3), self.H(k + 4)], p)
-                )
-                for k in range(7)
-            ]
-            core = [
-                span_tri[k] - (edge_quad[(k + 2) % 7] | edge_quad[(k + 4) % 7] | ear[k])
-                for k in range(7)
-            ]
-            core_tip = [
-                core[k] & edge_quad[k] & edge_quad[(k + 6) % 7] for k in range(7)
-            ]
-            lens = [
-                (edge_quad[(k + 2) % 7] & edge_quad[(k + 4) % 7])
-                - (ear[(k + 3) % 7] | ear[(k + 4) % 7])
-                for k in range(7)
-            ]
-        return RegionDecomposition(
-            m=m,
-            hull=self.hull,
-            ear=tuple(ear),
-            ear_fwd=tuple(ear_fwd),
-            ear_mid=tuple(ear_mid),
-            ear_bwd=tuple(ear_bwd),
-            center=center,
-            edge_quad=tuple(edge_quad) if edge_quad else None,
-            span_tri=tuple(span_tri) if span_tri else None,
-            core=tuple(core) if core else None,
-            core_tip=tuple(core_tip) if core_tip else None,
-            lens=tuple(lens) if lens else None,
-        )
+        return self._named_regions().labelled(self.hull)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +294,8 @@ class _Workspace:
     """One query's graph (built when not given), hull, frames and notes.
 
     The hull is computed once; the y-mirrored frames reuse it reversed.
-    The regions are decomposed once, on the base frame; the other frames
-    relabel them.
+    The regions are named by hull points and decomposed once, on first
+    read; every frame looks them up by its own labels.
     ``attempt`` is the one place a Certificate is built: it rejects
     duplicate or oversized blocker sets and verifies the rest with
     ``first_failing_pair``, for the case table and the fallback alike.
@@ -356,11 +318,23 @@ class _Workspace:
     def _frame_list(self) -> list["_Frame"]:
         # Mirroring reverses the clockwise order; the cycle still starts at
         # the lowest index, so the mirrored hull needs no second hull pass.
-        # Every frame relabels the base frame's one region decomposition.
-        hull = self.hull_data.hull
-        base = _Frame(self._pts, hull, mirrored=False)
-        mirrored = _Frame(self._mirror_pts, hull[:1] + hull[:0:-1], True, base)
-        return [f.rotated(r) if r else f for f in (base, mirrored) for r in range(self.m)]
+        # The frames share one region decomposition, made on first read.
+        # They must not refer back to the workspace: that cycle would keep
+        # each query's graph alive until the next garbage collection.
+        pts, hull_data = self._pts, self.hull_data
+        named_regions = cache(lambda: _NamedRegions(pts, hull_data))
+        hull = hull_data.hull
+        return [
+            _Frame(
+                self._mirror_pts if mirrored else pts,
+                h[r:] + h[:r],
+                mirrored,
+                hull_data.interior,
+                named_regions,
+            )
+            for mirrored, h in ((False, hull), (True, hull[:1] + hull[:0:-1]))
+            for r in range(self.m)
+        ]
 
     def frames(self) -> list["_Frame"]:
         return self._frame_list
@@ -546,6 +520,23 @@ def _quadrant_of(frame: _Frame, d1: SegmentId, d2: SegmentId, s: SegmentId):
     return tuple(sides)
 
 
+def _k4_quadrants(ws: _Workspace, frame: _Frame, uv: SegmentId, xy: SegmentId):
+    """The diagonals d1, d2 of the K4 drawing on the base segments uv and xy,
+    and its two lateral quadrants; a ConstructionError says why uv and xy do
+    not sit in opposite open quadrants."""
+    d1, d2 = _good_2set_diagonals(ws, frame, uv, xy)
+    q_uv = (_segment_side(frame, d1, uv), _segment_side(frame, d2, uv))
+    q_xy = (_segment_side(frame, d1, xy), _segment_side(frame, d2, xy))
+    if 0 in q_uv or 0 in q_xy or q_xy != (-q_uv[0], -q_uv[1]):
+        raise ConstructionError("base segments do not sit in opposite quadrants")
+    return d1, d2, [(q_uv[0], -q_uv[1]), (-q_uv[0], q_uv[1])]
+
+
+def _crossed_outside(g: DisjointnessGraph, k4_mask: int, e: SegmentId) -> bool:
+    """Does a segment outside the K4 drawing cross e?"""
+    return bool(g.cross_mask[g.vertex(e)] & ~k4_mask)
+
+
 def _validate_good_2set(
     ws: _Workspace,
     frame: _Frame,
@@ -565,23 +556,18 @@ def _validate_good_2set(
         if not (set(s) & hull_pts):
             return f"base segment {s} has no hull endpoint"
     try:
-        d1, d2 = _good_2set_diagonals(ws, frame, uv, xy)
-        q_uv = (_segment_side(frame, d1, uv), _segment_side(frame, d2, uv))
-        q_xy = (_segment_side(frame, d1, xy), _segment_side(frame, d2, xy))
+        d1, d2, lateral = _k4_quadrants(ws, frame, uv, xy)
     except ConstructionError as exc:
         return str(exc)
-    if 0 in q_uv or 0 in q_xy or q_xy != (-q_uv[0], -q_uv[1]):
-        return "base segments do not sit in opposite quadrants"
-    lateral = [(q_uv[0], -q_uv[1]), (-q_uv[0], q_uv[1])]
     ql = _quadrant_of(frame, d1, d2, e_l)
     qr = _quadrant_of(frame, d1, d2, e_r)
     if ql not in lateral:
         return f"{e_l} is not interior to a lateral quadrant"
     if qr not in lateral or qr == ql:
         return f"{e_r} is not interior to the opposite lateral quadrant"
-    d_mask = g.mask_of(_k4_segments(uv, xy))
+    k4_mask = g.mask_of(_k4_segments(uv, xy))
     for e in (e_l, e_r):
-        if g.cross_mask[g.vertex(e)] & ~d_mask:
+        if _crossed_outside(g, k4_mask, e):
             return f"{e} is crossed outside the 4-point drawing"
     return None
 
@@ -611,47 +597,19 @@ def find_good_2set(ps: PointSet, graph: DisjointnessGraph | None = None):
         )
     for uv, xy in edge_pairs + other_pairs:
         try:
-            d1, d2 = _good_2set_diagonals(ws, frame, uv, xy)
-            q_uv = (_segment_side(frame, d1, uv), _segment_side(frame, d2, uv))
+            d1, d2, lateral = _k4_quadrants(ws, frame, uv, xy)
         except ConstructionError:
             continue
-        if 0 in q_uv:
-            continue
-        lateral = [(q_uv[0], -q_uv[1]), (-q_uv[0], q_uv[1])]
-        d_mask = g.mask_of(_k4_segments(uv, xy))
+        k4_mask = g.mask_of(_k4_segments(uv, xy))
         found: dict[tuple, SegmentId] = {}
         for e in g.vertices:
             q = _quadrant_of(frame, d1, d2, e)
-            if q not in lateral or q in found:
-                continue
-            if g.cross_mask[g.vertex(e)] & ~d_mask:
+            if q not in lateral or q in found or _crossed_outside(g, k4_mask, e):
                 continue
             found[q] = e
             if len(found) == 2:
                 return uv, xy, found[lateral[0]], found[lateral[1]]
     return None
-
-
-def s_from_good_2set(
-    ps: PointSet,
-    quadruple,
-    graph: DisjointnessGraph | None = None,
-) -> Certificate:
-    """Eight-segment blocker set: the K4 drawing plus the two protected
-    quadrant segments."""
-    uv, xy, e_l, e_r = quadruple
-    ws = _Workspace(ps, graph)
-    frame = ws.base_frame()
-    reason = _validate_good_2set(ws, frame, uv, xy, e_l, e_r)
-    if reason is not None:
-        raise ConstructionError(f"not a good 2-set: {reason}")
-    segs = _k4_segments(uv, xy) + [e_l, e_r]
-    cert = ws.attempt(STRATEGY_GOOD_2SET, None, segs, frame.describe())
-    if cert is None:
-        raise ConstructionError(
-            f"good-2-set blockers failed verification: {ws.diagnostics}"
-        )
-    return cert
 
 
 def _try_good_2set(
@@ -668,6 +626,26 @@ def _try_good_2set(
         ws.note(f"good-2-set [{desc}]: {reason}")
         return None
     return _k4_segments(uv, xy) + [e_l, e_r]
+
+
+def s_from_good_2set(
+    ps: PointSet,
+    quadruple,
+    graph: DisjointnessGraph | None = None,
+) -> Certificate:
+    """Eight-segment blocker set: the K4 drawing plus the two protected
+    quadrant segments."""
+    ws = _Workspace(ps, graph)
+    frame = ws.base_frame()
+    segs = _try_good_2set(ws, frame, *quadruple, frame.describe())
+    if segs is None:
+        raise ConstructionError(f"not a good 2-set: {ws.diagnostics}")
+    cert = ws.attempt(STRATEGY_GOOD_2SET, None, segs, frame.describe())
+    if cert is None:
+        raise ConstructionError(
+            f"good-2-set blockers failed verification: {ws.diagnostics}"
+        )
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -1311,9 +1289,21 @@ def _fallback_certificate(ws: _Workspace) -> Certificate:
 def certificate_from_blockers(
     ps: PointSet, blockers, *, graph: DisjointnessGraph | None = None
 ) -> Certificate:
-    """Package and verify an externally chosen blocker set."""
+    """Package and verify an externally chosen blocker set.
+
+    Every entry must be a segment id (i, j) of the point set, i < j, or a
+    ValueError names it."""
+    segs = list(blockers)
+    for s in segs:
+        if not (
+            type(s) is tuple
+            and len(s) == 2
+            and all(type(i) is int for i in s)
+            and 0 <= s[0] < s[1] < ps.n
+        ):
+            raise ValueError(f"blocker {s!r} is not a segment id of this {ps.n}-point set")
     ws = _Workspace(ps, graph)
-    cert = ws.attempt(STRATEGY_EXPLICIT, None, list(blockers), "explicit")
+    cert = ws.attempt(STRATEGY_EXPLICIT, None, segs, "explicit")
     if cert is None:
         raise ConstructionError(f"blocker set failed verification: {ws.diagnostics}")
     return cert

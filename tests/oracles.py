@@ -264,3 +264,57 @@ def oracle_edges(g):
         for v in range(u + 1, g.n_vertices)
         if g.are_adjacent(u, v)
     ]
+
+
+def oracle_regions(coords, hull_cw):
+    """The interior regions of one labelled hull (see
+    ``constructions.RegionDecomposition``), decomposed by position: each
+    interior point is tested against every ear triangle, wedge ray, edge
+    quadrilateral and span triangle of this labelling, over the given
+    (possibly mirrored) coordinates."""
+    from segvis.constructions import RegionDecomposition
+
+    m = len(hull_cw)
+    interior = [p for p in range(len(coords)) if p not in hull_cw]
+
+    def H(k):
+        return hull_cw[k % m]
+
+    def orient(i, j, k):
+        (x1, y1), (x2, y2), (x3, y3) = coords[i], coords[j], coords[k]
+        s = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+        return (s > 0) - (s < 0)
+
+    def inside(poly, p):
+        # strictly inside a clockwise convex polygon
+        return all(orient(a, b, p) == -1 for a, b in zip(poly, poly[1:] + poly[:1]))
+
+    def members(poly):
+        return frozenset(p for p in interior if inside(poly, p))
+
+    ear = [members([H(k - 1), H(k), H(k + 1)]) for k in range(m)]
+    fwd = [frozenset(p for p in ear[k] if orient(H(k), H(k + 2), p) == 1) for k in range(m)]
+    bwd = [frozenset(p for p in ear[k] if orient(H(k), H(k - 2), p) == -1) for k in range(m)]
+    fields = dict(
+        ear=tuple(ear),
+        ear_fwd=tuple(fwd),
+        ear_mid=tuple(ear[k] - fwd[k] - bwd[k] for k in range(m)),
+        ear_bwd=tuple(bwd),
+    )
+    if m == 6:
+        fields["center"] = frozenset(interior).difference(*ear)
+    if m == 7:
+        quad = [members([H(k - 1), H(k), H(k + 1), H(k + 2)]) for k in range(7)]
+        span = [members([H(k), H(k + 3), H(k + 4)]) for k in range(7)]
+        core = [span[k] - (quad[(k + 2) % 7] | quad[(k + 4) % 7] | ear[k]) for k in range(7)]
+        fields.update(
+            edge_quad=tuple(quad),
+            span_tri=tuple(span),
+            core=tuple(core),
+            core_tip=tuple(core[k] & quad[k] & quad[(k + 6) % 7] for k in range(7)),
+            lens=tuple(
+                (quad[(k + 2) % 7] & quad[(k + 4) % 7]) - (ear[(k + 3) % 7] | ear[(k + 4) % 7])
+                for k in range(7)
+            ),
+        )
+    return RegionDecomposition(m=m, hull=tuple(hull_cw), **fields)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import time
 from math import comb
 
@@ -34,7 +35,7 @@ from segvis.graph import build_disjointness_graph
 from segvis.visibility import VertexSet, is_mutual_visibility_set
 
 from conftest import hull3_instance, ngon, random_instances
-from oracles import oracle_min_blockers
+from oracles import oracle_min_blockers, oracle_regions
 
 
 def verify_blockers(ps, blockers) -> bool:
@@ -86,20 +87,22 @@ def test_regions_m7_coverage():
 
 
 def test_frame_regions_match_fresh_decomposition():
-    # every frame (each rotation, plain and mirrored) relabels the base
-    # frame's decomposition; a fresh decomposition of that frame is the
-    # reference
+    # every frame (each rotation, plain and mirrored) looks its regions up
+    # by hull-point name; a fresh positional decomposition of that frame's
+    # labelling, over its own coordinates, is the reference
     instances = [ps for _, ps in random_instances(range(6, 13), 40, base_seed=900)]
     instances.append(gen_random_general_position(8, seed=8076, bound=10000))
-    sizes = set()
+    sizes, frames = set(), 0
     for ps in instances:
         ws = constructions._Workspace(ps)
         if ws.m not in (5, 6, 7):
             continue
         sizes.add(ws.m)
         for f in ws.frames():
-            assert f.regions == f.region_decomposition(), f.describe()
+            assert f.regions == oracle_regions(f.pts, f.hull), f.describe()
+            frames += 1
     assert sizes == {5, 6, 7}
+    assert frames == 2704
 
 
 def test_regions_need_hull_5_to_7():
@@ -369,39 +372,38 @@ def test_certificate_records_pinned():
 def test_build_certificate_computes_one_hull(monkeypatch):
     # the hull-7 lens instance exhausts its cases and falls back, scanning
     # the mirrored frames too: even then one call builds one workspace,
-    # runs the monotone chain once and decomposes the regions once
-    calls = {"hull": 0, "workspace": 0, "chain": 0, "regions": 0}
+    # runs the monotone chain once and decomposes the regions once; the
+    # convex hull-6 and hull-10 cases never read regions, so they
+    # decompose none
+    cases = [
+        (gen_random_general_position(8, seed=8076, bound=10000), "FallbackSearch", 1),
+        (gen_convex(6), "Hull6Case", 0),
+        (gen_convex(10), "Hull10Plus", 0),
+    ]
+    calls = {}
     hull, init = constructions.convex_hull, constructions._Workspace.__init__
     chain = geometry._hull_indices_clockwise
+    named = constructions._NamedRegions.__init__
 
-    def counting_hull(ps):
-        calls["hull"] += 1
-        return hull(ps)
+    def counting(key, func):
+        def wrapped(*args):
+            calls[key] += 1
+            return func(*args)
 
-    def counting_init(self, *args):
-        calls["workspace"] += 1
-        init(self, *args)
+        return wrapped
 
-    def counting_chain(pts):
-        calls["chain"] += 1
-        return chain(pts)
-
-    monkeypatch.setattr(constructions, "convex_hull", counting_hull)
-    monkeypatch.setattr(constructions._Workspace, "__init__", counting_init)
-    monkeypatch.setattr(geometry, "_hull_indices_clockwise", counting_chain)
+    monkeypatch.setattr(constructions, "convex_hull", counting("hull", hull))
+    monkeypatch.setattr(constructions._Workspace, "__init__", counting("workspace", init))
+    monkeypatch.setattr(geometry, "_hull_indices_clockwise", counting("chain", chain))
     monkeypatch.setattr(
-        constructions, "_hull_indices_clockwise", counting_chain, raising=False
+        constructions, "_hull_indices_clockwise", counting("chain", chain), raising=False
     )
-    decompose = constructions._Frame.region_decomposition
-
-    def counting_decompose(self):
-        calls["regions"] += 1
-        return decompose(self)
-
-    monkeypatch.setattr(constructions._Frame, "region_decomposition", counting_decompose)
-    cert = build_certificate(gen_random_general_position(8, seed=8076, bound=10000))
-    assert cert.strategy == "FallbackSearch" and cert.verified
-    assert calls == {"hull": 1, "workspace": 1, "chain": 1, "regions": 1}
+    monkeypatch.setattr(constructions._NamedRegions, "__init__", counting("regions", named))
+    for ps, strategy, regions in cases:
+        calls.update(hull=0, workspace=0, chain=0, regions=0)
+        cert = build_certificate(ps)
+        assert cert.strategy == strategy and cert.verified
+        assert calls == {"hull": 1, "workspace": 1, "chain": 1, "regions": regions}
 
 
 def _mirror_hull_instances():
@@ -457,6 +459,19 @@ def test_certificate_from_blockers_rejects_bad_set():
     h = convex_hull(ps).hull
     with pytest.raises(ConstructionError):
         certificate_from_blockers(ps, [segment(h[0], h[1])])
+
+
+@pytest.mark.parametrize(
+    "blocker", [(1, 0), (0, 9), (0, 0), [0, 1], (0, 1, 2), (True, 2), "01"]
+)
+@pytest.mark.parametrize("entry", ["certificate_from_blockers", "check_bounds_report"])
+def test_explicit_blockers_must_be_segment_ids(entry, blocker):
+    ps = gen_convex(6)
+    with pytest.raises(ValueError, match=re.escape(repr(blocker))):
+        if entry == "certificate_from_blockers":
+            certificate_from_blockers(ps, [blocker])
+        else:
+            solver.check_bounds_report(ps, extra_blockers=[(0, 1), blocker])
 
 
 def test_fallback_certifies_lens_instances():
