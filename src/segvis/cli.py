@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 from . import golden
@@ -140,13 +141,14 @@ def _json_dumps(data) -> str:
 def _graph_json_dumps(g, **extra) -> str:
     """``_json_dumps`` of ``to_json_dict(g)`` updated with ``extra``.  The
     encoder writes each edge over four lines, token by token; here one join
-    per row of ``_upper_neighbours`` renders them, with no tuple per edge,
-    spliced into the dump of the rest."""
+    per row of ``_upper_neighbours`` over the vertex id strings renders them,
+    with no tuple or ``str`` call per edge, spliced into the dump of the rest."""
+    names = list(map(str, range(g.n_vertices)))
     rows = []
-    for u, vs in _upper_neighbours(g):
-        if vs:
+    for u, first, sel in _upper_neighbours(g):
+        if sel:
             head = f"    [\n      {u},\n      "
-            rows.append(head + f"\n    ],\n{head}".join(map(str, vs)) + "\n    ]")
+            rows.append(head + f"\n    ],\n{head}".join(compress(names[first:], sel)) + "\n    ]")
     data = {"n_points": g.n_points, "vertices": [list(s) for s in g.vertices], **extra}
     if not rows:
         return _json_dumps({**data, "edges": []})

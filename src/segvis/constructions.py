@@ -367,6 +367,14 @@ class _Workspace:
         self.note(f"{strategy}({case}) [{desc}]: candidate failed verification")
         return None
 
+    def certify(self, strategy: str, segs: list[SegmentId], desc: str, what: str) -> Certificate:
+        """``attempt`` outside the case table; a ConstructionError says that
+        ``what`` failed."""
+        cert = self.attempt(strategy, None, segs, desc)
+        if cert is None:
+            raise ConstructionError(f"{what} failed verification: {self.diagnostics}")
+        return cert
+
 
 # ---------------------------------------------------------------------------
 # Good triangles
@@ -431,6 +439,7 @@ def s_from_good_triangle(
     ps: PointSet, x: int, i: int, graph: DisjointnessGraph | None = None
 ) -> Certificate:
     """Nine-segment blocker set built from a good triangle (hull size >= 6)."""
+    _require_ids(ps, [x], "good-triangle apex", size=1)
     ws = _Workspace(ps, graph)
     if ws.m < 6:
         raise ConstructionError("good-triangle certificate needs hull size >= 6")
@@ -438,12 +447,7 @@ def s_from_good_triangle(
     if not _triangle_is_good(ws, frame, x, i):
         raise ConstructionError(f"({x}, {i}) is not a good triangle")
     segs = _good_triangle_blockers(frame, x, i)
-    cert = ws.attempt(STRATEGY_GOOD_TRIANGLE, None, segs, frame.describe())
-    if cert is None:
-        raise ConstructionError(
-            f"good-triangle blocker set failed verification: {ws.diagnostics}"
-        )
-    return cert
+    return ws.certify(STRATEGY_GOOD_TRIANGLE, segs, frame.describe(), "good-triangle blocker set")
 
 
 # ---------------------------------------------------------------------------
@@ -635,17 +639,13 @@ def s_from_good_2set(
 ) -> Certificate:
     """Eight-segment blocker set: the K4 drawing plus the two protected
     quadrant segments."""
+    _require_ids(ps, quadruple, "good-2-set entry")
     ws = _Workspace(ps, graph)
     frame = ws.base_frame()
     segs = _try_good_2set(ws, frame, *quadruple, frame.describe())
     if segs is None:
         raise ConstructionError(f"not a good 2-set: {ws.diagnostics}")
-    cert = ws.attempt(STRATEGY_GOOD_2SET, None, segs, frame.describe())
-    if cert is None:
-        raise ConstructionError(
-            f"good-2-set blockers failed verification: {ws.diagnostics}"
-        )
-    return cert
+    return ws.certify(STRATEGY_GOOD_2SET, segs, frame.describe(), "good-2-set blockers")
 
 
 # ---------------------------------------------------------------------------
@@ -1280,10 +1280,18 @@ def _fallback_certificate(ws: _Workspace) -> Certificate:
         )
         raise ConstructionError(f"fallback search {reason}; diagnostics: {ws.diagnostics}")
     segs = [ws.g.segment_of(v) for v in iter_bits(s_mask)]
-    cert = ws.attempt(STRATEGY_FALLBACK, None, segs, "minimum blocker set")
-    if cert is None:
-        raise ConstructionError(f"fallback blocker set failed verification: {ws.diagnostics}")
-    return cert
+    return ws.certify(STRATEGY_FALLBACK, segs, "minimum blocker set", "fallback blocker set")
+
+
+def _require_ids(ps: PointSet, entries, what: str, size: int = 2) -> None:
+    """Raise a ValueError naming the first entry that is not a segment id
+    (i, j) of ints, 0 <= i < j < n, or, for size 1, a point index of ps."""
+    noun = "a segment id" if size == 2 else "a point index"
+    for e in entries:
+        ids = e if size == 2 else (e,)
+        if not (type(ids) is tuple and len(ids) == size and all(type(i) is int for i in ids)
+                and all(a < b for a, b in zip((-1, *ids), (*ids, ps.n)))):
+            raise ValueError(f"{what} {e!r} is not {noun} of this {ps.n}-point set")
 
 
 def certificate_from_blockers(
@@ -1294,19 +1302,8 @@ def certificate_from_blockers(
     Every entry must be a segment id (i, j) of the point set, i < j, or a
     ValueError names it."""
     segs = list(blockers)
-    for s in segs:
-        if not (
-            type(s) is tuple
-            and len(s) == 2
-            and all(type(i) is int for i in s)
-            and 0 <= s[0] < s[1] < ps.n
-        ):
-            raise ValueError(f"blocker {s!r} is not a segment id of this {ps.n}-point set")
-    ws = _Workspace(ps, graph)
-    cert = ws.attempt(STRATEGY_EXPLICIT, None, segs, "explicit")
-    if cert is None:
-        raise ConstructionError(f"blocker set failed verification: {ws.diagnostics}")
-    return cert
+    _require_ids(ps, segs, "blocker")
+    return _Workspace(ps, graph).certify(STRATEGY_EXPLICIT, segs, "explicit", "blocker set")
 
 
 def double_chain_blocker(p: int, q: int) -> list[SegmentId]:

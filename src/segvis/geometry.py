@@ -114,12 +114,15 @@ class PointSet:
 
 
 def _find_collinear_triple(pts: Sequence[Point]):
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if cross(pts[i], pts[j], pts[k]) == 0:
-                    return (i, j, k)
+    """The lexicographically first collinear (i, j, k), i < j < k, or None;
+    r is on line ij iff dx*y - dy*x == c, as the difference is cross(p, q, r)."""
+    for i, (px, py) in enumerate(pts):
+        for j, (qx, qy) in enumerate(pts[i + 1:], i + 1):
+            dx, dy = qx - px, qy - py
+            later = [dx * y - dy * x for x, y in pts[j + 1:]]
+            c = dx * py - dy * px
+            if c in later:
+                return (i, j, j + 1 + later.index(c))
     return None
 
 

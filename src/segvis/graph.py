@@ -7,7 +7,7 @@ for fast common-neighbour queries.
 
 The rows come from half-plane masks and one bit-matrix transpose, with no
 loop over segment pairs: O(n^3) exact orientation tests plus O(|V|^2 / word)
-bit work (see ``DisjointnessGraph._build_adjacency``).  Distances take one
+bit work (see ``DisjointnessGraph._crossing_rows``).  Distances take one
 BFS per source; a few high-degree rows settle most of layer 2 at once, so a
 source costs O(log |V|) row ORs plus a row test for each vertex they leave
 (see ``DisjointnessGraph.distance_layers``).
@@ -19,7 +19,7 @@ import math
 from functools import cached_property
 from itertools import compress, repeat
 
-from .geometry import PointSet, SegmentId, all_segments, cross
+from .geometry import PointSet, SegmentId, all_segments
 
 INFINITY = math.inf
 
@@ -40,10 +40,14 @@ class DisjointnessGraph:
         }
         nv = len(self.vertices)
         self.n_vertices = nv
-        self.full_mask = (1 << nv) - 1
-        self.adj: tuple[int, ...] = self._build_adjacency()
+        full = self.full_mask = (1 << nv) - 1
+        #: cross_mask[v]: vertices whose segment properly crosses v's
+        self.cross_mask: tuple[int, ...] = self._crossing_rows()
+        self.adj: tuple[int, ...] = tuple(
+            full & ~cross & ~touch for cross, touch in zip(self.cross_mask, self.touch_mask)
+        )
 
-    def _build_adjacency(self) -> tuple[int, ...]:
+    def _crossing_rows(self) -> tuple[int, ...]:
         """``sep[u]``, for u = (i, j), holds the segments whose endpoints lie
         strictly on both sides of line ij: the ``star`` rows of the points
         on each side, ORed, then intersected.  Segments with four distinct
@@ -52,25 +56,22 @@ class DisjointnessGraph:
         those and the ones touching u are disjoint from it.  Cost: O(n^3)
         orientation tests plus O(|V|^2 / word) bit work."""
         pts = self.pointset.points
-        star = self.star
+        points_and_stars = list(zip(pts, self.star))
         sep = []
         for i, j in self.vertices:
-            p, q = pts[i], pts[j]
+            (px, py), (qx, qy) = pts[i], pts[j]
+            # v - c is exactly cross(p, q, r), so v == c only at r = i, j
+            dx, dy = qx - px, qy - py
+            c = dx * py - dy * px
             left = right = 0
-            for r, point in enumerate(pts):
-                if r == i or r == j:
-                    continue
-                # never 0: no three points are collinear
-                if cross(p, q, point) > 0:
-                    left |= star[r]
-                else:
-                    right |= star[r]
+            for (x, y), row in points_and_stars:
+                v = dx * y - dy * x
+                if v > c:
+                    left |= row
+                elif v < c:
+                    right |= row
             sep.append(left & right)
-        full = self.full_mask
-        return tuple(
-            full & ~(row & col) & ~touch
-            for row, col, touch in zip(sep, bit_columns(sep, self.n_vertices), self.touch_mask)
-        )
+        return tuple(map(int.__and__, sep, bit_columns(sep, self.n_vertices)))
 
     # -- vertex helpers ----------------------------------------------------
 
@@ -112,14 +113,6 @@ class DisjointnessGraph:
         (v itself included)."""
         star = self.star
         return tuple(star[i] | star[j] for (i, j) in self.vertices)
-
-    @cached_property
-    def cross_mask(self) -> tuple[int, ...]:
-        """cross_mask[v]: vertices whose segment properly crosses v's."""
-        full = self.full_mask
-        return tuple(
-            full & ~self.adj[v] & ~self.touch_mask[v] for v in range(self.n_vertices)
-        )
 
     def is_clean_vertex(self, v: int) -> bool:
         return self.cross_mask[v] == 0
@@ -249,18 +242,19 @@ _BYTE_SELECTORS = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
 
 
 def _upper_neighbours(g: DisjointnessGraph):
-    """(u, the vertices v > u adjacent to u, ascending), for u ascending.
+    """(u, first, selectors) for u ascending, first = u + 1: selector byte
+    k is 1 iff u is adjacent to vertex first + k (0 past the last vertex).
 
-    Each row's upper part is read as bytes and decoded once through a
-    256-entry table; ``map``, ``join`` and ``compress`` run the per-byte and
-    per-bit loops, so the Python loop runs once per row, not once per edge.
+    A row's upper part is decoded once, as bytes, through a 256-entry table;
+    each writer compresses its own per-vertex table from ``first`` on with
+    the selectors, so no Python loop runs per edge.
     """
     selectors = _BYTE_SELECTORS.__getitem__
     for u, row in enumerate(g.adj):
-        base = u + 1
-        upper = row >> base
+        first = u + 1
+        upper = row >> first
         data = upper.to_bytes((upper.bit_length() + 7) // 8, "little")
-        yield u, list(compress(range(base, base + 8 * len(data)), b"".join(map(selectors, data))))
+        yield u, first, b"".join(map(selectors, data))
 
 
 def to_dot(g: DisjointnessGraph) -> str:
@@ -269,10 +263,10 @@ def to_dot(g: DisjointnessGraph) -> str:
     ends = [f"{label};\n" for label in labels]
     parts = ["graph disjointness {\n"]
     parts.extend(f"  {end}" for end in ends)
-    for u, vs in _upper_neighbours(g):
-        if vs:
+    for u, first, sel in _upper_neighbours(g):
+        if sel:
             head = f"  {labels[u]} -- "
-            parts.append(head + head.join([ends[v] for v in vs]))
+            parts.append(head + head.join(compress(ends[first:], sel)))
     parts.append("}\n")
     return "".join(parts)
 
@@ -281,11 +275,12 @@ def to_json_dict(g: DisjointnessGraph) -> dict:
     """The graph as plain data: ``n_points``, ``vertices`` as [i, j] lists
     and ``edges`` as (u, v) tuples with u < v, in ascending lexicographic
     order.  ``json.dumps`` writes a tuple as it writes a list, so the JSON is
-    the same as with [u, v] lists; all-int tuples, unlike lists, drop out of
-    the cyclic collector's passes once they survive one."""
+    the same as with [u, v] lists.  Every tuple refers to the ints of one
+    shared ``list(range(n_vertices))``, so the edges add no int per edge."""
+    ids = list(range(g.n_vertices))
     edges = []
-    for u, vs in _upper_neighbours(g):
-        edges.extend(zip(repeat(u), vs))
+    for u, first, sel in _upper_neighbours(g):
+        edges.extend(zip(repeat(ids[u]), compress(ids[first:], sel)))
     return {
         "n_points": g.n_points,
         "vertices": [list(s) for s in g.vertices],

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from segvis import solver
 from segvis.cli import MAX_GEN_POINTS, _graph_json_dumps, main, parse_gen_spec
 from segvis.constructions import build_certificate
-from segvis.geometry import PointSet, cacerola_points, gen_convex, save_pointset
+from segvis.geometry import (
+    PointSet,
+    cacerola_points,
+    gen_convex,
+    gen_random_general_position,
+    save_pointset,
+)
 from segvis.graph import build_disjointness_graph, to_json_dict
 from segvis.svg import render_svg
 
@@ -100,16 +106,22 @@ def test_build_exports_frozen(capsys, spec, fmt):
 
 
 @pytest.mark.parametrize(
-    "ps",
+    "make, args",
     [
-        pytest.param(gen_convex(3), id="convex:3-no-edges"),
-        pytest.param(PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)]), id="quadrilateral"),
-        pytest.param(cacerola_points(), id="cacerola"),
+        pytest.param(gen_convex, (3,), id="convex:3-no-edges"),
+        pytest.param(PointSet.from_coords, ([(0, 0), (10, 0), (10, 10), (0, 10)],), id="quadrilateral"),
+        pytest.param(cacerola_points, (), id="cacerola"),
+    ]
+    # 10 .. 136 vertices: on and off multiples of 8, rows with no upper part
+    + [
+        pytest.param(gen_random_general_position, (n, n, bound), id=f"random:{n}:{n}:{bound}")
+        for n in range(5, 18)
+        for bound in (60, 10000)
     ],
 )
-def test_graph_json_writer_matches_generic_dump(ps):
+def test_graph_json_writer_matches_generic_dump(make, args):
     # the row-wise writer against the generic dump of to_json_dict's edges
-    g = build_disjointness_graph(ps)
+    g = build_disjointness_graph(make(*args))
     data = {**to_json_dict(g), "diameter": None, "connected": False}
     expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
     assert _graph_json_dumps(g, diameter=None, connected=False) == expected

@@ -462,16 +462,24 @@ def test_certificate_from_blockers_rejects_bad_set():
 
 
 @pytest.mark.parametrize(
-    "blocker", [(1, 0), (0, 9), (0, 0), [0, 1], (0, 1, 2), (True, 2), "01"]
+    "blocker", [(1, 0), (0, 9), (0, 0), [0, 1], (0, 1, 2), (True, 2), "01", 9, -1]
 )
-@pytest.mark.parametrize("entry", ["certificate_from_blockers", "check_bounds_report"])
+@pytest.mark.parametrize(
+    "entry",
+    ["certificate_from_blockers", "check_bounds_report", "s_from_good_2set", "s_from_good_triangle"],
+)
 def test_explicit_blockers_must_be_segment_ids(entry, blocker):
+    # the good-triangle apex must be a point index instead
     ps = gen_convex(6)
     with pytest.raises(ValueError, match=re.escape(repr(blocker))):
         if entry == "certificate_from_blockers":
             certificate_from_blockers(ps, [blocker])
-        else:
+        elif entry == "check_bounds_report":
             solver.check_bounds_report(ps, extra_blockers=[(0, 1), blocker])
+        elif entry == "s_from_good_2set":
+            s_from_good_2set(ps, ((0, 2), (3, 5), blocker, (1, 4)))
+        else:
+            s_from_good_triangle(ps, blocker, 0)
 
 
 def test_fallback_certifies_lens_instances():

@@ -1,7 +1,8 @@
 import itertools
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from segvis.geometry import (
     CoordinateError,
@@ -10,6 +11,7 @@ from segvis.geometry import (
     Orientation,
     Point,
     PointSet,
+    _find_collinear_triple,
     all_segments,
     cacerola_points,
     convex_hull,
@@ -70,6 +72,27 @@ def test_general_position_examples():
     assert is_general_position(cacerola_points().points)
     assert not is_general_position([(0, 0), (1, 1), (2, 2), (0, 5)])
     assert is_general_position(gen_convex(10).points)
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=14))
+@example([(0, 0), (1, 1), (5, 0), (2, 2), (3, 3)])  # two later points on line 01
+def test_collinear_triple_is_lexicographically_first(coords):
+    # the reported triple names the error message; a plain scan is the oracle
+    pts = [Point(*p) for p in dict.fromkeys(coords)]
+    first = next(
+        (
+            t
+            for t in itertools.combinations(range(len(pts)), 3)
+            if orientation(*(pts[k] for k in t)) == Orientation.COLLINEAR
+        ),
+        None,
+    )
+    assert _find_collinear_triple(pts) == first
+    if first is None:
+        PointSet.from_coords(pts)
+    else:
+        with pytest.raises(GeneralPositionError, match=re.escape(f"collinear triple at indices {first}")):
+            PointSet.from_coords(pts)
 
 
 def test_pointset_rejects_bad_input():
