@@ -7,9 +7,10 @@ builds one workspace (graph, hull and labelled frames), looks the hull size
 up in ``_CASE_TABLE`` and walks that size's ordered case list; later cases
 may assume the earlier ones did not apply.  Every case is written against a
 fixed hull labelling; the workspace realises the "relabel without loss of
-generality" steps by scanning all rotations of the clockwise hull order, on
-the point set itself and on its y-mirrored copy (mirroring reverses the
-cyclic orientation, covering the symmetric branches).
+generality" steps by scanning all rotations of the clockwise hull order,
+plain and y-mirrored (mirroring reverses the cyclic orientation, covering
+the symmetric branches); a mirrored labelling reads the same points with
+every orientation test negated.
 
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
@@ -38,10 +39,8 @@ from .geometry import (
     _sign,
     convex_hull,
     cross,
-    first_on_rotating_line,
     rotation_neighbors,
     segment,
-    strictly_inside_convex,
 )
 from .graph import DisjointnessGraph, build_disjointness_graph, iter_bits
 from .solver import FOUND, REFUTED, min_blocker_set
@@ -139,8 +138,7 @@ class _NamedRegions:
     either direction, and ``wedge`` by a directed hull edge (v, w).  Every
     region is an intersection of chord sides, "the interior points on c's
     side of the hull chord ab", and each chord's sides take one orientation
-    test per interior point.  Mirroring keeps every side, so the original
-    coordinates serve the mirrored frames too.
+    test per interior point.
     """
 
     def __init__(self, pts: list[Point], hull: HullData):
@@ -221,7 +219,12 @@ def decompose_regions(ps: PointSet, hull: HullData) -> RegionDecomposition:
 
 class _Frame:
     """One labelling of a workspace's hull: a rotation of the clockwise
-    order, over either the original coordinates or their y-mirrored copy."""
+    order, plain or y-mirrored.
+
+    Mirroring y negates every cross product exactly, so a mirrored frame
+    reads the same points and negates each orientation test.  Mirroring
+    keeps every distance and every chord's two sides, so the point
+    selectors and the named regions serve the mirrored frames unchanged."""
 
     def __init__(
         self,
@@ -235,6 +238,7 @@ class _Frame:
         self.hull = hull_cw
         self.m = len(hull_cw)
         self.mirrored = mirrored
+        self._sense = -1 if mirrored else 1
         self.interior = interior
         self._named_regions = named_regions
 
@@ -254,10 +258,17 @@ class _Frame:
         return segment(i, j)
 
     def orient(self, i: int, j: int, k: int) -> int:
-        return _sign(cross(self.pts[i], self.pts[j], self.pts[k]))
+        return self._sense * _sign(cross(self.pts[i], self.pts[j], self.pts[k]))
 
-    def inside(self, poly_idx: list[int], p: int) -> bool:
-        return strictly_inside_convex([self.pts[i] for i in poly_idx], self.pts[p])
+    def inside(self, poly: list[int], p: int) -> bool:
+        """Is p strictly inside the convex polygon, clockwise in this frame?"""
+        return all(self.orient(a, b, p) == -1 for a, b in zip(poly, poly[1:] + poly[:1]))
+
+    def first_swept(self, o: int, t: int, a: int, b: int) -> int:
+        """Whichever of a, b the full line through o and t meets first as it
+        turns clockwise about o (the line sweeps both of its rays)."""
+        first = self.orient(o, t, a) * self.orient(o, t, b) * self.orient(o, a, b) < 0
+        return a if first else b
 
     # -- deterministic point selectors (exact, ties by lowest index) ---------
 
@@ -266,9 +277,6 @@ class _Frame:
 
     def closest_to_edge(self, cands, k: int) -> int:
         a, b = self.H(k), self.H(k + 1)
-        return min(sorted(cands), key=lambda p: self._line_key(a, b, p))
-
-    def closest_to_line(self, cands, a: int, b: int) -> int:
         return min(sorted(cands), key=lambda p: self._line_key(a, b, p))
 
     def furthest_from_line(self, cands, a: int, b: int) -> int:
@@ -309,7 +317,6 @@ class _Workspace:
         self.n = ps.n
         self.diagnostics: list[str] = []
         self._pts = list(ps.points)
-        self._mirror_pts = [Point(p.x, -p.y) for p in ps.points]
 
     def note(self, msg: str) -> None:
         self.diagnostics.append(msg)
@@ -325,13 +332,7 @@ class _Workspace:
         named_regions = cache(lambda: _NamedRegions(pts, hull_data))
         hull = hull_data.hull
         return [
-            _Frame(
-                self._mirror_pts if mirrored else pts,
-                h[r:] + h[:r],
-                mirrored,
-                hull_data.interior,
-                named_regions,
-            )
+            _Frame(pts, h[r:] + h[:r], mirrored, hull_data.interior, named_regions)
             for mirrored, h in ((False, hull), (True, hull[:1] + hull[:0:-1]))
             for r in range(self.m)
         ]
@@ -441,6 +442,8 @@ def s_from_good_triangle(
     """Nine-segment blocker set built from a good triangle (hull size >= 6)."""
     _require_ids(ps, [x], "good-triangle apex", size=1)
     ws = _Workspace(ps, graph)
+    if type(i) is not int or not 0 <= i < ws.m:
+        raise ValueError(f"hull position {i!r} is not a position of this {ws.m}-point hull")
     if ws.m < 6:
         raise ConstructionError("good-triangle certificate needs hull size >= 6")
     frame = ws.base_frame()
@@ -484,7 +487,7 @@ def _good_2set_diagonals(ws: _Workspace, frame: _Frame, uv: SegmentId, xy: Segme
     g = ws.g
     pairs = [(segment(u, x), segment(v, y)), (segment(u, y), segment(v, x))]
     for d1, d2 in pairs:
-        if g.vertex(d2) in _cross_ids(g, d1):
+        if g.cross_mask[g.vertex(d1)] >> g.vertex(d2) & 1:
             return d1, d2
     # Triangle case: one endpoint sits inside the triangle of the others.
     t = _inner_point(frame, [u, v, x, y])
@@ -504,10 +507,6 @@ def _inner_point(frame: _Frame, four: list[int]) -> int | None:
         if frame.inside(tri, t):
             return t
     return None
-
-
-def _cross_ids(g: DisjointnessGraph, s: SegmentId):
-    return set(iter_bits(g.cross_mask[g.vertex(s)]))
 
 
 def _quadrant_of(frame: _Frame, d1: SegmentId, d2: SegmentId, s: SegmentId):
@@ -726,13 +725,11 @@ def _ch4(ws: _Workspace):
         members = [
             p
             for p in f.interior
-            if f.inside(h, p)
-            and f.orient(h[0], h[2], p) == s1
-            and f.orient(h[1], h[3], p) == s2
+            if f.orient(h[0], h[2], p) == s1 and f.orient(h[1], h[3], p) == s2
         ]
         if not members:
             continue
-        vp = f.closest_to_line(members, h[2], h[3])
+        vp = f.closest_to_edge(members, 2)
         yield f.describe(), [
             segment(h[0], h[1]),
             segment(h[0], h[2]),
@@ -1080,7 +1077,7 @@ def _hull_pair_crossings(ws: _Workspace, s: SegmentId) -> list[SegmentId]:
     g = ws.g
     hull_pts = set(ws.hull_data.hull)
     out = []
-    for v in sorted(_cross_ids(g, s)):
+    for v in iter_bits(g.cross_mask[g.vertex(s)]):
         t = g.segment_of(v)
         if set(t) <= hull_pts:
             out.append(t)
@@ -1185,7 +1182,7 @@ def _ch7_case6(ws: _Workspace):
                 f"expected {{{u1}, {u2}}}"
             )
             continue
-        x = first_on_rotating_line(f.pts, f.H(3), f.H(5), [u1, u2])
+        x = f.first_swept(f.H(3), f.H(5), u1, u2)
         if x == u1:
             uvxy = (f.seg(f.H(4), f.H(5)), f.seg(f.H(1), f.H(2)))
             e_l, e_r = f.seg(f.H(3), x), f.seg(f.H(0), f.H(6))

@@ -286,44 +286,6 @@ def rotation_neighbors(ps: PointSet, hull: HullData, i: int) -> tuple[int, int]:
     return ordered[0], ordered[-1]
 
 
-def first_on_rotating_line(
-    pts: Sequence[Point], center: int, toward: int, candidates: Sequence[int]
-) -> int:
-    """First candidate hit by the full line through ``center`` and ``toward``
-    as it rotates clockwise about ``center``.
-
-    A rotating line sweeps both of its rays, so candidates are compared by
-    clockwise angle modulo a half turn.
-    """
-    o = pts[center]
-    dx, dy = pts[toward][0] - o[0], pts[toward][1] - o[1]
-
-    def folded(c: int) -> tuple[int, int]:
-        ux, uy = pts[c][0] - o[0], pts[c][1] - o[1]
-        side = _sign(dx * uy - dy * ux)
-        if side == 0:
-            raise GeneralPositionError("candidate collinear with rotating line")
-        return (ux, uy) if side < 0 else (-ux, -uy)
-
-    def cmp(c1: int, c2: int) -> int:
-        u, w = folded(c1), folded(c2)
-        s = _sign(u[0] * w[1] - u[1] * w[0])
-        if s == 0:
-            raise GeneralPositionError("angular tie on rotating line")
-        return s
-
-    return min(candidates, key=cmp_to_key(cmp))
-
-
-def strictly_inside_convex(poly: Sequence[Point], p: Point) -> bool:
-    """Strict membership of p in a convex polygon given in clockwise order."""
-    k = len(poly)
-    for t in range(k):
-        if _sign(cross(poly[t], poly[(t + 1) % k], p)) != -1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Generators
 

@@ -9,6 +9,7 @@ enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -253,6 +254,44 @@ def float_rotation_neighbors(coords, hull_cycle, i):
         best.append((cw, c))
     best.sort()
     return best[0][1], best[-1][1]
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def first_on_rotating_line(pts, center, toward, candidates):
+    """First candidate hit by the full line through ``center`` and ``toward``
+    as it rotates clockwise about ``center``: candidates folded onto the
+    line's right side and compared by clockwise angle."""
+    o = pts[center]
+    dx, dy = pts[toward][0] - o[0], pts[toward][1] - o[1]
+
+    def folded(c):
+        ux, uy = pts[c][0] - o[0], pts[c][1] - o[1]
+        side = _sign(dx * uy - dy * ux)
+        if side == 0:
+            raise ValueError("candidate collinear with rotating line")
+        return (ux, uy) if side < 0 else (-ux, -uy)
+
+    def cmp(c1, c2):
+        u, w = folded(c1), folded(c2)
+        s = _sign(u[0] * w[1] - u[1] * w[0])
+        if s == 0:
+            raise ValueError("angular tie on rotating line")
+        return s
+
+    return min(candidates, key=functools.cmp_to_key(cmp))
+
+
+def strictly_inside_convex(poly, p):
+    """Strict membership of p in a convex polygon given in clockwise order."""
+    k = len(poly)
+    for t in range(k):
+        (x1, y1), (x2, y2) = poly[t], poly[(t + 1) % k]
+        if _sign((x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1)) != -1:
+            return False
+    return True
 
 
 def oracle_edges(g):

@@ -35,7 +35,12 @@ from segvis.graph import build_disjointness_graph
 from segvis.visibility import VertexSet, is_mutual_visibility_set
 
 from conftest import hull3_instance, ngon, random_instances
-from oracles import oracle_min_blockers, oracle_regions
+from oracles import (
+    first_on_rotating_line,
+    oracle_min_blockers,
+    oracle_regions,
+    strictly_inside_convex,
+)
 
 
 def verify_blockers(ps, blockers) -> bool:
@@ -89,7 +94,8 @@ def test_regions_m7_coverage():
 def test_frame_regions_match_fresh_decomposition():
     # every frame (each rotation, plain and mirrored) looks its regions up
     # by hull-point name; a fresh positional decomposition of that frame's
-    # labelling, over its own coordinates, is the reference
+    # labelling, over the y-mirrored coordinates for a mirrored frame, is
+    # the reference
     instances = [ps for _, ps in random_instances(range(6, 13), 40, base_seed=900)]
     instances.append(gen_random_general_position(8, seed=8076, bound=10000))
     sizes, frames = set(), 0
@@ -98,11 +104,32 @@ def test_frame_regions_match_fresh_decomposition():
         if ws.m not in (5, 6, 7):
             continue
         sizes.add(ws.m)
+        mirror_pts = [Point(p.x, -p.y) for p in ps.points]
         for f in ws.frames():
-            assert f.regions == oracle_regions(f.pts, f.hull), f.describe()
+            pts = mirror_pts if f.mirrored else f.pts
+            assert f.regions == oracle_regions(pts, f.hull), f.describe()
             frames += 1
     assert sizes == {5, 6, 7}
     assert frames == 2704
+
+
+def test_first_swept_matches_rotating_line_oracle():
+    # the frames' sign rule for which of two points a line turning
+    # clockwise meets first, on every ordered quadruple of points, against
+    # a clockwise-angle sweep; a mirrored frame's reference runs over the
+    # y-mirrored coordinates
+    checked = 0
+    for seed in range(20):
+        ps = gen_random_general_position(6, seed=1600 + seed, bound=1000)
+        ws = constructions._Workspace(ps)
+        mirror_pts = [Point(p.x, -p.y) for p in ps.points]
+        for f in (ws.frames()[0], ws.frames()[ws.m]):
+            pts = mirror_pts if f.mirrored else ps.points
+            for o, t, a, b in itertools.permutations(range(ps.n), 4):
+                expected = first_on_rotating_line(pts, o, t, [a, b])
+                assert f.first_swept(o, t, a, b) == expected, (seed, f.describe())
+                checked += 1
+    assert checked == 20 * 2 * 360
 
 
 def test_regions_need_hull_5_to_7():
@@ -149,7 +176,7 @@ def test_clean_sided_triangle_is_good():
     # whenever x sits in the stated quadrilateral and both segments joining
     # x to the edge ends are clean, the triangle qualifies
     from segvis.constructions import _Workspace, _triangle_is_good
-    from segvis.geometry import is_clean, strictly_inside_convex
+    from segvis.geometry import is_clean
 
     checked = 0
     for seed in range(30):
@@ -313,6 +340,50 @@ def test_hull7_case3_close_pair():
     cert = build_certificate(ps)
     assert cert.strategy == "Hull7Case" and cert.case == 3
     assert cert.verified and 8 <= cert.size <= 9
+
+
+@pytest.mark.parametrize(
+    "spec,mirrored,picks_u1,blockers,diagnostics",
+    [
+        (
+            (9, 1273, 100), False, True,
+            ((0, 7), (1, 2), (1, 3), (1, 6), (2, 3), (2, 6), (3, 6), (5, 8)),
+            (),
+        ),
+        (
+            (9, 258, 10000), False, False,
+            ((0, 7), (1, 6), (2, 3), (2, 4), (2, 8), (3, 4), (3, 8), (4, 8)),
+            (),
+        ),
+        (
+            (9, 4141, 100), True, False,
+            ((0, 1), (0, 4), (0, 6), (1, 4), (1, 6), (3, 8), (4, 6), (5, 7)),
+            ("hull7 case 6 [start=5]: edge quad 4 is [3], expected {3, 2}",),
+        ),
+    ],
+)
+def test_hull7_case6_certificates_frozen(
+    monkeypatch, spec, mirrored, picks_u1, blockers, diagnostics
+):
+    # neither CI sweep window certifies through case 6: these pin it in a
+    # plain and a mirrored frame, with the rotating line meeting u1 or u2
+    # first, and its quad-mismatch note
+    swept = []
+    first_swept = constructions._Frame.first_swept
+
+    def recording(f, o, t, a, b):
+        x = first_swept(f, o, t, a, b)
+        swept.append((f.mirrored, x == a))
+        return x
+
+    monkeypatch.setattr(constructions._Frame, "first_swept", recording)
+    n, seed, bound = spec
+    cert = build_certificate(gen_random_general_position(n, seed=seed, bound=bound))
+    assert (cert.strategy, cert.case) == ("Hull7Case", 6)
+    assert cert.blockers == blockers and cert.diagnostics == diagnostics
+    assert cert.verified and cert.mu_lower_bound == comb(n, 2) - len(blockers)
+    # the frame that certifies is the last one to sweep
+    assert swept[-1] == (mirrored, picks_u1)
 
 
 def test_hull89_and_hull10plus():
@@ -480,6 +551,12 @@ def test_explicit_blockers_must_be_segment_ids(entry, blocker):
             s_from_good_2set(ps, ((0, 2), (3, 5), blocker, (1, 4)))
         else:
             s_from_good_triangle(ps, blocker, 0)
+
+
+@pytest.mark.parametrize("i", [1.5, "1", None, True, 6, -6, -1])
+def test_good_triangle_position_must_be_a_hull_position(cacerola, i):
+    with pytest.raises(ValueError, match=re.escape(repr(i))):
+        s_from_good_triangle(cacerola, 6, i)
 
 
 def test_fallback_certifies_lens_instances():
