@@ -8,9 +8,12 @@ for fast common-neighbour queries.
 The rows come from half-plane masks and one bit-matrix transpose, with no
 loop over segment pairs: O(n^3) exact orientation tests plus O(|V|^2 / word)
 bit work (see ``DisjointnessGraph._crossing_rows``).  Distances take one
-BFS per source; a few high-degree rows settle most of layer 2 at once, so a
-source costs O(log |V|) row ORs plus a row test for each vertex they leave
-(see ``DisjointnessGraph.distance_layers``).
+BFS per source, with layers 1 and 2 settled directly, since almost every
+D(P) has diameter 2: layer 1 is the source's row, and a few high-degree
+rows settle most of layer 2 at once, so a source costs O(log |V|) row ORs
+plus a row test for each vertex they leave.  Only a source of eccentricity
+3 or more takes the generic frontier step (see
+``DisjointnessGraph.distance_layers``).
 """
 
 from __future__ import annotations
@@ -121,16 +124,19 @@ class DisjointnessGraph:
     def distance_layers(self) -> tuple[tuple[int, ...], ...]:
         """distance_layers[a][k]: the vertices at distance exactly k from a,
         for k = 0 .. the eccentricity of a; vertices a cannot reach lie in no
-        layer.  One BFS per source, shared by every distance query; a step
-        ORs the frontier's rows, or tests each unseen vertex's row against
-        the frontier when fewer vertices are unseen.
+        layer.  One BFS per source, shared by every distance query.
 
-        Layer 2 is mostly settled at once by hubs, the rows of the
-        ``n_vertices.bit_length()`` highest-degree vertices (ties broken by
-        index): every unseen vertex w in ``near``, the union of the hub rows
-        that hold a, is at distance 2, since a-h-w is a path and w is not a
-        neighbour of a.  Only the unseen vertices outside ``near`` go
-        through the step above."""
+        Layers 1 and 2 are settled directly, since almost every D(P) has
+        diameter 2.  Layer 1 is ``adj[a]``; a vertex with no neighbours has
+        the single layer {a}.  Layer 2 is mostly settled at once by hubs,
+        the rows of the ``n_vertices.bit_length()`` highest-degree vertices
+        (ties broken by index): every unseen vertex w in ``near``, the union
+        of the hub rows that hold a, is at distance 2, since a-h-w is a path
+        and w is not a neighbour of a.  Each unseen vertex outside ``near``
+        joins layer 2 when its row meets ``adj[a]``.  Only layers 3 and up
+        take the generic step, which ORs the frontier's rows, or tests each
+        unseen vertex's row against the frontier when fewer vertices are
+        unseen."""
         adj = self.adj
         full = self.full_mask
         nv = self.n_vertices
@@ -138,29 +144,41 @@ class DisjointnessGraph:
         hubs = [adj[h] for h in by_degree[:nv.bit_length()]]
         out = []
         for a in range(nv):
-            seen = frontier = 1 << a
-            layers = [frontier]
+            first = adj[a]
+            if not first:
+                out.append((1 << a,))
+                continue
             near = 0
             for row in hubs:
                 if row >> a & 1:
                     near |= row
-            while True:
-                unseen = full & ~seen
-                nxt = near & unseen if len(layers) == 2 else 0
-                rest = unseen & ~nxt
-                if rest.bit_count() < frontier.bit_count():
-                    for w in iter_bits(rest):
+            unseen = full & ~(first | 1 << a)
+            second = near & unseen
+            rest = unseen & ~second
+            # iter_bits inlined: rest is mostly empty, and a generator per
+            # source costs more than the tests it runs
+            while rest:
+                low = rest & -rest
+                if adj[low.bit_length() - 1] & first:
+                    second |= low
+                rest ^= low
+            layers = [1 << a, first]
+            frontier = second
+            while frontier:
+                layers.append(frontier)
+                unseen &= ~frontier
+                if not unseen:
+                    break
+                nxt = 0
+                if unseen.bit_count() < frontier.bit_count():
+                    for w in iter_bits(unseen):
                         if adj[w] & frontier:
                             nxt |= 1 << w
                 else:
                     for v in iter_bits(frontier):
                         nxt |= adj[v]
                     nxt &= unseen
-                if not nxt:
-                    break
-                seen |= nxt
                 frontier = nxt
-                layers.append(nxt)
             out.append(tuple(layers))
         return tuple(out)
 

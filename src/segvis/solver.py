@@ -13,7 +13,12 @@ the earlier ones out.  The branches partition the candidates, so a closed
 branch settles a known ``math.comb`` of them, and a refuted level settles
 exactly C(|V|, k), whatever the order.  Every candidate that passes the
 quick reject goes to the single exact check,
-``visibility.first_failing_pair``.
+``visibility.first_failing_pair``.  On a connected graph in which every
+source has eccentricity at most 2 (diameter 2, as almost every D(P) has),
+the quick reject is already exact: every non-adjacent pair of U is then at
+distance 2, and the exact check's cover test fails it exactly when S
+misses N(a) & N(b), that is, misses T_p.  The exact check then confirms
+each candidate without rejecting any.
 
 Order matters only for the one set a search reports: the lexicographically
 first passing set of a level, on the smaller of its two families (the sets
@@ -35,7 +40,7 @@ from typing import Optional
 
 from .geometry import PointSet
 from .graph import DisjointnessGraph, bit_columns, build_disjointness_graph, is_connected, iter_bits
-from .visibility import VertexSet, first_failing_pair
+from .visibility import VertexSet, first_failing_pair, require_sized_for
 
 REFUTED = "refuted"
 FOUND = "found"
@@ -427,6 +432,7 @@ def mu_exact(
         k = nv - s
         return result(k, k, k, full & ~s_mask, k + 1 if k < upper else None, examined)
 
+    require_sized_for(g, witness_hint)
     failing = first_failing_pair(g, witness_hint.mask)
     if failing is not None:
         raise ValueError(f"witness hint is not a mutual-visibility set: {failing}")

@@ -2,13 +2,25 @@
 
 A set U of vertices is a mutual-visibility set when every pair in U is
 joined by some shortest path whose internal vertices all avoid U, that is,
-lie in the complement S = V \\ U.  One check decides this:
-``first_failing_pair`` walks the distance layers L_1, L_2, ... of each
-source a in U and keeps R_k, the vertices of L_k that a shortest path from
-a reaches while staying inside S.  A pair (a, b) at distance d is visible
-exactly when b has a neighbour in R_{d-1}.  ``is_mutually_visible`` runs
-the same walk for one pair and rebuilds a witness path from it, and
-``classify_pair`` reads its distance tag off that walk.
+lie in the complement S = V \\ U.  One check decides this,
+``first_failing_pair``, source by source in ascending order.
+
+Almost every D(P) has diameter 2, and a source a of eccentricity at most 2
+takes the cover test.  Every later b of U is then adjacent to a (visible),
+at distance 2 (visible exactly when a common neighbour lies in S, that is,
+when b lies in C(a), the union of the rows of N(a) & S), or unreachable
+(failing, and in neither N(a) nor C(a)).  So the failing partners of a are
+the vertices of U after a outside N(a) | C(a), and the lowest of them ends
+the check.  C(a) is cached per distinct N(a) & S; the certificate and solver
+checks have |S| <= 9, so few occur.
+
+Any other source walks its distance layers L_1, L_2, ... and keeps R_k,
+the vertices of L_k that a shortest path from a reaches while staying
+inside S.  A pair (a, b) at distance d is visible exactly when b has a
+neighbour in R_{d-1}.  ``is_mutually_visible`` runs the same walk for one
+pair and rebuilds a witness path from it, and ``classify_pair`` reads its
+distance tag off that walk; both report distances, so neither takes the
+cover test.
 """
 
 from __future__ import annotations
@@ -63,6 +75,15 @@ class VertexSet:
         return self.mask.bit_count()
 
 
+def require_sized_for(g: DisjointnessGraph, u: VertexSet) -> None:
+    """Raise ValueError unless u is sized for the vertices of g."""
+    if u.n_vertices != g.n_vertices:
+        raise ValueError(
+            f"vertex set sized for {u.n_vertices} vertices, "
+            f"but the graph has {g.n_vertices}"
+        )
+
+
 @dataclass(frozen=True)
 class PairVerdict:
     a: int
@@ -107,26 +128,41 @@ def first_failing_pair(
     """The lexicographically first pair (a, b), a < b, of the vertex set
     ``u_mask`` with no shortest path internally avoiding it, or None when
     ``u_mask`` is a mutual-visibility set.  Pairs in different components
-    fail."""
+    fail.  A source of eccentricity at most 2 takes the cover test, any
+    other walks its reach layers (see the module docstring)."""
+    adj = g.adj
+    layers_of = g.distance_layers
     s_mask = g.full_mask & ~u_mask
+    covers = {}
     rest = u_mask
     for a in iter_bits(u_mask):
         rest ^= 1 << a
         if not rest:
             break
-        targets = rest
-        fail = 0
-        for layer, _, nbrs in _reach_layers(g, a, s_mask):
-            here = targets & layer
-            fail |= here & ~nbrs
-            targets ^= here
-            if fail:
-                targets &= (fail & -fail) - 1  # only a lower b can come first
-            if not targets:
-                break
-        fail |= targets  # left over: not reachable from a
+        if len(layers_of[a]) <= 3:
+            row = adj[a]
+            inner = row & s_mask
+            cover = covers.get(inner)
+            if cover is None:
+                cover = 0
+                for s in iter_bits(inner):
+                    cover |= adj[s]
+                covers[inner] = cover
+            fail = rest & ~row & ~cover
+        else:
+            targets = rest
+            fail = 0
+            for layer, _, nbrs in _reach_layers(g, a, s_mask):
+                here = targets & layer
+                fail |= here & ~nbrs
+                targets ^= here
+                if fail:
+                    targets &= (fail & -fail) - 1  # only a lower b can come first
+                if not targets:
+                    break
+            fail |= targets  # left over: not reachable from a
         if fail:
-            return a, next(iter_bits(fail))
+            return a, (fail & -fail).bit_length() - 1
     return None
 
 
@@ -151,6 +187,7 @@ def is_mutually_visible(
     """Verdict for one pair of U: is there a shortest a-b path internally
     avoiding U?  Internal vertices of a returned witness always lie outside U.
     """
+    require_sized_for(g, u)
     if a not in u or b not in u:
         raise ValueError("both endpoints must belong to the tested set")
     if a == b:
@@ -175,6 +212,7 @@ def is_mutual_visibility_set(
     """Is U a mutual-visibility set?  On failure also return the verdict of
     the first failing pair in lexicographic (a, b) order.  Empty and
     singleton sets pass."""
+    require_sized_for(g, u)
     pair = first_failing_pair(g, u.mask)
     if pair is None:
         return True, None
@@ -192,6 +230,7 @@ def classify_pair(
     internal vertices in s, else None.  Distance 4 only ever occurs on
     five-point configurations.
     """
+    require_sized_for(g, s)
     if a in s or b in s:
         raise ValueError("pair endpoints must lie outside the blocker set")
     if a == b:

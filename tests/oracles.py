@@ -161,6 +161,19 @@ def oracle_pair_visible(g, u_indices, a, b) -> bool:
     return any(all(v not in u for v in path[1:-1]) for path in paths)
 
 
+def oracle_first_failing_pair(g, u_indices):
+    """The lexicographically first pair of U that is not visible, or None."""
+    ids = sorted(u_indices)
+    return next(
+        (
+            (a, b)
+            for a, b in itertools.combinations(ids, 2)
+            if not oracle_pair_visible(g, ids, a, b)
+        ),
+        None,
+    )
+
+
 def oracle_is_mv_set(g, u_indices) -> bool:
     ids = sorted(u_indices)
     return all(

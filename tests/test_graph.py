@@ -174,12 +174,18 @@ def test_distance_layers_match_plain_bfs(cacerola_graph):
     # how much of layer 2 the rows of the bit_length() highest-degree
     # vertices that hold the source cover: the inputs must reach every case
     cover = set()
+    # the kinds of source the layer 1/2 step and the generic step meet
+    kinds = set()
     for g in graphs:
         by_degree = sorted(range(g.n_vertices), key=lambda v: (-g.degree(v), v))
         hubs = [g.adj[h] for h in by_degree[: g.n_vertices.bit_length()]]
         for a in range(g.n_vertices):
             layers = plain_bfs_layers(g, a)
             assert g.distance_layers[a] == tuple(layers), (g.pointset.points, a)
+            if len(layers) == 1:
+                kinds.add("no neighbours")
+            if len(layers) > 3:
+                kinds.add("layer 3")
             if len(layers) > 2:
                 near = 0
                 for row in hubs:
@@ -187,7 +193,10 @@ def test_distance_layers_match_plain_bfs(cacerola_graph):
                         near |= row
                 covered = near & layers[2]
                 cover.add("empty" if not covered else "complete" if covered == layers[2] else "partial")
+                if covered != layers[2]:
+                    kinds.add("row tests outside near")
     assert cover == {"empty", "partial", "complete"}
+    assert kinds == {"no neighbours", "row tests outside near", "layer 3"}
 
 
 def test_distance_three_pair_frozen(cacerola_graph):

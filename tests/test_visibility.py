@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from segvis.constructions import build_certificate
 from segvis.geometry import PointSet, gen_convex, gen_random_general_position, segment
-from segvis.graph import build_disjointness_graph, distances_from
+from segvis.graph import build_disjointness_graph, diameter, distances_from, iter_bits
+from segvis.solver import mu_exact
 from segvis.visibility import (
     ADJACENT,
     DIST2,
@@ -12,12 +14,13 @@ from segvis.visibility import (
     DIST4,
     VertexSet,
     classify_pair,
+    first_failing_pair,
     is_mutual_visibility_set,
     is_mutually_visible,
     verdict_json,
 )
 
-from oracles import all_shortest_paths, oracle_pair_visible
+from oracles import all_shortest_paths, oracle_first_failing_pair, oracle_pair_visible
 
 
 def test_vertex_set_basics():
@@ -142,17 +145,65 @@ def test_set_verdict_matches_naive_oracle():
     for g, ids in cases:
         u = VertexSet.from_indices(g.n_vertices, ids)
         ok, verdict = is_mutual_visibility_set(g, u)
-        first = next(
-            (
-                (a, b)
-                for a, b in itertools.combinations(ids, 2)
-                if not oracle_pair_visible(g, ids, a, b)
-            ),
-            None,
-        )
+        first = oracle_first_failing_pair(g, ids)
         assert ok == (first is None)
         if not ok:
             assert (verdict.a, verdict.b) == first and not verdict.visible
+
+
+def test_cover_test_pairs_match_naive_oracle(cacerola):
+    # Sources of eccentricity at most 2 take the cover test, the others the
+    # walk.  Diameter-2 graphs (n = 9, 10) check the complement of their
+    # certificate, which passes, and that complement plus one blocker, which
+    # fails; cacerola (diameter 3, some sources of eccentricity 2), convex:5
+    # (diameter 4) and the disconnected quadrilateral check random sets and
+    # complements of random blocker sets.  The pair must be the oracle's
+    # lexicographically first failing pair.
+    rng = random.Random(41)
+    cases = []
+    for n, seed in ((9, 1), (10, 1)):
+        ps = gen_random_general_position(n, seed=seed, bound=10000)
+        g = build_disjointness_graph(ps)
+        assert diameter(g) == 2
+        blockers = g.mask_of(build_certificate(ps, g).blockers)
+        u = g.full_mask & ~blockers
+        cases.append((g, u))
+        cases += [(g, u | 1 << x) for x in iter_bits(blockers)]
+    quad = PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
+    for ps in (cacerola, gen_convex(5), quad):
+        g = build_disjointness_graph(ps)
+        nv = g.n_vertices
+        for _ in range(40):
+            cases.append((g, g.mask_of(rng.sample(g.vertices, rng.randint(0, min(nv, 8))))))
+            blockers = g.mask_of(rng.sample(g.vertices, rng.randint(0, min(nv, 9))))
+            cases.append((g, g.full_mask & ~blockers))
+    seen = set()
+    for g, u in cases:
+        ids = list(iter_bits(u))
+        pair = first_failing_pair(g, u)
+        assert pair == oracle_first_failing_pair(g, ids), (g.pointset.points, ids)
+        if pair is not None:
+            seen.add(len(g.distance_layers[pair[0]]) <= 3)
+    assert seen == {False, True}
+
+
+def test_vertex_set_sized_for_another_graph_is_refused():
+    g = build_disjointness_graph(gen_convex(6))
+    assert g.n_vertices == 15
+    big = VertexSet(20, 1 << 16 | 1 << 17)
+    small = VertexSet(3, 0b101)
+    message = r"sized for {} vertices, but the graph has 15"
+    for u in (big, small):
+        with pytest.raises(ValueError, match=message.format(u.n_vertices)):
+            is_mutual_visibility_set(g, u)
+        a, b = u.indices()
+        with pytest.raises(ValueError, match=message.format(u.n_vertices)):
+            is_mutually_visible(g, u, a, b)
+        with pytest.raises(ValueError, match=message.format(u.n_vertices)):
+            classify_pair(g, VertexSet(u.n_vertices, 0), a, b)
+    for hint in (big, VertexSet(3, 0b11)):
+        with pytest.raises(ValueError, match=message.format(hint.n_vertices)):
+            mu_exact(g, witness_hint=hint)
 
 
 def test_downward_closure(cacerola_graph):
