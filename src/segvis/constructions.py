@@ -301,7 +301,8 @@ class _Frame:
 class _Workspace:
     """One query's graph (built when not given), hull, frames and notes.
 
-    The hull is computed once; the y-mirrored frames reuse it reversed.
+    The hull is the one ``convex_hull`` stores on the point set; the
+    y-mirrored frames reuse it reversed.
     The regions are named by hull points and decomposed once, on first
     read; every frame looks them up by its own labels.
     ``attempt`` is the one place a Certificate is built: it rejects

@@ -5,6 +5,13 @@ this module touches floating point.  Coordinates are capped at ingestion so
 the 2x2 determinants of coordinate differences stay within 128-bit signed
 range (Python ints do not overflow, but the bound keeps the data portable
 and is part of the input contract).
+
+The general-position check, at ingestion and in the random generator, runs
+in O(n^2): two points lie on one line through a third exactly when their
+directions from it, reduced by the gcd of the coordinates and signed so
+that the first nonzero coordinate is positive, are equal, which is still
+exact integer arithmetic.  Each PointSet computes its convex hull at most
+once and keeps it (see ``convex_hull``).
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import json
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
+from math import gcd
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -112,17 +120,45 @@ class PointSet:
     def coords(self) -> list[list[int]]:
         return [[p.x, p.y] for p in self.points]
 
+    @cached_property
+    def _hull(self) -> "HullData":
+        # read through convex_hull; a frozen dataclass without slots keeps
+        # the value in the instance dict, outside the compared fields
+        hull = _hull_indices_clockwise(self.points)
+        on_hull = set(hull)
+        interior = tuple(i for i in range(self.n) if i not in on_hull)
+        return HullData(hull=tuple(hull), interior=interior)
+
+
+def _direction(dx: int, dy: int) -> tuple[int, int]:
+    """The direction of a nonzero (dx, dy), reduced by the gcd and signed so
+    that its first nonzero coordinate is positive: two vectors get the same
+    direction exactly when they are parallel."""
+    g = gcd(dx, dy)
+    if dx < 0 or not dx and dy < 0:
+        g = -g
+    return dx // g, dy // g
+
 
 def _find_collinear_triple(pts: Sequence[Point]):
-    """The lexicographically first collinear (i, j, k), i < j < k, or None;
-    r is on line ij iff dx*y - dy*x == c, as the difference is cross(p, q, r)."""
+    """The lexicographically first collinear (i, j, k), i < j < k, or None,
+    for pairwise distinct points (callers reject duplicates first).
+
+    Points j and k lie on one line with i exactly when their directions
+    from i are equal, so each i takes one pass over the later points.  The
+    first i with a repeated direction gives the triple, with its least
+    (j, k), which need not be the first repeat met: (2, 7) can be met
+    after (5, 6)."""
     for i, (px, py) in enumerate(pts):
-        for j, (qx, qy) in enumerate(pts[i + 1:], i + 1):
-            dx, dy = qx - px, qy - py
-            later = [dx * y - dy * x for x, y in pts[j + 1:]]
-            c = dx * py - dy * px
-            if c in later:
-                return (i, j, j + 1 + later.index(c))
+        keys = [_direction(x - px, y - py) for x, y in pts[i + 1:]]
+        if len(set(keys)) < len(keys):
+            first: dict[tuple[int, int], int] = {}
+            best = None
+            for k, key in enumerate(keys, i + 1):
+                j = first.setdefault(key, k)
+                if j != k and (best is None or (j, k) < best):
+                    best = (j, k)
+            return (i, *best)
     return None
 
 
@@ -229,11 +265,11 @@ def _hull_indices_clockwise(pts: Sequence[Point]) -> list[int]:
 
 
 def convex_hull(ps: PointSet) -> HullData:
-    """Hull indices clockwise (starting at the lowest index on the hull)."""
-    hull = _hull_indices_clockwise(ps.points)
-    on_hull = set(hull)
-    interior = tuple(i for i in range(ps.n) if i not in on_hull)
-    return HullData(hull=tuple(hull), interior=interior)
+    """Hull indices clockwise (starting at the lowest index on the hull).
+
+    The hull is computed on the first call for a PointSet and stored on it;
+    every later call, for any caller, returns the stored value."""
+    return ps._hull
 
 
 def _clockwise_sweep_key(origin: Point, ref: Point, pts: Sequence[Point]):
@@ -374,6 +410,10 @@ def gen_random_general_position(
         raise ValueError("bound must be at least n")
     rng = random.Random(seed)
     pts: list[Point] = []
+    # seen[i]: the directions from pts[i] to the points placed after it; a
+    # candidate is collinear with pts[i] and a later point exactly when its
+    # direction from pts[i] is among them
+    seen: list[set[tuple[int, int]]] = []
     tries = 0
     while len(pts) < n:
         tries += 1
@@ -384,16 +424,13 @@ def gen_random_general_position(
         cand = Point(rng.randint(0, bound), rng.randint(0, bound))
         if cand in pts:
             continue
-        ok = True
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if cross(pts[i], pts[j], cand) == 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            pts.append(cand)
+        dirs = [_direction(cand.x - x, cand.y - y) for x, y in pts]
+        if any(map(set.__contains__, seen, dirs)):
+            continue
+        for directions, d in zip(seen, dirs):
+            directions.add(d)
+        seen.append(set())
+        pts.append(cand)
     return PointSet(tuple(pts))
 
 

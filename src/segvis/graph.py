@@ -14,13 +14,18 @@ rows settle most of layer 2 at once, so a source costs O(log |V|) row ORs
 plus a row test for each vertex they leave.  Only a source of eccentricity
 3 or more takes the generic frontier step (see
 ``DisjointnessGraph.distance_layers``).
+
+The segment tables depend on n alone: the vertex list, the read-only
+``index_of`` map and the ``star`` and ``touch_mask`` rows are built once
+per n and shared by every graph of that size (see ``_segment_tables``).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
+from types import MappingProxyType
 
 from .geometry import PointSet, SegmentId, all_segments
 
@@ -37,10 +42,12 @@ class DisjointnessGraph:
     def __init__(self, pointset: PointSet):
         self.pointset = pointset
         self.n_points = pointset.n
-        self.vertices: tuple[SegmentId, ...] = tuple(all_segments(pointset.n))
-        self.index_of: dict[SegmentId, int] = {
-            s: k for k, s in enumerate(self.vertices)
-        }
+        #: star[p]: vertices whose segment has point p as an endpoint;
+        #: touch_mask[v]: vertices whose segment shares an endpoint with v
+        #: (v itself included)
+        self.vertices, self.index_of, self.star, self.touch_mask = _segment_tables(
+            pointset.n
+        )
         nv = len(self.vertices)
         self.n_vertices = nv
         full = self.full_mask = (1 << nv) - 1
@@ -100,22 +107,6 @@ class DisjointnessGraph:
     @cached_property
     def n_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    @cached_property
-    def star(self) -> tuple[int, ...]:
-        """star[p]: vertices whose segment has point p as an endpoint."""
-        star = [0] * self.n_points
-        for k, (i, j) in enumerate(self.vertices):
-            star[i] |= 1 << k
-            star[j] |= 1 << k
-        return tuple(star)
-
-    @cached_property
-    def touch_mask(self) -> tuple[int, ...]:
-        """touch_mask[v]: vertices whose segment shares an endpoint with v
-        (v itself included)."""
-        star = self.star
-        return tuple(star[i] | star[j] for (i, j) in self.vertices)
 
     def is_clean_vertex(self, v: int) -> bool:
         return self.cross_mask[v] == 0
@@ -181,6 +172,21 @@ class DisjointnessGraph:
                 frontier = nxt
             out.append(tuple(layers))
         return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def _segment_tables(n: int):
+    """(vertices, index_of, star, touch_mask) for n points, shared by every
+    graph of that size, so ``index_of`` is a read-only view.  One entry
+    suffices: a sweep builds its graphs grouped by n."""
+    vertices: tuple[SegmentId, ...] = tuple(all_segments(n))
+    index_of = MappingProxyType({s: k for k, s in enumerate(vertices)})
+    star = [0] * n
+    for k, (i, j) in enumerate(vertices):
+        star[i] |= 1 << k
+        star[j] |= 1 << k
+    touch_mask = tuple(star[i] | star[j] for i, j in vertices)
+    return vertices, index_of, tuple(star), touch_mask
 
 
 def build_disjointness_graph(ps: PointSet) -> DisjointnessGraph:

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own predicate and search
 code paths: intersections are solved with exact rational arithmetic,
-shortest paths are enumerated outright, hulls come from the supporting-line
-characterisation, and mutual-visibility numbers from full subset
-enumeration.
+shortest paths are enumerated outright, hulls come from
+the supporting-line characterisation, mutual-visibility numbers from full
+subset enumeration, and the random generator's collinearity test is a
+cross product per placed pair.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 
@@ -128,9 +130,9 @@ def oracle_distances(segs, adj, source):
 
 def all_shortest_paths(g, a, b):
     """Every shortest a-b path in a DisjointnessGraph, as vertex tuples."""
-    from segvis.graph import distances_from
-
-    dist = distances_from(g, a)
+    vertices = range(g.n_vertices)
+    neighbours = {v: [w for w in vertices if g.adj[v] >> w & 1] for v in vertices}
+    dist = oracle_distances(vertices, neighbours, a)
     target = dist[b] if dist[b] != math.inf else None
     if target is None:
         return []
@@ -370,3 +372,24 @@ def oracle_regions(coords, hull_cw):
             ),
         )
     return RegionDecomposition(m=m, hull=tuple(hull_cw), **fields)
+
+
+def oracle_random_general_position(n, seed, bound, max_tries=20000):
+    """The random generator's draws with a cross product per placed pair:
+    the point list, or None when max_tries candidates do not suffice."""
+    rng = random.Random(seed)
+    pts = []
+    tries = 0
+    while len(pts) < n:
+        tries += 1
+        if tries > max_tries:
+            return None
+        cand = (rng.randint(0, bound), rng.randint(0, bound))
+        if cand in pts:
+            continue
+        if all(
+            (b[0] - a[0]) * (cand[1] - a[1]) != (b[1] - a[1]) * (cand[0] - a[0])
+            for a, b in itertools.combinations(pts, 2)
+        ):
+            pts.append(cand)
+    return pts

@@ -442,17 +442,19 @@ def test_certificate_records_pinned():
 
 def test_build_certificate_computes_one_hull(monkeypatch):
     # the hull-7 lens instance exhausts its cases and falls back, scanning
-    # the mirrored frames too: even then one call builds one workspace,
-    # runs the monotone chain once and decomposes the regions once; the
-    # convex hull-6 and hull-10 cases never read regions, so they
-    # decompose none
+    # the mirrored frames too: even then one call builds one workspace and
+    # decomposes the regions once; the convex hull-6 and hull-10 cases
+    # never read regions, so they decompose none.  The monotone chain runs
+    # once per PointSet, whether build_certificate or convex_hull reads the
+    # hull first, and never again, through convex_hull, build_certificate
+    # or decompose_regions
     cases = [
         (gen_random_general_position(8, seed=8076, bound=10000), "FallbackSearch", 1),
         (gen_convex(6), "Hull6Case", 0),
         (gen_convex(10), "Hull10Plus", 0),
     ]
     calls = {}
-    hull, init = constructions.convex_hull, constructions._Workspace.__init__
+    init = constructions._Workspace.__init__
     chain = geometry._hull_indices_clockwise
     named = constructions._NamedRegions.__init__
 
@@ -463,18 +465,31 @@ def test_build_certificate_computes_one_hull(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(constructions, "convex_hull", counting("hull", hull))
     monkeypatch.setattr(constructions._Workspace, "__init__", counting("workspace", init))
     monkeypatch.setattr(geometry, "_hull_indices_clockwise", counting("chain", chain))
-    monkeypatch.setattr(
-        constructions, "_hull_indices_clockwise", counting("chain", chain), raising=False
-    )
     monkeypatch.setattr(constructions._NamedRegions, "__init__", counting("regions", named))
-    for ps, strategy, regions in cases:
-        calls.update(hull=0, workspace=0, chain=0, regions=0)
+
+    def read_again(ps):
+        assert convex_hull(ps) is convex_hull(ps)
+        if convex_hull(ps).m in (5, 6, 7):
+            decompose_regions(ps, convex_hull(ps))
+        assert build_certificate(ps).verified
+
+    for source, strategy, regions in cases:
+        ps = PointSet(source.points)  # a fresh PointSet stores no hull yet
+        calls.update(workspace=0, chain=0, regions=0)
         cert = build_certificate(ps)
         assert cert.strategy == strategy and cert.verified
-        assert calls == {"hull": 1, "workspace": 1, "chain": 1, "regions": regions}
+        assert calls == {"workspace": 1, "chain": 1, "regions": regions}
+        read_again(ps)
+        assert calls["workspace"] == 2 and calls["chain"] == 1
+
+        ps = PointSet(source.points)
+        calls.update(chain=0)
+        hull = convex_hull(ps)
+        assert calls["chain"] == 1
+        read_again(ps)
+        assert calls["chain"] == 1 and convex_hull(ps) is hull
 
 
 def _mirror_hull_instances():

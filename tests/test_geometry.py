@@ -34,6 +34,7 @@ from oracles import (
     oracle_crosses,
     oracle_hull_cycle,
     oracle_is_clean,
+    oracle_random_general_position,
     oracle_segments_intersect,
 )
 
@@ -76,6 +77,15 @@ def test_general_position_examples():
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=14))
 @example([(0, 0), (1, 1), (5, 0), (2, 2), (3, 3)])  # two later points on line 01
+@example([(0, 0), (0, 1), (1, 5), (0, 3)])  # a vertical line
+@example([(0, 0), (0, -3), (5, 1), (0, 2)])  # vertical, both signs through point 0
+@example([(2, 2), (0, 0), (9, 1), (4, 4)])  # a diagonal, both signs through point 0
+@example([(-(2**30), -(2**30)), (2**30, 2**30), (0, 1), (0, 0)])  # at the bound
+@example([(2**30, -(2**30)), (-(2**30), 2**30), (1, 0), (2**30 - 1, 2**30),
+          (-(2**30) + 1, -(2**30) + 2)])  # near the bound, no triple
+# through point 0, (5, 6) repeats a direction before (2, 7) does, but
+# (0, 2, 7) comes first
+@example([(0, 0), (5, 1), (1, 1), (1, 7), (7, 2), (1, 2), (2, 4), (3, 3)])
 def test_collinear_triple_is_lexicographically_first(coords):
     # the reported triple names the error message; a plain scan is the oracle
     pts = [Point(*p) for p in dict.fromkeys(coords)]
@@ -301,6 +311,36 @@ def test_gen_random_general_position():
         gen_random_general_position(5, seed=0, bound=3)
     with pytest.raises(GenerationError):
         gen_random_general_position(12, seed=0, bound=12, max_tries=5)
+
+
+def test_generator_matches_pairwise_cross_product_oracle():
+    # the generator tests a candidate's direction from each placed point;
+    # the oracle, a cross product per placed pair, must accept and reject
+    # the same candidates, so the point lists and the try counts agree
+    cases = [
+        (n, seed, bound, 20000)
+        for n in range(3, 41)
+        for seed in (0, 1, 2)
+        for bound in (n, 3 * n, 10000)
+    ]
+    # few tries: some runs stop with GenerationError, the rest just make it
+    cases += [
+        (n, seed, n, tries)
+        for n in range(8, 41, 4)
+        for seed in (0, 1)
+        for tries in (n + 3, 2 * n)
+    ]
+    failures = 0
+    for n, seed, bound, tries in cases:
+        want = oracle_random_general_position(n, seed, bound, max_tries=tries)
+        if want is None:
+            failures += 1
+            with pytest.raises(GenerationError):
+                gen_random_general_position(n, seed, bound, max_tries=tries)
+        else:
+            got = gen_random_general_position(n, seed, bound, max_tries=tries)
+            assert [tuple(p) for p in got.points] == want, (n, seed, bound)
+    assert 0 < failures < len(cases)
 
 
 # -- files -----------------------------------------------------------------------

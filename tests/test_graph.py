@@ -310,3 +310,13 @@ def test_exports_match_oracle(case):
     edges = oracle_edges(g)
     assert list(map(tuple, to_json_dict(g)["edges"])) == edges
     assert to_dot(g) == oracle_dot(g, edges)
+
+
+def test_graphs_of_one_size_share_their_segment_tables():
+    a = build_disjointness_graph(gen_random_general_position(9, seed=1, bound=1000))
+    b = build_disjointness_graph(gen_convex(9))
+    assert a.vertices is b.vertices and a.star is b.star
+    assert a.index_of is b.index_of and a.touch_mask is b.touch_mask
+    with pytest.raises(TypeError):
+        a.index_of[(0, 1)] = 5
+    assert a.index_of[(0, 1)] == 0 and a.vertex((7, 8)) == len(a.vertices) - 1
