@@ -10,7 +10,9 @@ fixed hull labelling; the workspace realises the "relabel without loss of
 generality" steps by scanning all rotations of the clockwise hull order,
 plain and y-mirrored (mirroring reverses the cyclic orientation, covering
 the symmetric branches); a mirrored labelling reads the same points with
-every orientation test negated.
+every orientation test negated.  The hull-5..7 cases read interior regions
+(ears, wedges, cores, lenses) as frame methods, each written in that
+frame's labels over one chord-side table per query.
 
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
@@ -25,11 +27,9 @@ set it finds is verified like any case's candidate.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from math import comb
-from operator import itemgetter
 
 from .geometry import (
     HullData,
@@ -110,9 +110,8 @@ class RegionDecomposition:
       and ``lens[k] = (edge_quad[k+2] & edge_quad[k+4]) - (ear[k+3] +
       ear[k+4])``.
 
-    Each region is named by the hull points that bound it (see
-    ``_NamedRegions``), so every frame, rotated or mirrored, lists the same
-    named regions under its own labels.
+    Each field tabulates the ``_Frame`` method of the same name, which the
+    cases read directly.
     """
 
     m: int
@@ -129,88 +128,37 @@ class RegionDecomposition:
     lens: tuple[frozenset[int], ...] | None = None
 
 
-class _NamedRegions:
-    """One query's interior regions, each named by the hull points that
-    bound it.
-
-    ``ear``, ``ear_mid``, ``span_tri``, ``core``, ``core_tip`` and ``lens``
-    are keyed by their vertex v, ``edge_quad`` by its hull edge (v, w) in
-    either direction, and ``wedge`` by a directed hull edge (v, w).  Every
-    region is an intersection of chord sides, "the interior points on c's
-    side of the hull chord ab", and each chord's sides take one orientation
-    test per interior point.
-    """
-
-    def __init__(self, pts: list[Point], hull: HullData):
-        h, m = hull.hull, hull.m
-        interior = frozenset(hull.interior)
-        chord_sides: dict[tuple[int, int], tuple[frozenset[int], frozenset[int]]] = {}
-
-        def H(k: int) -> int:
-            return h[k % m]
-
-        def side(a: int, b: int, c: int) -> frozenset[int]:
-            # chord_sides[a, b] (a < b) holds the interior points right and
-            # left of a -> b; the hull point c picks one
-            a, b = min(a, b), max(a, b)
-            pa, pb = pts[a], pts[b]
-            if (a, b) not in chord_sides:
-                left = frozenset(p for p in interior if cross(pa, pb, pts[p]) > 0)
-                chord_sides[a, b] = (interior - left, left)
-            return chord_sides[a, b][cross(pa, pb, pts[c]) > 0]
-
-        self.ear, self.wedge, self.ear_mid = {}, {}, {}
-        for k in range(m):
-            v, nxt, prv = H(k), H(k + 1), H(k - 1)
-            ear = self.ear[v] = side(prv, nxt, v)
-            fwd = self.wedge[v, nxt] = ear & side(v, H(k + 2), nxt)
-            bwd = self.wedge[v, prv] = ear & side(v, H(k - 2), prv)
-            self.ear_mid[v] = ear - fwd - bwd
-        self.center = interior.difference(*self.ear.values()) if m == 6 else None
-        self.edge_quad = self.span_tri = self.core = self.core_tip = self.lens = None
-        if m == 7:
-            quad = self.edge_quad = {}
-            for k in range(7):
-                quad[H(k), H(k + 1)] = quad[H(k + 1), H(k)] = side(H(k - 1), H(k + 2), H(k))
-
-            def Q(k: int) -> frozenset[int]:
-                return quad[H(k), H(k + 1)]
-
-            self.span_tri, self.core, self.core_tip, self.lens = {}, {}, {}, {}
-            for k in range(7):
-                v, x, y = H(k), H(k + 3), H(k + 4)
-                span = self.span_tri[v] = side(v, x, y) & side(v, y, x)
-                core = self.core[v] = span - (Q(k + 2) | Q(k + 4) | self.ear[v])
-                self.core_tip[v] = core & Q(k) & Q(k - 1)
-                self.lens[v] = (Q(k + 2) & Q(k + 4)) - (self.ear[x] | self.ear[y])
-
-    def labelled(self, hull_cw: tuple[int, ...]) -> RegionDecomposition:
-        """The regions listed by the positions of one clockwise hull order."""
-        at_vertex = itemgetter(*hull_cw)
-        fwd = itemgetter(*zip(hull_cw, hull_cw[1:] + hull_cw[:1]))
-        bwd = itemgetter(*zip(hull_cw, hull_cw[-1:] + hull_cw[:-1]))
-        m7 = self.edge_quad is not None
-        return RegionDecomposition(
-            m=len(hull_cw),
-            hull=hull_cw,
-            ear=at_vertex(self.ear),
-            ear_fwd=fwd(self.wedge),
-            ear_mid=at_vertex(self.ear_mid),
-            ear_bwd=bwd(self.wedge),
-            center=self.center,
-            edge_quad=fwd(self.edge_quad) if m7 else None,
-            span_tri=at_vertex(self.span_tri) if m7 else None,
-            core=at_vertex(self.core) if m7 else None,
-            core_tip=at_vertex(self.core_tip) if m7 else None,
-            lens=at_vertex(self.lens) if m7 else None,
-        )
-
-
 def decompose_regions(ps: PointSet, hull: HullData) -> RegionDecomposition:
-    """Assign every interior point to its regions via exact side tests."""
+    """Assign every interior point to its regions via exact side tests,
+    listed by the positions of ``hull``; any hull but ``convex_hull(ps)``
+    raises a ValueError."""
+    if hull != convex_hull(ps):
+        raise ValueError("hull is not the convex hull of this point set")
     if hull.m not in (5, 6, 7):
         raise ValueError("region decomposition is defined for hull sizes 5, 6, 7")
-    return _NamedRegions(list(ps.points), hull).labelled(hull.hull)
+    return _region_table(_Frame(list(ps.points), hull.hull, False, hull.interior, {}))
+
+
+def _region_table(f: _Frame) -> RegionDecomposition:
+    """Every region of frame f, listed by its hull positions."""
+    names = ("ear", "ear_fwd", "ear_mid", "ear_bwd")
+    if f.m == 7:
+        names += ("edge_quad", "span_tri", "core", "core_tip", "lens")
+    return RegionDecomposition(
+        m=f.m,
+        hull=f.hull,
+        center=f.center() if f.m == 6 else None,
+        **{name: tuple(map(getattr(f, name), range(f.m))) for name in names},
+    )
+
+
+def _chord_sides(
+    pts: list[Point], interior: tuple[int, ...], a: int, b: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The interior points right and left of the chord a -> b."""
+    pa, pb = pts[a], pts[b]
+    left = frozenset(p for p in interior if cross(pa, pb, pts[p]) > 0)
+    return frozenset(interior) - left, left
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +171,14 @@ class _Frame:
 
     Mirroring y negates every cross product exactly, so a mirrored frame
     reads the same points and negates each orientation test.  Mirroring
-    keeps every distance and every chord's two sides, so the point
-    selectors and the named regions serve the mirrored frames unchanged."""
+    keeps every distance and both sides of every chord, so the point
+    selectors and the chord-side table serve the mirrored frames unchanged.
+
+    Each region of ``RegionDecomposition`` is a method written in this
+    frame's labels over ``side``, and is computed only when a case reads
+    it.  ``sides`` is the query's chord-side table, shared by all its
+    frames and keyed by the sorted pair of hull points; a frame holds no
+    reference to its workspace."""
 
     def __init__(
         self,
@@ -232,7 +186,7 @@ class _Frame:
         hull_cw: tuple[int, ...],
         mirrored: bool,
         interior: tuple[int, ...],
-        named_regions: Callable[[], "_NamedRegions"],
+        sides: dict[tuple[int, int], tuple[frozenset[int], frozenset[int]]],
     ):
         self.pts = pts
         self.hull = hull_cw
@@ -240,7 +194,7 @@ class _Frame:
         self.mirrored = mirrored
         self._sense = -1 if mirrored else 1
         self.interior = interior
-        self._named_regions = named_regions
+        self._sides = sides
 
     def describe(self) -> str:
         return f"{'mirror,' if self.mirrored else ''}start={self.hull[0]}"
@@ -270,6 +224,46 @@ class _Frame:
         first = self.orient(o, t, a) * self.orient(o, t, b) * self.orient(o, a, b) < 0
         return a if first else b
 
+    # -- regions (see RegionDecomposition) -----------------------------------
+
+    def side(self, i: int, j: int, k: int) -> frozenset[int]:
+        """The interior points on H(k)'s side of the chord H(i)H(j)."""
+        pts = self.pts
+        a, b = sorted((self.H(i), self.H(j)))
+        if (a, b) not in self._sides:
+            self._sides[a, b] = _chord_sides(pts, self.interior, a, b)
+        return self._sides[a, b][cross(pts[a], pts[b], pts[self.H(k)]) > 0]
+
+    def ear(self, k: int) -> frozenset[int]:
+        return self.side(k - 1, k + 1, k)
+
+    def ear_fwd(self, k: int) -> frozenset[int]:
+        return self.ear(k) & self.side(k, k + 2, k + 1)
+
+    def ear_bwd(self, k: int) -> frozenset[int]:
+        return self.ear(k) & self.side(k, k - 2, k - 1)
+
+    def ear_mid(self, k: int) -> frozenset[int]:
+        return self.ear(k) - self.side(k, k + 2, k + 1) - self.side(k, k - 2, k - 1)
+
+    def center(self) -> frozenset[int]:
+        return frozenset(self.interior).difference(*map(self.ear, range(self.m)))
+
+    def edge_quad(self, k: int) -> frozenset[int]:
+        return self.side(k - 1, k + 2, k)
+
+    def span_tri(self, k: int) -> frozenset[int]:
+        return self.side(k, k + 3, k + 4) & self.side(k, k + 4, k + 3)
+
+    def core(self, k: int) -> frozenset[int]:
+        return self.span_tri(k) - self.edge_quad(k + 2) - self.edge_quad(k + 4) - self.ear(k)
+
+    def core_tip(self, k: int) -> frozenset[int]:
+        return self.core(k) & self.edge_quad(k) & self.edge_quad(k + 6)
+
+    def lens(self, k: int) -> frozenset[int]:
+        return (self.edge_quad(k + 2) & self.edge_quad(k + 4)) - self.ear(k + 3) - self.ear(k + 4)
+
     # -- deterministic point selectors (exact, ties by lowest index) ---------
 
     def _line_key(self, a: int, b: int, p: int) -> int:
@@ -289,10 +283,6 @@ class _Frame:
             key=lambda p: (self.pts[p][0] - vx) ** 2 + (self.pts[p][1] - vy) ** 2,
         )
 
-    @cached_property
-    def regions(self) -> RegionDecomposition:
-        return self._named_regions().labelled(self.hull)
-
 
 # ---------------------------------------------------------------------------
 # Workspace shared by all builders
@@ -302,9 +292,8 @@ class _Workspace:
     """One query's graph (built when not given), hull, frames and notes.
 
     The hull is the one ``convex_hull`` stores on the point set; the
-    y-mirrored frames reuse it reversed.
-    The regions are named by hull points and decomposed once, on first
-    read; every frame looks them up by its own labels.
+    y-mirrored frames reuse it reversed.  All frames share one chord-side
+    table, so each chord is split once however many frames read it.
     ``attempt`` is the one place a Certificate is built: it rejects
     duplicate or oversized blocker sets and verifies the rest with
     ``first_failing_pair``, for the case table and the fallback alike.
@@ -326,14 +315,13 @@ class _Workspace:
     def _frame_list(self) -> list["_Frame"]:
         # Mirroring reverses the clockwise order; the cycle still starts at
         # the lowest index, so the mirrored hull needs no second hull pass.
-        # The frames share one region decomposition, made on first read.
+        # The frames share one chord-side table, filled as cases read it.
         # They must not refer back to the workspace: that cycle would keep
         # each query's graph alive until the next garbage collection.
-        pts, hull_data = self._pts, self.hull_data
-        named_regions = cache(lambda: _NamedRegions(pts, hull_data))
+        pts, hull_data, sides = self._pts, self.hull_data, {}
         hull = hull_data.hull
         return [
-            _Frame(pts, h[r:] + h[:r], mirrored, hull_data.interior, named_regions)
+            _Frame(pts, h[r:] + h[:r], mirrored, hull_data.interior, sides)
             for mirrored, h in ((False, hull), (True, hull[:1] + hull[:0:-1]))
             for r in range(self.m)
         ]
@@ -638,11 +626,15 @@ def s_from_good_2set(
     graph: DisjointnessGraph | None = None,
 ) -> Certificate:
     """Eight-segment blocker set: the K4 drawing plus the two protected
-    quadrant segments."""
-    _require_ids(ps, quadruple, "good-2-set entry")
+    quadrant segments; ``quadruple`` is (uv, xy, e_l, e_r), as
+    ``find_good_2set`` returns it."""
+    entries = tuple(quadruple)
+    if len(entries) != 4:
+        raise ValueError(f"a good 2-set needs four entries (uv, xy, e_l, e_r), got {len(entries)}")
+    _require_ids(ps, entries, "good-2-set entry")
     ws = _Workspace(ps, graph)
     frame = ws.base_frame()
-    segs = _try_good_2set(ws, frame, *quadruple, frame.describe())
+    segs = _try_good_2set(ws, frame, *entries, frame.describe())
     if segs is None:
         raise ConstructionError(f"not a good 2-set: {ws.diagnostics}")
     return ws.certify(STRATEGY_GOOD_2SET, segs, frame.describe(), "good-2-set blockers")
@@ -750,7 +742,7 @@ def _ch4(ws: _Workspace):
 
 def _ch5_case1(ws: _Workspace):
     for f in ws.frames():
-        if not f.regions.ear[0]:
+        if not f.ear(0):
             yield f.describe(), [
                 f.E(0),
                 f.E(1),
@@ -766,11 +758,10 @@ def _ch5_case1(ws: _Workspace):
 
 def _ch5_case2(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if r.ear_fwd[0] and r.ear_fwd[2] and r.ear[4]:
-            u1 = f.closest_to_edge(r.ear_fwd[0], 0)
-            u3 = f.closest_to_edge(r.ear_fwd[2], 2)
-            u5 = f.furthest_from_line(r.ear[4], f.H(0), f.H(3))
+        if f.ear_fwd(0) and f.ear_fwd(2) and f.ear(4):
+            u1 = f.closest_to_edge(f.ear_fwd(0), 0)
+            u3 = f.closest_to_edge(f.ear_fwd(2), 2)
+            u5 = f.furthest_from_line(f.ear(4), f.H(0), f.H(3))
             yield f.describe(), [
                 f.E(0),
                 f.seg(u1, f.H(0)),
@@ -784,12 +775,11 @@ def _ch5_case2(ws: _Workspace):
 
 def _ch5_case3(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if r.ear_fwd[0] and r.ear_bwd[0] and r.ear_mid[2] and r.ear_mid[3]:
-            u1 = f.closest_to_edge(r.ear_fwd[0], 0)
-            u5 = f.closest_to_edge(r.ear_bwd[0], 4)
-            u3 = f.closest_to_point(r.ear_mid[2], f.H(2))
-            u4 = f.closest_to_point(r.ear_mid[3], f.H(3))
+        if f.ear_fwd(0) and f.ear_bwd(0) and f.ear_mid(2) and f.ear_mid(3):
+            u1 = f.closest_to_edge(f.ear_fwd(0), 0)
+            u5 = f.closest_to_edge(f.ear_bwd(0), 4)
+            u3 = f.closest_to_point(f.ear_mid(2), f.H(2))
+            u4 = f.closest_to_point(f.ear_mid(3), f.H(3))
             yield f.describe(), [
                 f.E(0),
                 f.seg(u1, f.H(0)),
@@ -804,10 +794,9 @@ def _ch5_case3(ws: _Workspace):
 
 def _ch5_case4(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if r.ear_fwd[0] and r.ear_mid[2] and r.ear_mid[3] and r.ear_mid[4]:
-            u1 = f.closest_to_edge(r.ear_fwd[0], 0)
-            picks = [f.closest_to_point(r.ear_mid[k], f.H(k)) for k in (2, 3, 4)]
+        if f.ear_fwd(0) and f.ear_mid(2) and f.ear_mid(3) and f.ear_mid(4):
+            u1 = f.closest_to_edge(f.ear_fwd(0), 0)
+            picks = [f.closest_to_point(f.ear_mid(k), f.H(k)) for k in (2, 3, 4)]
             yield f.describe(), [
                 f.E(0),
                 f.seg(u1, f.H(0)),
@@ -817,10 +806,9 @@ def _ch5_case4(ws: _Workspace):
 
 def _ch5_case5(ws: _Workspace):
     f = ws.base_frame()
-    r = f.regions
-    if all(r.ear_mid[k] for k in range(5)):
+    if all(f.ear_mid(k) for k in range(5)):
         yield f.describe(), [
-            f.seg(f.closest_to_point(r.ear_mid[k], f.H(k)), f.H(k)) for k in range(5)
+            f.seg(f.closest_to_point(f.ear_mid(k), f.H(k)), f.H(k)) for k in range(5)
         ]
 
 
@@ -866,10 +854,9 @@ def _ch6_case2(ws: _Workspace):
 
 def _ch6_case3(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if r.ear[0] and r.ear[3]:
-            u1 = f.furthest_from_line(r.ear[0], f.H(1), f.H(5))
-            u4 = f.furthest_from_line(r.ear[3], f.H(2), f.H(4))
+        if f.ear(0) and f.ear(3):
+            u1 = f.furthest_from_line(f.ear(0), f.H(1), f.H(5))
+            u4 = f.furthest_from_line(f.ear(3), f.H(2), f.H(4))
             segs = _try_good_2set(
                 ws,
                 f,
@@ -885,15 +872,14 @@ def _ch6_case3(ws: _Workspace):
 
 def _ch6_case4(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        parts = [r.ear_fwd[1], r.ear_mid[1], r.ear_bwd[1]]
+        parts = [f.ear_fwd(1), f.ear_mid(1), f.ear_bwd(1)]
         if sum(1 for p in parts if p) < 2:
             continue
-        u2 = f.furthest_from_line(r.ear[1], f.H(0), f.H(2))
+        u2 = f.furthest_from_line(f.ear(1), f.H(0), f.H(2))
 
         def via_fwd():
             # foremost wedge occupied: pull the helper from the next ear
-            u = f.furthest_from_line(r.ear[2], f.H(1), f.H(3))
+            u = f.furthest_from_line(f.ear(2), f.H(1), f.H(3))
             return (
                 f.seg(u2, f.H(1)),
                 f.seg(f.H(3), f.H(4)),
@@ -902,7 +888,7 @@ def _ch6_case4(ws: _Workspace):
             )
 
         def via_bwd():
-            u = f.furthest_from_line(r.ear[0], f.H(1), f.H(5))
+            u = f.furthest_from_line(f.ear(0), f.H(1), f.H(5))
             return (
                 f.seg(u2, f.H(1)),
                 f.seg(f.H(4), f.H(5)),
@@ -910,18 +896,18 @@ def _ch6_case4(ws: _Workspace):
                 f.seg(u, f.H(0)),
             )
 
-        if u2 in r.ear_mid[1]:
-            order = [via_fwd, via_bwd] if r.ear_fwd[1] else [via_bwd]
-        elif not r.ear_mid[1]:
-            order = [via_bwd, via_fwd] if u2 in r.ear_fwd[1] else [via_fwd, via_bwd]
+        if u2 in f.ear_mid(1):
+            order = [via_fwd, via_bwd] if f.ear_fwd(1) else [via_bwd]
+        elif not f.ear_mid(1):
+            order = [via_bwd, via_fwd] if u2 in f.ear_fwd(1) else [via_fwd, via_bwd]
         else:
             # Furthest point in a side wedge while the middle wedge is also
             # occupied: not spelled out by the case analysis, so try both.
             order = [via_fwd, via_bwd]
         for make in order:
-            if make is via_fwd and not r.ear[2]:
+            if make is via_fwd and not f.ear(2):
                 continue
-            if make is via_bwd and not r.ear[0]:
+            if make is via_bwd and not f.ear(0):
                 continue
             segs = _try_good_2set(ws, f, *make(), f"case4 {f.describe()}")
             if segs:
@@ -930,10 +916,9 @@ def _ch6_case4(ws: _Workspace):
 
 def _ch6_case5(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if r.ear_fwd[0] and r.ear_mid[2]:
-            u2 = f.furthest_from_line(r.ear_fwd[0], f.H(0), f.H(2))
-            u3 = f.furthest_from_line(r.ear[2], f.H(1), f.H(3))
+        if f.ear_fwd(0) and f.ear_mid(2):
+            u2 = f.furthest_from_line(f.ear_fwd(0), f.H(0), f.H(2))
+            u3 = f.furthest_from_line(f.ear(2), f.H(1), f.H(3))
             segs = _try_good_2set(
                 ws,
                 f,
@@ -949,17 +934,16 @@ def _ch6_case5(ws: _Workspace):
 
 def _ch6_case6(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if not r.ear_fwd[0]:
+        if not f.ear_fwd(0):
             continue
-        if len(r.ear_fwd[0]) == 1:
-            (x,) = r.ear_fwd[0]
+        if len(f.ear_fwd(0)) == 1:
+            (x,) = f.ear_fwd(0)
             if _triangle_is_good(ws, f, x, 0):
                 yield f.describe(), _good_triangle_blockers(f, x, 0)
             else:
                 ws.note(f"hull6 case 6 [{f.describe()}]: lone-point triangle not good")
             continue
-        xs = sorted(r.ear_fwd[0])
+        xs = sorted(f.ear_fwd(0))
         x, y = xs[0], xs[1]
         yield f.describe(), [
             f.E(0),
@@ -977,10 +961,9 @@ def _ch6_case6(ws: _Workspace):
 def _ch6_case7(ws: _Workspace):
     # Sub-branches in order: each scanned over all frames before the next.
     for f in ws.frames():
-        r = f.regions
-        if r.ear_mid[0] and r.ear_mid[1]:
-            u1 = f.closest_to_point(r.ear_mid[0], f.H(0))
-            u2 = f.furthest_from_line(r.ear[1], f.H(0), f.H(2))
+        if f.ear_mid(0) and f.ear_mid(1):
+            u1 = f.closest_to_point(f.ear_mid(0), f.H(0))
+            u2 = f.furthest_from_line(f.ear(1), f.H(0), f.H(2))
             segs = _try_good_2set(
                 ws,
                 f,
@@ -993,10 +976,9 @@ def _ch6_case7(ws: _Workspace):
             if segs:
                 yield f.describe(), segs
     for f in ws.frames():
-        r = f.regions
-        if r.ear_mid[0] and r.ear_mid[2]:
-            u1 = f.closest_to_point(r.ear_mid[0], f.H(0))
-            u3 = f.closest_to_point(r.ear_mid[2], f.H(2))
+        if f.ear_mid(0) and f.ear_mid(2):
+            u1 = f.closest_to_point(f.ear_mid(0), f.H(0))
+            u3 = f.closest_to_point(f.ear_mid(2), f.H(2))
             yield f.describe(), [
                 f.E(0),
                 f.E(1),
@@ -1009,11 +991,10 @@ def _ch6_case7(ws: _Workspace):
                 f.seg(f.H(3), u3),
             ]
     for f in ws.frames():
-        r = f.regions
-        if not r.ear_mid[0]:
+        if not f.ear_mid(0):
             continue
-        u1 = f.closest_to_point(r.ear_mid[0], f.H(0))
-        rest = sorted((set(r.ear_mid[0]) | set(r.center or ())) - {u1})
+        u1 = f.closest_to_point(f.ear_mid(0), f.H(0))
+        rest = sorted((f.ear_mid(0) | f.center()) - {u1})
         if not rest:
             continue
         yield f.describe(), [
@@ -1031,9 +1012,8 @@ def _ch6_case7(ws: _Workspace):
 
 def _ch6_case8(ws: _Workspace):
     f = ws.base_frame()
-    r = f.regions
-    if r.center and len(r.center) >= 2:
-        xs = sorted(r.center)
+    xs = sorted(f.center())
+    if len(xs) >= 2:
         yield f.describe(), [
             f.E(0),
             f.E(2),
@@ -1057,9 +1037,8 @@ def _ch7_case1(ws: _Workspace):
 
 def _ch7_case2(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if r.ear[0]:
-            x = f.furthest_from_line(r.ear[0], f.H(1), f.H(6))
+        if f.ear(0):
+            x = f.furthest_from_line(f.ear(0), f.H(1), f.H(6))
             segs = _try_good_2set(
                 ws,
                 f,
@@ -1104,10 +1083,9 @@ def _ch7_case3(ws: _Workspace):
 
 def _ch7_case4(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if len(r.lens[0]) == 1 and len(r.lens[2]) == 1:
-            (u1,) = r.lens[0]
-            (u3,) = r.lens[2]
+        if len(f.lens(0)) == 1 and len(f.lens(2)) == 1:
+            (u1,) = f.lens(0)
+            (u3,) = f.lens(2)
             yield f.describe(), [
                 f.E(2),
                 f.E(3),
@@ -1122,11 +1100,10 @@ def _ch7_case4(ws: _Workspace):
 
 def _ch7_case5(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if not (r.core[0] and not r.lens[0]):
+        if not (f.core(0) and not f.lens(0)):
             continue
-        x = min(r.core[0])
-        meet = r.core[3] & r.edge_quad[2]
+        x = min(f.core(0))
+        meet = f.core(3) & f.edge_quad(2)
         if not meet:
             yield f"5.1 {f.describe()}", [
                 f.E(0),
@@ -1163,20 +1140,19 @@ def _ch7_case5(ws: _Workspace):
 
 def _ch7_case6(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if not (len(r.lens[0]) == 1 and len(r.lens[1]) == 1):
+        if not (len(f.lens(0)) == 1 and len(f.lens(1)) == 1):
             continue
-        (u1,) = r.lens[0]
-        (u2,) = r.lens[1]
-        if r.core_tip[4]:
-            x = min(r.core_tip[4])
+        (u1,) = f.lens(0)
+        (u2,) = f.lens(1)
+        if f.core_tip(4):
+            x = min(f.core_tip(4))
             segs = _ch7_interior_pair_blockers(ws, x, u1)
             if segs is not None:
                 yield f"6-tip {f.describe()}", segs
             else:
                 ws.note(f"hull7 case 6 [{f.describe()}]: tip pair crosses too much")
             continue
-        quad5 = r.edge_quad[4]
+        quad5 = f.edge_quad(4)
         if quad5 != {u1, u2}:
             ws.note(
                 f"hull7 case 6 [{f.describe()}]: edge quad 4 is {sorted(quad5)}, "
@@ -1197,10 +1173,9 @@ def _ch7_case6(ws: _Workspace):
 
 def _ch7_case7(ws: _Workspace):
     for f in ws.frames():
-        r = f.regions
-        if len(r.lens[0]) != 1:
+        if len(f.lens(0)) != 1:
             continue
-        (x,) = r.lens[0]
+        (x,) = f.lens(0)
         segs = _try_good_2set(
             ws,
             f,

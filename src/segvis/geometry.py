@@ -21,7 +21,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -272,54 +272,32 @@ def convex_hull(ps: PointSet) -> HullData:
     return ps._hull
 
 
-def _clockwise_sweep_key(origin: Point, ref: Point, pts: Sequence[Point]):
-    """Comparator key ordering candidate indices by the clockwise angle of
-    (pts[c] - origin) measured from the direction (ref - origin).
-
-    All candidates must lie strictly on the right of the directed reference
-    line; callers assert this (it holds for hull-vertex sweeps).
-    """
-    dx, dy = ref[0] - origin[0], ref[1] - origin[1]
-
-    def cmp(c1: int, c2: int) -> int:
-        # c1 is met first iff c2 sits further clockwise, i.e. cross(u, w) < 0
-        u = (pts[c1][0] - origin[0], pts[c1][1] - origin[1])
-        w = (pts[c2][0] - origin[0], pts[c2][1] - origin[1])
-        s = _sign(u[0] * w[1] - u[1] * w[0])
-        if s == 0:
-            raise GeneralPositionError("angular tie during clockwise sweep")
-        return s
-
-    def check(c: int) -> None:
-        u = (pts[c][0] - origin[0], pts[c][1] - origin[1])
-        if _sign(dx * u[1] - dy * u[0]) >= 0:
-            raise GeneralPositionError(
-                "sweep candidate not strictly right of the reference direction"
-            )
-
-    return cmp, check
-
-
 def rotation_neighbors(ps: PointSet, hull: HullData, i: int) -> tuple[int, int]:
     """First and last point met when the line through hull vertex i and its
     successor rotates clockwise about vertex i.
 
-    Candidates are every point except the vertex itself and its two hull
-    neighbours; with n >= 5 the pair is well defined and distinct.
+    ``hull`` must be ``convex_hull(ps)``.  Candidates are every point except
+    the vertex itself and its two hull neighbours; with n >= 5 the pair is
+    well defined and distinct.  Every candidate lies strictly right of the
+    hull edge, so, with o the vertex, c is met before d exactly when
+    cross(o, c, d) < 0: a total order whose ends one pass of orientation
+    tests finds.
     """
-    m = hull.m
     if ps.n < 5:
         raise ValueError("rotation neighbors need n >= 5")
-    v_i = hull.hull[i % m]
-    v_next = hull.hull[(i + 1) % m]
-    v_prev = hull.hull[(i - 1) % m]
-    excluded = {v_i, v_next, v_prev}
+    if hull != convex_hull(ps):
+        raise ValueError("hull is not the convex hull of this point set")
+    h, m = hull.hull, hull.m
+    excluded = {h[i % m], h[(i + 1) % m], h[(i - 1) % m]}
+    o = ps[h[i % m]]
     candidates = [c for c in range(ps.n) if c not in excluded]
-    cmp, check = _clockwise_sweep_key(ps[v_i], ps[v_next], ps.points)
-    for c in candidates:
-        check(c)
-    ordered = sorted(candidates, key=cmp_to_key(cmp))
-    return ordered[0], ordered[-1]
+    first = last = candidates[0]
+    for c in candidates[1:]:
+        if cross(o, ps[c], ps[first]) < 0:
+            first = c
+        if cross(o, ps[c], ps[last]) > 0:
+            last = c
+    return first, last
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,10 @@ def test_regions_m7_coverage():
 
 
 def test_frame_regions_match_fresh_decomposition():
-    # every frame (each rotation, plain and mirrored) looks its regions up
-    # by hull-point name; a fresh positional decomposition of that frame's
-    # labelling, over the y-mirrored coordinates for a mirrored frame, is
-    # the reference
+    # every frame (each rotation, plain and mirrored) computes its regions
+    # from its own labels over the query's shared chord-side table; a fresh
+    # positional decomposition of that frame's labelling, over the
+    # y-mirrored coordinates for a mirrored frame, is the reference
     instances = [ps for _, ps in random_instances(range(6, 13), 40, base_seed=900)]
     instances.append(gen_random_general_position(8, seed=8076, bound=10000))
     sizes, frames = set(), 0
@@ -107,7 +107,7 @@ def test_frame_regions_match_fresh_decomposition():
         mirror_pts = [Point(p.x, -p.y) for p in ps.points]
         for f in ws.frames():
             pts = mirror_pts if f.mirrored else f.pts
-            assert f.regions == oracle_regions(pts, f.hull), f.describe()
+            assert constructions._region_table(f) == oracle_regions(pts, f.hull), f.describe()
             frames += 1
     assert sizes == {5, 6, 7}
     assert frames == 2704
@@ -136,6 +136,23 @@ def test_regions_need_hull_5_to_7():
     ps = gen_convex(8)
     with pytest.raises(ValueError):
         decompose_regions(ps, convex_hull(ps))
+
+
+def test_regions_refuse_a_hull_of_another_point_set():
+    # hulls of random:10:1 (same size), random:10:4 (size 5), random:12:2
+    # (size 7, naming points ps does not have), and ps's own hull from
+    # another start
+    ps = gen_random_general_position(10, seed=0, bound=1000)
+    own = convex_hull(ps)
+    foreign = [
+        convex_hull(gen_random_general_position(10, seed=1, bound=1000)),
+        convex_hull(gen_random_general_position(10, seed=4, bound=1000)),
+        convex_hull(gen_random_general_position(12, seed=2, bound=1000)),
+        geometry.HullData(hull=own.hull[1:] + own.hull[:1], interior=own.interior),
+    ]
+    for hull in foreign:
+        with pytest.raises(ValueError, match="not the convex hull"):
+            decompose_regions(ps, hull)
 
 
 # -- certificate primitives ----------------------------------------------------
@@ -443,20 +460,21 @@ def test_certificate_records_pinned():
 def test_build_certificate_computes_one_hull(monkeypatch):
     # the hull-7 lens instance exhausts its cases and falls back, scanning
     # the mirrored frames too: even then one call builds one workspace and
-    # decomposes the regions once; the convex hull-6 and hull-10 cases
-    # never read regions, so they decompose none.  The monotone chain runs
-    # once per PointSet, whether build_certificate or convex_hull reads the
-    # hull first, and never again, through convex_hull, build_certificate
-    # or decompose_regions
+    # fills each chord's sides at most once, for all its frames; the convex
+    # hull-6 and hull-10 cases never read regions, so they fill none.  The
+    # monotone chain runs once per PointSet, whether build_certificate or
+    # convex_hull reads the hull first, and never again, through
+    # convex_hull, build_certificate or decompose_regions
     cases = [
-        (gen_random_general_position(8, seed=8076, bound=10000), "FallbackSearch", 1),
-        (gen_convex(6), "Hull6Case", 0),
-        (gen_convex(10), "Hull10Plus", 0),
+        (gen_random_general_position(8, seed=8076, bound=10000), "FallbackSearch", True),
+        (gen_convex(6), "Hull6Case", False),
+        (gen_convex(10), "Hull10Plus", False),
     ]
     calls = {}
+    fills = []
     init = constructions._Workspace.__init__
     chain = geometry._hull_indices_clockwise
-    named = constructions._NamedRegions.__init__
+    chord_sides = constructions._chord_sides
 
     def counting(key, func):
         def wrapped(*args):
@@ -465,22 +483,32 @@ def test_build_certificate_computes_one_hull(monkeypatch):
 
         return wrapped
 
+    def recording(pts, interior, a, b):
+        fills.append((a, b))
+        return chord_sides(pts, interior, a, b)
+
     monkeypatch.setattr(constructions._Workspace, "__init__", counting("workspace", init))
     monkeypatch.setattr(geometry, "_hull_indices_clockwise", counting("chain", chain))
-    monkeypatch.setattr(constructions._NamedRegions, "__init__", counting("regions", named))
+    monkeypatch.setattr(constructions, "_chord_sides", recording)
 
     def read_again(ps):
         assert convex_hull(ps) is convex_hull(ps)
         if convex_hull(ps).m in (5, 6, 7):
             decompose_regions(ps, convex_hull(ps))
+        fills.clear()
         assert build_certificate(ps).verified
+        assert len(fills) == len(set(fills))
 
-    for source, strategy, regions in cases:
+    for source, strategy, reads_regions in cases:
         ps = PointSet(source.points)  # a fresh PointSet stores no hull yet
-        calls.update(workspace=0, chain=0, regions=0)
+        calls.update(workspace=0, chain=0)
+        fills.clear()
         cert = build_certificate(ps)
         assert cert.strategy == strategy and cert.verified
-        assert calls == {"workspace": 1, "chain": 1, "regions": regions}
+        assert calls == {"workspace": 1, "chain": 1}
+        assert len(fills) == len(set(fills)) and bool(fills) == reads_regions
+        hull_pts = set(convex_hull(ps).hull)
+        assert all(a < b and {a, b} <= hull_pts for a, b in fills)
         read_again(ps)
         assert calls["workspace"] == 2 and calls["chain"] == 1
 
@@ -566,6 +594,13 @@ def test_explicit_blockers_must_be_segment_ids(entry, blocker):
             s_from_good_2set(ps, ((0, 2), (3, 5), blocker, (1, 4)))
         else:
             s_from_good_triangle(ps, blocker, 0)
+
+
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_good_2set_needs_four_entries(count):
+    entries = ((0, 2), (3, 5), (1, 4), (0, 1), (2, 3))[:count]
+    with pytest.raises(ValueError, match=f"four entries .* got {count}"):
+        s_from_good_2set(gen_convex(6), entries)
 
 
 @pytest.mark.parametrize("i", [1.5, "1", None, True, 6, -6, -1])

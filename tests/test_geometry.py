@@ -8,6 +8,7 @@ from segvis.geometry import (
     CoordinateError,
     GeneralPositionError,
     GenerationError,
+    HullData,
     Orientation,
     Point,
     PointSet,
@@ -249,6 +250,19 @@ def test_rotation_neighbors_match_angle_oracle(seed):
     cyc = list(h.hull)
     for i in range(h.m):
         assert rotation_neighbors(ps, h, i) == float_rotation_neighbors(coords, cyc, i)
+
+
+def test_rotation_neighbors_refuse_a_hull_of_another_point_set():
+    ps = gen_random_general_position(10, seed=0, bound=1000)
+    own = convex_hull(ps)
+    foreign = [
+        convex_hull(gen_random_general_position(10, seed=1, bound=1000)),
+        convex_hull(gen_random_general_position(10, seed=4, bound=1000)),
+        HullData(hull=own.hull[::-1], interior=own.interior),
+    ]
+    for hull in foreign:
+        with pytest.raises(ValueError, match="not the convex hull"):
+            rotation_neighbors(ps, hull, 0)
 
 
 def test_rotation_neighbors_rejects_small_sets():
