@@ -159,10 +159,11 @@ def _graph_json_dumps(g, **extra) -> str:
 def cmd_build(args) -> int:
     ps = resolve_pointset(args)
     g = build_disjointness_graph(ps)
-    d = diameter(g)
     if args.format == "dot":
         _emit(to_dot(g), args.out)
-    elif args.format == "json":
+        return EXIT_OK
+    d = diameter(g)
+    if args.format == "json":
         diam = None if d == INFINITY else int(d)
         _emit(_graph_json_dumps(g, diameter=diam, connected=is_connected(g)), args.out)
     else:

@@ -291,6 +291,8 @@ class _Frame:
 class _Workspace:
     """One query's graph (built when not given), hull, frames and notes.
 
+    A given graph must be the point set's own: one built from another
+    point set raises a ValueError, whatever its size.
     The hull is the one ``convex_hull`` stores on the point set; the
     y-mirrored frames reuse it reversed.  All frames share one chord-side
     table, so each chord is split once however many frames read it.
@@ -300,6 +302,8 @@ class _Workspace:
     """
 
     def __init__(self, ps: PointSet, g: DisjointnessGraph | None = None):
+        if g is not None and g.pointset != ps:
+            raise ValueError("the graph was built from another point set")
         self.ps = ps
         self.g = g if g is not None else build_disjointness_graph(ps)
         self.hull_data = convex_hull(ps)

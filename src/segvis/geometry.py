@@ -4,7 +4,9 @@ All predicates are sign computations of integer cross products; nothing in
 this module touches floating point.  Coordinates are capped at ingestion so
 the 2x2 determinants of coordinate differences stay within 128-bit signed
 range (Python ints do not overflow, but the bound keeps the data portable
-and is part of the input contract).
+and is part of the input contract).  The cap also bounds the field width
+of the graph build's packed orientations: a coordinate span of at most
+2^31 gives 2*span^2 <= 2^63, so every field fits in 72 bits.
 
 The general-position check, at ingestion and in the random generator, runs
 in O(n^2): two points lie on one line through a third exactly when their

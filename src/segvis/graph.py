@@ -5,9 +5,16 @@ vertices are adjacent exactly when the segments are disjoint.  Adjacency is
 stored as one Python-int bitset row per vertex, which the solver relies on
 for fast common-neighbour queries.
 
-The rows come from half-plane masks and one bit-matrix transpose, with no
-loop over segment pairs: O(n^3) exact orientation tests plus O(|V|^2 / word)
-bit work (see ``DisjointnessGraph._crossing_rows``).  Distances take one
+The rows come from packed orientation columns and one bit-matrix
+transpose, with no Python loop over segment pairs or (segment, point)
+pairs.  Each segment owns one field, W bits wide, of three big ints (its
+direction and its line's offset), so one exact expression per point
+evaluates that point's orientation against every segment's line at once.
+W is the fewest whole bytes whose sign bit lies above twice the squared
+coordinate span, so no field borrows from or carries into the next; the
+coordinate cap keeps W at most 72 bits.  The cost is n evaluations of
+O(|V| W) bits plus O(|V|^2 / word) bit work (see
+``DisjointnessGraph._crossing_rows``).  Distances take one
 BFS per source, with layers 1 and 2 settled directly, since almost every
 D(P) has diameter 2: layer 1 is the source's row, and a few high-degree
 rows settle most of layer 2 at once, so a source costs O(log |V|) row ORs
@@ -16,8 +23,8 @@ plus a row test for each vertex they leave.  Only a source of eccentricity
 ``DisjointnessGraph.distance_layers``).
 
 The segment tables depend on n alone: the vertex list, the read-only
-``index_of`` map and the ``star`` and ``touch_mask`` rows are built once
-per n and shared by every graph of that size (see ``_segment_tables``).
+``index_of`` map and the ``touch_mask`` rows are built once per n and
+shared by every graph of that size (see ``_segment_tables``).
 """
 
 from __future__ import annotations
@@ -42,12 +49,9 @@ class DisjointnessGraph:
     def __init__(self, pointset: PointSet):
         self.pointset = pointset
         self.n_points = pointset.n
-        #: star[p]: vertices whose segment has point p as an endpoint;
         #: touch_mask[v]: vertices whose segment shares an endpoint with v
         #: (v itself included)
-        self.vertices, self.index_of, self.star, self.touch_mask = _segment_tables(
-            pointset.n
-        )
+        self.vertices, self.index_of, self.touch_mask = _segment_tables(pointset.n)
         nv = len(self.vertices)
         self.n_vertices = nv
         full = self.full_mask = (1 << nv) - 1
@@ -58,30 +62,65 @@ class DisjointnessGraph:
         )
 
     def _crossing_rows(self) -> tuple[int, ...]:
-        """``sep[u]``, for u = (i, j), holds the segments whose endpoints lie
-        strictly on both sides of line ij: the ``star`` rows of the points
-        on each side, ORed, then intersected.  Segments with four distinct
-        endpoints cross iff each separates the other's endpoints, so
-        ``sep[u] & column u of sep`` are the segments crossing u; all but
-        those and the ones touching u are disjoint from it.  Cost: O(n^3)
-        orientation tests plus O(|V|^2 / word) bit work."""
-        pts = self.pointset.points
-        points_and_stars = list(zip(pts, self.star))
-        sep = []
-        for i, j in self.vertices:
-            (px, py), (qx, qy) = pts[i], pts[j]
-            # v - c is exactly cross(p, q, r), so v == c only at r = i, j
-            dx, dy = qx - px, qy - py
-            c = dx * py - dy * px
-            left = right = 0
-            for (x, y), row in points_and_stars:
-                v = dx * y - dy * x
-                if v > c:
-                    left |= row
-                elif v < c:
-                    right |= row
-            sep.append(left & right)
-        return tuple(map(int.__and__, sep, bit_columns(sep, self.n_vertices)))
+        """Row u, for u = (i, j): the segments that properly cross u.
+
+        Segments with four distinct endpoints cross iff each one's line
+        separates the other's endpoints.  All orientation tests run inside
+        n exact big-integer expressions, one per point k, with no loop over
+        (segment, point) pairs.  The coordinates are shifted to start at 0,
+        and ``span`` is the largest of them.  Segment u owns field u, W
+        bits wide, of three packed ints: ``dx`` holds x_j - x_i, ``dy``
+        holds y_j - y_i and ``c`` holds x_i*y_j - x_j*y_i + 2^(W-1).  The
+        segments (i, i+1 .. n-1) are one block of fields, so each block
+        takes one shifted copy of the packed coordinates.  Field u of
+        y_k*dx - x_k*dy + c is then cross(p_i, p_j, p_k) + 2^(W-1).  That
+        orientation is a difference of two products, each at most span^2
+        in size, and W is the fewest whole bytes with 2*span^2 < 2^(W-1);
+        so every field of the sum lies in [0, 2^W) and none borrows from or
+        carries into the next.  The top bit of field u is set iff k lies on
+        or to the left of line u; one strided byte per field, read as
+        ``bit_columns`` reads a column, gives those bits as ``sides[k]``.
+        For v = (k, l), ``sep[v] = sides[k] ^ sides[l]`` holds the lines
+        that separate v's endpoints, so ``sep[u] & column u of sep`` holds
+        the segments crossing u, once those touching u are masked off.
+        Cost: n evaluations of O(|V| W) bits, plus O(|V|^2 / word) bit work
+        for the transpose."""
+        nv = self.n_vertices
+        if not nv:
+            return ()
+        xs, ys = zip(*self.pointset.points)
+        x0, y0 = min(xs), min(ys)
+        xs = [x - x0 for x in xs]
+        ys = [y - y0 for y in ys]
+        n, span = len(xs), max(max(xs), max(ys))
+        size = ((2 * span * span).bit_length() + 8) // 8  # W / 8
+        width = 8 * size
+
+        def packed(values: list[int]) -> int:
+            return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+        one = (1).to_bytes(size, "little")
+        all_x, all_y, ones = packed(xs), packed(ys), int.from_bytes(one * n, "little")
+        dx = dy = c = 0
+        at = 0  # the bit offset of block i
+        for i in range(n - 1):
+            shift = width * (i + 1)
+            xj, yj, rep = all_x >> shift, all_y >> shift, ones >> shift
+            dx += (xj - xs[i] * rep) << at
+            dy += (yj - ys[i] * rep) << at
+            c += (xs[i] * yj - ys[i] * xj) << at
+            at += width * (n - 1 - i)
+        c += int.from_bytes(one * nv, "little") << width - 1
+        length, top = nv * size, _BIT_DIGITS[7]
+        sides = [
+            int((y * dx - x * dy + c).to_bytes(length, "big")[::size].translate(top), 2)
+            for x, y in zip(xs, ys)
+        ]
+        sep = [sides[i] ^ sides[j] for i, j in self.vertices]
+        return tuple(
+            row & col & ~touch
+            for row, col, touch in zip(sep, bit_columns(sep, nv), self.touch_mask)
+        )
 
     # -- vertex helpers ----------------------------------------------------
 
@@ -176,17 +215,17 @@ class DisjointnessGraph:
 
 @lru_cache(maxsize=1)
 def _segment_tables(n: int):
-    """(vertices, index_of, star, touch_mask) for n points, shared by every
+    """(vertices, index_of, touch_mask) for n points, shared by every
     graph of that size, so ``index_of`` is a read-only view.  One entry
     suffices: a sweep builds its graphs grouped by n."""
     vertices: tuple[SegmentId, ...] = tuple(all_segments(n))
     index_of = MappingProxyType({s: k for k, s in enumerate(vertices)})
-    star = [0] * n
+    star = [0] * n  # star[p]: the vertices with endpoint p
     for k, (i, j) in enumerate(vertices):
         star[i] |= 1 << k
         star[j] |= 1 << k
     touch_mask = tuple(star[i] | star[j] for i, j in vertices)
-    return vertices, index_of, tuple(star), touch_mask
+    return vertices, index_of, touch_mask
 
 
 def build_disjointness_graph(ps: PointSet) -> DisjointnessGraph:

@@ -609,6 +609,33 @@ def test_good_triangle_position_must_be_a_hull_position(cacerola, i):
         s_from_good_triangle(cacerola, 6, i)
 
 
+_GRAPH_ENTRIES = {
+    "build_certificate": build_certificate,
+    "certificate_from_blockers": lambda ps, g: certificate_from_blockers(ps, [(0, 1)], graph=g),
+    "find_good_triangle": find_good_triangle,
+    "s_from_good_triangle": lambda ps, g: s_from_good_triangle(ps, 0, 0, g),
+    "find_good_2set": find_good_2set,
+    "s_from_good_2set": lambda ps, g: s_from_good_2set(ps, ((0, 1), (2, 3), (4, 5), (6, 7)), g),
+    "find_five_disjoint_clean": find_five_disjoint_clean,
+}
+
+
+@pytest.mark.parametrize("other", [9, 8], ids=["convex9", "convex8"])
+@pytest.mark.parametrize("entry", sorted(_GRAPH_ENTRIES))
+def test_graph_of_another_point_set_is_rejected(entry, other):
+    # a graph of another size, or of the same size over other points, used
+    # to be verified against as if it were the set's own
+    ps = gen_random_general_position(8, seed=8076, bound=10000)
+    with pytest.raises(ValueError, match="another point set"):
+        _GRAPH_ENTRIES[entry](ps, build_disjointness_graph(gen_convex(other)))
+
+
+def test_graph_of_an_equal_point_set_is_accepted():
+    ps = gen_random_general_position(8, seed=8076, bound=10000)
+    twin = PointSet.from_coords(list(ps.points))
+    assert build_certificate(ps, build_disjointness_graph(twin)) == build_certificate(ps)
+
+
 def test_fallback_certifies_lens_instances():
     # hull-7 lens instances: no case applies; the minimum blocker sets
     # have 8 segments (mu = 20)

@@ -16,6 +16,7 @@ from segvis.geometry import (
 )
 from segvis.graph import (
     INFINITY,
+    DisjointnessGraph,
     build_disjointness_graph,
     diameter,
     distances_from,
@@ -71,6 +72,45 @@ def general_position_subset(coords):
         if c not in kept and all(cross(a, b, c) for a, b in itertools.combinations(kept, 2)):
             kept.append(c)
     return kept
+
+
+def corner_set(high: int) -> PointSet:
+    """Points at and next to the corners of [-MAX_COORD, high]^2."""
+    low = -MAX_COORD
+    steps = [(0, 0), (1, 0), (0, 2), (3, 5), (7, 2), (2, 9)]
+    coords = [
+        (low + a if right < 0 else high - a, low + b if top < 0 else high - b)
+        for right in (-1, 1)
+        for top in (-1, 1)
+        for a, b in steps
+    ]
+    return PointSet.from_coords(general_position_subset(coords))
+
+
+@pytest.mark.parametrize("high", [MAX_COORD, MAX_COORD - 1], ids=["span2^31", "span2^31-1"])
+def test_adjacency_matches_oracle_at_the_coordinate_cap(high):
+    # each segment's orientations fill one field of a packed int, sized
+    # from the span: 2^31 takes the widest field, 72 bits, and 2^31 - 1
+    # takes 64 bits, the fewest with 2*span^2 < 2^(W-1), so a field one
+    # byte narrower overflows there
+    ps = corner_set(high)
+    assert ps.n >= 12
+    assert max(p.x for p in ps) - min(p.x for p in ps) == high + MAX_COORD
+    assert_rows_match_oracle(ps)
+
+
+def test_adjacency_matches_oracle_with_negative_coordinates():
+    for n, seed, bound in [(9, 1, 1000), (14, 2, 10**6), (20, 3, MAX_COORD)]:
+        pts = gen_random_general_position(n, seed=seed, bound=bound).points
+        for sx, sy in [(bound, bound), (bound // 2, 0), (0, bound // 3)]:
+            assert_rows_match_oracle(PointSet.from_coords([(x - sx, y - sy) for x, y in pts]))
+
+
+def test_rows_of_one_and_two_points():
+    one = DisjointnessGraph(PointSet.from_coords([(-5, 7)]))
+    assert one.cross_mask == one.adj == ()
+    two = DisjointnessGraph(PointSet.from_coords([(-5, 7), (MAX_COORD, -MAX_COORD)]))
+    assert two.cross_mask == two.adj == (0,)
 
 
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=12))
@@ -315,7 +355,7 @@ def test_exports_match_oracle(case):
 def test_graphs_of_one_size_share_their_segment_tables():
     a = build_disjointness_graph(gen_random_general_position(9, seed=1, bound=1000))
     b = build_disjointness_graph(gen_convex(9))
-    assert a.vertices is b.vertices and a.star is b.star
+    assert a.vertices is b.vertices
     assert a.index_of is b.index_of and a.touch_mask is b.touch_mask
     with pytest.raises(TypeError):
         a.index_of[(0, 1)] = 5
