@@ -89,12 +89,12 @@ def parse_gen_spec(spec: str) -> PointSet:
             _check_gen_size(p + q)
             return gen_double_chain(p, q)
         if kind == "random":
-            parts = rest.split(":")
-            n, seed = int(parts[0]), int(parts[1])
-            bound = int(parts[2]) if len(parts) > 2 else 10000
+            n, seed, *bound = (int(t) for t in rest.split(":"))
+            if len(bound) > 1:
+                raise ValueError("more than three fields")
             _check_gen_size(n)
-            return gen_random_general_position(n, seed, bound)
-    except (ValueError, IndexError) as exc:
+            return gen_random_general_position(n, seed, bound[0] if bound else 10000)
+    except ValueError as exc:
         raise CliError(f"malformed generator spec {spec!r}: {exc}") from exc
     raise CliError(f"unknown generator spec {spec!r}")
 

@@ -32,7 +32,6 @@ from functools import cached_property
 from math import comb
 
 from .geometry import (
-    HullData,
     Point,
     PointSet,
     SegmentId,
@@ -128,12 +127,10 @@ class RegionDecomposition:
     lens: tuple[frozenset[int], ...] | None = None
 
 
-def decompose_regions(ps: PointSet, hull: HullData) -> RegionDecomposition:
+def decompose_regions(ps: PointSet) -> RegionDecomposition:
     """Assign every interior point to its regions via exact side tests,
-    listed by the positions of ``hull``; any hull but ``convex_hull(ps)``
-    raises a ValueError."""
-    if hull != convex_hull(ps):
-        raise ValueError("hull is not the convex hull of this point set")
+    listed by the positions of ``convex_hull(ps)``."""
+    hull = convex_hull(ps)
     if hull.m not in (5, 6, 7):
         raise ValueError("region decomposition is defined for hull sizes 5, 6, 7")
     return _region_table(_Frame(list(ps.points), hull.hull, False, hull.interior, {}))
@@ -691,7 +688,7 @@ def _ch3(ws: _Workspace):
     """
     hull = ws.hull_data
     for i in range(3):
-        um, up = rotation_neighbors(ws.ps, hull, i)
+        um, up = rotation_neighbors(ws.ps, i)
         u, v, w = hull.hull[i], hull.hull[(i + 1) % 3], hull.hull[(i + 2) % 3]
         if _inner_point(ws.base_frame(), [um, up, v, w]) is None:
             yield f"apex={u}", [

@@ -6,7 +6,8 @@ the 2x2 determinants of coordinate differences stay within 128-bit signed
 range (Python ints do not overflow, but the bound keeps the data portable
 and is part of the input contract).  The cap also bounds the field width
 of the graph build's packed orientations: a coordinate span of at most
-2^31 gives 2*span^2 <= 2^63, so every field fits in 72 bits.
+2^31 bounds every orientation by span^2 <= 2^62, so every field fits in
+64 bits.
 
 The general-position check, at ingestion and in the random generator, runs
 in O(n^2): two points lie on one line through a third exactly when their
@@ -274,21 +275,19 @@ def convex_hull(ps: PointSet) -> HullData:
     return ps._hull
 
 
-def rotation_neighbors(ps: PointSet, hull: HullData, i: int) -> tuple[int, int]:
-    """First and last point met when the line through hull vertex i and its
-    successor rotates clockwise about vertex i.
+def rotation_neighbors(ps: PointSet, i: int) -> tuple[int, int]:
+    """First and last point met when the line through vertex i of
+    ``convex_hull(ps)`` and its successor rotates clockwise about vertex i.
 
-    ``hull`` must be ``convex_hull(ps)``.  Candidates are every point except
-    the vertex itself and its two hull neighbours; with n >= 5 the pair is
-    well defined and distinct.  Every candidate lies strictly right of the
-    hull edge, so, with o the vertex, c is met before d exactly when
-    cross(o, c, d) < 0: a total order whose ends one pass of orientation
-    tests finds.
+    Candidates are every point except the vertex itself and its two hull
+    neighbours; with n >= 5 the pair is well defined and distinct.  Every
+    candidate lies strictly right of the hull edge, so, with o the vertex,
+    c is met before d exactly when cross(o, c, d) < 0: a total order whose
+    ends one pass of orientation tests finds.
     """
     if ps.n < 5:
         raise ValueError("rotation neighbors need n >= 5")
-    if hull != convex_hull(ps):
-        raise ValueError("hull is not the convex hull of this point set")
+    hull = convex_hull(ps)
     h, m = hull.hull, hull.m
     excluded = {h[i % m], h[(i + 1) % m], h[(i - 1) % m]}
     o = ps[h[i % m]]

@@ -10,9 +10,9 @@ transpose, with no Python loop over segment pairs or (segment, point)
 pairs.  Each segment owns one field, W bits wide, of three big ints (its
 direction and its line's offset), so one exact expression per point
 evaluates that point's orientation against every segment's line at once.
-W is the fewest whole bytes whose sign bit lies above twice the squared
-coordinate span, so no field borrows from or carries into the next; the
-coordinate cap keeps W at most 72 bits.  The cost is n evaluations of
+W is the fewest whole bytes whose sign bit lies above the squared
+coordinate span, which bounds every orientation, so no field borrows from
+or carries into the next; the coordinate cap keeps W at most 64 bits.  The cost is n evaluations of
 O(|V| W) bits plus O(|V|^2 / word) bit work (see
 ``DisjointnessGraph._crossing_rows``).  Distances take one
 BFS per source, with layers 1 and 2 settled directly, since almost every
@@ -74,10 +74,10 @@ class DisjointnessGraph:
         segments (i, i+1 .. n-1) are one block of fields, so each block
         takes one shifted copy of the packed coordinates.  Field u of
         y_k*dx - x_k*dy + c is then cross(p_i, p_j, p_k) + 2^(W-1).  That
-        orientation is a difference of two products, each at most span^2
-        in size, and W is the fewest whole bytes with 2*span^2 < 2^(W-1);
-        so every field of the sum lies in [0, 2^W) and none borrows from or
-        carries into the next.  The top bit of field u is set iff k lies on
+        orientation is twice the signed area of a triangle in a
+        span-by-span box, so at most span^2 in size, and W is the fewest
+        whole bytes with span^2 < 2^(W-1); so every field of the sum lies
+        in [0, 2^W) and none borrows from or carries into the next.  The top bit of field u is set iff k lies on
         or to the left of line u; one strided byte per field, read as
         ``bit_columns`` reads a column, gives those bits as ``sides[k]``.
         For v = (k, l), ``sep[v] = sides[k] ^ sides[l]`` holds the lines
@@ -93,7 +93,7 @@ class DisjointnessGraph:
         xs = [x - x0 for x in xs]
         ys = [y - y0 for y in ys]
         n, span = len(xs), max(max(xs), max(ys))
-        size = ((2 * span * span).bit_length() + 8) // 8  # W / 8
+        size = ((span * span).bit_length() + 8) // 8  # W / 8
         width = 8 * size
 
         def packed(values: list[int]) -> int:

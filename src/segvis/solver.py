@@ -23,12 +23,11 @@ each candidate without rejecting any.
 Order matters only for the one set a search reports: the lexicographically
 first passing set of a level, on the smaller of its two families (the sets
 U or their complements S).  Existence queries find it one position at a
-time, and a closed-form rank gives its 1-based index among the level's
-candidates, so both equal those of a one-by-one scan in that order.
-``mu_exact`` ascends from a certificate by existence queries and refutes
-the level above mu; ``min_blocker_set``, the exact search beneath the
-certificate case table, ascends over blocker sizes 1..9.  Each orders only
-the set it reports.
+time, so it is the set a one-by-one scan in that order would pass first.
+``mu_exact`` requires a starting witness, the certificate's, and ascends
+from it by existence queries until it refutes the level above mu;
+``min_blocker_set``, the exact search beneath the certificate case table,
+ascends over blocker sizes 1..9.  Each orders only the set it reports.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ class MuResult:
     mu: Optional[int]
     mu_lower: int
     mu_upper: int
-    witness: Optional[VertexSet]
+    witness: VertexSet
     refuted_size: Optional[int]
     sets_examined: int
     elapsed_s: float
@@ -258,76 +257,13 @@ class _Engine:
         return full & ~prefix if direct else prefix
 
 
-def _level_plan(nv: int, k: int, side: Optional[str] = None) -> tuple[str, int]:
-    """The enumerated side of level k (the smaller family by default) and
-    its size: S itself ("complement") or U ("direct")."""
+def _level_plan(nv: int, k: int) -> tuple[str, int]:
+    """The enumerated side of level k, the smaller family, and its size:
+    S itself ("complement") or U ("direct")."""
     s = nv - k
     if s < 0 or k < 0:
         raise ValueError("level outside 0..|V|")
-    if side is None:
-        side = "complement" if s <= k else "direct"
-    return side, (s if side == "complement" else k)
-
-
-def _rank(mask: int, nv: int, size: int) -> int:
-    """Position of the size-subset ``mask`` of range(nv) among all of them
-    in lexicographic order (that of ``itertools.combinations``), from 0."""
-    rank, prev = 0, -1
-    for x in iter_bits(mask):
-        # the sets that agree up to prev and take a vertex below x next
-        rank += comb(nv - prev - 1, size) - comb(nv - x, size)
-        prev, size = x, size - 1
-    return rank
-
-
-def _scan_level(
-    probes: _Probes, k: int, *, node_budget: Optional[int] = None
-) -> tuple[str, Optional[int], int]:
-    """Decide level k; returns (status, passing U mask or None, count).
-
-    FOUND gives the first passing set in the lexicographic order of the
-    smaller family and its 1-based index there, as a one-by-one scan
-    would.  REFUTED gives the candidates settled, C(|V|, k); EXHAUSTED,
-    once ``node_budget`` search nodes are spent, the count settled so far.
-    """
-    g = probes.g
-    engine = _Engine(probes, node_budget)
-    side, size = _level_plan(g.n_vertices, k)
-    status, s_mask, settled = engine.exists(0, g.full_mask, g.n_vertices - k)
-    if status != FOUND:
-        return status, None, settled
-    s_mask = engine.first(side, size, s_mask)
-    if s_mask is None:
-        return EXHAUSTED, None, settled
-    u_mask = g.full_mask & ~s_mask
-    return FOUND, u_mask, _rank(u_mask if side == "direct" else s_mask, g.n_vertices, size) + 1
-
-
-def _least_blockers(
-    engine: _Engine, sizes, side: Optional[str] = None
-) -> tuple[str, Optional[int], Optional[int], int]:
-    """Ascend over blocker sizes until some S of that size leaves a
-    mutual-visibility set.
-
-    Returns (status, size, S mask, count): FOUND with the first size that
-    has one and the lexicographically first such S, on the level's
-    enumerated side (``side`` as in ``_level_plan``), or the S the search
-    met first if the budget runs out while ordering it, with the count of
-    the last refuted size (0 if none); EXHAUSTED with the size whose search
-    spent the budget and its settled count; REFUTED once ``sizes`` run out.
-    """
-    g = engine.probes.g
-    nv = g.n_vertices
-    examined = 0
-    for s in sizes:
-        status, s_mask, settled = engine.exists(0, g.full_mask, s)
-        if status == FOUND:
-            first = engine.first(*_level_plan(nv, nv - s, side), s_mask)
-            return FOUND, s, s_mask if first is None else first, examined
-        if status == EXHAUSTED:
-            return EXHAUSTED, s, None, settled
-        examined = settled
-    return REFUTED, None, None, examined
+    return ("complement", s) if s <= k else ("direct", k)
 
 
 # ---------------------------------------------------------------------------
@@ -366,37 +302,44 @@ def min_blocker_set(g: DisjointnessGraph, max_size: int = 9) -> tuple[str, Optio
 
     S is a blocker set when V \\ S is a mutual-visibility set, and every
     superset of a blocker set is one, so the ascent over sizes 1, 2, ...
-    meets the smallest size first.  Returns (FOUND, mask of S), (REFUTED,
-    None) when no blocker set has at most ``max_size`` vertices, or
+    meets the smallest size first.  Returns (FOUND, mask of S), the S the
+    search met first if the budget runs out while ordering it; (REFUTED,
+    None) when no blocker set has at most ``max_size`` vertices; or
     (EXHAUSTED, None) when ``BLOCKER_SEARCH_NODES`` search nodes did not
     settle it.  The bound counts nodes, so the outcome never depends on the
     clock.
     """
     engine = _Engine(_Probes(g), BLOCKER_SEARCH_NODES)
-    status, _, s_mask, _ = _least_blockers(engine, range(1, max_size + 1), "complement")
-    return status, s_mask
+    for size in range(1, max_size + 1):
+        status, s_mask, _ = engine.exists(0, g.full_mask, size)
+        if status == FOUND:
+            first = engine.first("complement", size, s_mask)
+            return FOUND, s_mask if first is None else first
+        if status == EXHAUSTED:
+            return EXHAUSTED, None
+    return REFUTED, None
 
 
 def mu_exact(
     g: DisjointnessGraph,
     *,
-    witness_hint: Optional[VertexSet] = None,
+    witness_hint: VertexSet,
     threads: int = 1,
     node_budget: Optional[int] = None,
 ) -> MuResult:
-    """Exact mu of a connected disjointness graph.
+    """Exact mu of a connected disjointness graph, from a starting witness.
 
-    With a verified starting witness the search ascends: existence searches
-    find a passing set one level above another until a level is refuted;
-    downward closure makes that single exhaustive refutation cover every
-    larger size.  The lexicographically first set of the last found level
-    is the witness (the set the search met first, if the budget runs out
-    while ordering it), or the hint itself if no level above it was found.
-    Without a witness the search ascends over blocker sizes from a sound
-    upper bound, as ``min_blocker_set`` does.  ``node_budget`` caps the
-    search nodes of all the levels together, as ``BLOCKER_SEARCH_NODES``
-    does for ``min_blocker_set``; once they are spent the bracket found so
-    far is returned with ``mu`` = None.
+    ``witness_hint`` is required: a mutual-visibility set, verified before
+    use (the certificate's complement of its blockers).  The search
+    ascends: existence searches find a passing set one level above another
+    until a level is refuted; downward closure makes that single exhaustive
+    refutation cover every larger size.  The lexicographically first set of
+    the last found level is the witness (the set the search met first, if
+    the budget runs out while ordering it), or the hint itself if no level
+    above it was found.  ``node_budget`` caps the search nodes of all the
+    levels together, as ``BLOCKER_SEARCH_NODES`` does for
+    ``min_blocker_set``; once they are spent the bracket found so far is
+    returned with ``mu`` = None.
 
     The search is serial.  ``threads`` is kept only so that existing
     callers passing ``threads=1`` keep working; any other value raises
@@ -407,48 +350,38 @@ def mu_exact(
     if not is_connected(g):
         raise ValueError("mu_exact needs a connected graph (n >= 5)")
     start = time.monotonic()
-    upper = default_upper_bound(g)
+    require_sized_for(g, witness_hint)
+    failing = first_failing_pair(g, witness_hint.mask)
+    if failing is not None:
+        raise ValueError(f"witness hint is not a mutual-visibility set: {failing}")
     nv = g.n_vertices
     full = g.full_mask
 
-    def result(mu, lower, up, witness, refuted, examined):
+    def result(mu, lower, upper, refuted, examined):
         return MuResult(
             mu=mu,
             mu_lower=lower,
-            mu_upper=up,
-            witness=None if witness is None else VertexSet(nv, witness),
+            mu_upper=upper,
+            witness=VertexSet(nv, witness),
             refuted_size=refuted,
             sets_examined=examined,
             elapsed_s=time.monotonic() - start,
         )
 
     engine = _Engine(_Probes(g), node_budget)
-    if witness_hint is None:
-        status, s, s_mask, examined = _least_blockers(engine, range(nv - upper, nv))
-        if status == EXHAUSTED:
-            return result(None, 1, nv - s, None, None, examined)
-        if status == REFUTED:
-            raise RuntimeError("no mutual-visibility set of any size; graph corrupt")
-        k = nv - s
-        return result(k, k, k, full & ~s_mask, k + 1 if k < upper else None, examined)
-
-    require_sized_for(g, witness_hint)
-    failing = first_failing_pair(g, witness_hint.mask)
-    if failing is not None:
-        raise ValueError(f"witness hint is not a mutual-visibility set: {failing}")
     witness = witness_hint.mask
     for s in range(nv - len(witness_hint) - 1, -1, -1):
         status, s_mask, settled = engine.exists(0, full, s)
         if status == EXHAUSTED:
             # level nv - s was not refuted, so only the a-priori bound holds
-            return result(None, nv - s - 1, upper, witness, None, settled)
+            return result(None, nv - s - 1, default_upper_bound(g), None, settled)
         if status == REFUTED:
             mu = nv - s - 1
             if mu > len(witness_hint):
                 first = engine.first(*_level_plan(nv, mu), full & ~witness)
                 if first is not None:
                     witness = full & ~first
-            return result(mu, mu, mu, witness, mu + 1, settled)
+            return result(mu, mu, mu, mu + 1, settled)
         witness = full & ~s_mask
     raise RuntimeError("the full vertex set verified; graph corrupt")
 
@@ -524,7 +457,7 @@ def mu_report_json(res: MuResult, g: DisjointnessGraph) -> dict:
         "mu": res.mu,
         "mu_lower": res.mu_lower,
         "mu_upper": res.mu_upper,
-        "witness": sorted(res.witness.indices()) if res.witness is not None else None,
+        "witness": sorted(res.witness.indices()),
         "refuted": res.refuted_size,
         "sets_examined": res.sets_examined,
         "elapsed_ms": int(res.elapsed_s * 1000),

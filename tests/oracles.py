@@ -207,11 +207,11 @@ def oracle_scan_level(g, k):
 
     The enumerated side is the smaller family: the k-sets U themselves, or
     their complements S = V \\ U when |V| - k <= k.  Returns ("found", U
-    mask, 1-based index) for its first set in lexicographic order whose U
-    is a mutual-visibility set, else ("refuted", None, C(|V|, size)).  The
-    exact decision is the library's ``first_failing_pair``; a distance-2
-    pair of U with every common neighbour in U is rejected before it,
-    which is sound and only saves time.
+    mask) for its first set in lexicographic order whose U is a
+    mutual-visibility set, else ("refuted", None).  The exact decision is
+    the library's ``first_failing_pair``; a distance-2 pair of U with every
+    common neighbour in U is rejected before it, which is sound and only
+    saves time.
     """
     from segvis.visibility import first_failing_pair
 
@@ -225,14 +225,14 @@ def oracle_scan_level(g, k):
         if common and not g.adj[a] >> b & 1:
             d2.append((1 << a | 1 << b, common))
     d2.sort(key=lambda t: t[1].bit_count())
-    for index, combo in enumerate(itertools.combinations(range(nv), size), start=1):
+    for combo in itertools.combinations(range(nv), size):
         mask = sum(1 << v for v in combo)
         s_mask = mask if complement else full & ~mask
         if any(ends & s_mask == 0 and common & s_mask == 0 for ends, common in d2):
             continue
         if first_failing_pair(g, full & ~s_mask) is None:
-            return "found", full & ~s_mask, index
-    return "refuted", None, math.comb(nv, size)
+            return "found", full & ~s_mask
+    return "refuted", None
 
 
 def oracle_min_blockers(g, max_size):

@@ -95,7 +95,7 @@ def is_known_hull7_template_gap(ps) -> bool:
     h = convex_hull(ps)
     if h.m != 7:
         return False
-    r = decompose_regions(ps, h)
+    r = decompose_regions(ps)
     if any(r.ear[k] for k in range(7)) or any(r.core[k] for k in range(7)):
         return False
     occupied = [k for k in range(7) if r.lens[k]]

@@ -152,6 +152,18 @@ def test_build_rejects_malformed(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "spec", ["random:8:8076:10000:junk", "random:8:8076:10000:5", "random:8"]
+)
+def test_build_rejects_malformed_gen_spec(capsys, spec):
+    # a random spec has two or three fields: one missing or extra is an
+    # error, never ignored
+    assert run_cli("build", "--gen", spec) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: malformed generator spec {spec!r}")
+    assert captured.out == ""
+
+
 def test_build_rejects_oversized_csv_field(tmp_path, capsys):
     bad = tmp_path / "broken.csv"
     bad.write_text("1," + "2" * 200_000 + "\n")  # over the csv module's field limit

@@ -60,7 +60,7 @@ def test_region_partition_identities():
             h = convex_hull(ps)
             if h.m not in (5, 6, 7):
                 continue
-            r = decompose_regions(ps, h)
+            r = decompose_regions(ps)
             for k in range(h.m):
                 assert r.ear[k] == r.ear_fwd[k] | r.ear_mid[k] | r.ear_bwd[k]
                 assert not (r.ear_fwd[k] & r.ear_bwd[k])
@@ -69,7 +69,7 @@ def test_region_partition_identities():
 
 def test_regions_empty_for_pure_hull():
     ps = gen_convex(7)
-    r = decompose_regions(ps, convex_hull(ps))
+    r = decompose_regions(ps)
     assert all(not r.ear[k] for k in range(7))
     assert all(not r.core[k] and not r.lens[k] for k in range(7))
 
@@ -83,7 +83,7 @@ def test_regions_m7_coverage():
             if h.m != 7:
                 continue
             count += 1
-            r = decompose_regions(ps, h)
+            r = decompose_regions(ps)
             cover = set()
             for k in range(7):
                 cover |= r.ear[k] | r.core[k] | r.lens[k]
@@ -135,24 +135,7 @@ def test_first_swept_matches_rotating_line_oracle():
 def test_regions_need_hull_5_to_7():
     ps = gen_convex(8)
     with pytest.raises(ValueError):
-        decompose_regions(ps, convex_hull(ps))
-
-
-def test_regions_refuse_a_hull_of_another_point_set():
-    # hulls of random:10:1 (same size), random:10:4 (size 5), random:12:2
-    # (size 7, naming points ps does not have), and ps's own hull from
-    # another start
-    ps = gen_random_general_position(10, seed=0, bound=1000)
-    own = convex_hull(ps)
-    foreign = [
-        convex_hull(gen_random_general_position(10, seed=1, bound=1000)),
-        convex_hull(gen_random_general_position(10, seed=4, bound=1000)),
-        convex_hull(gen_random_general_position(12, seed=2, bound=1000)),
-        geometry.HullData(hull=own.hull[1:] + own.hull[:1], interior=own.interior),
-    ]
-    for hull in foreign:
-        with pytest.raises(ValueError, match="not the convex hull"):
-            decompose_regions(ps, hull)
+        decompose_regions(ps)
 
 
 # -- certificate primitives ----------------------------------------------------
@@ -494,7 +477,7 @@ def test_build_certificate_computes_one_hull(monkeypatch):
     def read_again(ps):
         assert convex_hull(ps) is convex_hull(ps)
         if convex_hull(ps).m in (5, 6, 7):
-            decompose_regions(ps, convex_hull(ps))
+            decompose_regions(ps)
         fills.clear()
         assert build_certificate(ps).verified
         assert len(fills) == len(set(fills))

@@ -8,7 +8,6 @@ from segvis.geometry import (
     CoordinateError,
     GeneralPositionError,
     GenerationError,
-    HullData,
     Orientation,
     Point,
     PointSet,
@@ -230,16 +229,15 @@ def test_rotation_neighbors_two_candidates():
     ps = PointSet.from_coords([(0, 0), (100, 0), (50, 90), (40, 30), (60, 31)])
     h = convex_hull(ps)
     i = h.hull.index(0)
-    vm, vp = rotation_neighbors(ps, h, i)
+    vm, vp = rotation_neighbors(ps, i)
     assert {vm, vp} == {3, 4}
     assert vm != vp
 
 
 def test_rotation_neighbors_cacerola_frozen(cacerola):
-    h = convex_hull(cacerola)
     # values fixed by the float-angle sorting oracle
-    assert rotation_neighbors(cacerola, h, 0) == (2, 4)
-    assert rotation_neighbors(cacerola, h, 1) == (3, 5)
+    assert rotation_neighbors(cacerola, 0) == (2, 4)
+    assert rotation_neighbors(cacerola, 1) == (3, 5)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -249,26 +247,13 @@ def test_rotation_neighbors_match_angle_oracle(seed):
     coords = [(p.x, p.y) for p in ps.points]
     cyc = list(h.hull)
     for i in range(h.m):
-        assert rotation_neighbors(ps, h, i) == float_rotation_neighbors(coords, cyc, i)
-
-
-def test_rotation_neighbors_refuse_a_hull_of_another_point_set():
-    ps = gen_random_general_position(10, seed=0, bound=1000)
-    own = convex_hull(ps)
-    foreign = [
-        convex_hull(gen_random_general_position(10, seed=1, bound=1000)),
-        convex_hull(gen_random_general_position(10, seed=4, bound=1000)),
-        HullData(hull=own.hull[::-1], interior=own.interior),
-    ]
-    for hull in foreign:
-        with pytest.raises(ValueError, match="not the convex hull"):
-            rotation_neighbors(ps, hull, 0)
+        assert rotation_neighbors(ps, i) == float_rotation_neighbors(coords, cyc, i)
 
 
 def test_rotation_neighbors_rejects_small_sets():
     ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
     with pytest.raises(ValueError):
-        rotation_neighbors(ps, convex_hull(ps), 0)
+        rotation_neighbors(ps, 0)
 
 
 # -- generators -----------------------------------------------------------------

@@ -90,9 +90,9 @@ def corner_set(high: int) -> PointSet:
 @pytest.mark.parametrize("high", [MAX_COORD, MAX_COORD - 1], ids=["span2^31", "span2^31-1"])
 def test_adjacency_matches_oracle_at_the_coordinate_cap(high):
     # each segment's orientations fill one field of a packed int, sized
-    # from the span: 2^31 takes the widest field, 72 bits, and 2^31 - 1
-    # takes 64 bits, the fewest with 2*span^2 < 2^(W-1), so a field one
-    # byte narrower overflows there
+    # from the span: both spans take the widest field, 64 bits, the fewest
+    # with span^2 < 2^(W-1); three corners of the box give an orientation
+    # of span^2 or near it, so a field one byte narrower overflows
     ps = corner_set(high)
     assert ps.n >= 12
     assert max(p.x for p in ps) - min(p.x for p in ps) == high + MAX_COORD

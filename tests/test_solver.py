@@ -23,8 +23,6 @@ from segvis.solver import (
     _Engine,
     _level_plan,
     _Probes,
-    _rank,
-    _scan_level,
     _witness_from_blockers,
     check_bounds_report,
     default_upper_bound,
@@ -63,8 +61,9 @@ def test_refutation_monotone():
 
 def test_scan_level_matches_one_by_one_scan():
     # Every level of small random graphs, plus the refuted levels of two
-    # golden instances: the pruned walk must report the oracle's status,
-    # first passing set and count.
+    # golden instances: an existence search, then the ordering of its set,
+    # must report the oracle's status and first passing set, and a refuted
+    # level must settle all C(|V|, k) candidates.
     cases = []
     for n, seeds in ((5, range(10)), (6, range(10)), (7, range(2))):
         for seed in seeds:
@@ -75,25 +74,37 @@ def test_scan_level_matches_one_by_one_scan():
     cases.append((build_disjointness_graph(gen_double_chain(3, 6)), [33]))
     seen = set()
     for g, levels in cases:
-        probes = _Probes(g)
+        engine = _Engine(_Probes(g))
+        nv = g.n_vertices
         for k in levels:
+            status, s_mask, settled = engine.exists(0, g.full_mask, nv - k)
+            if status == FOUND:
+                s_mask = engine.first(*_level_plan(nv, k), s_mask)
+                got = (FOUND, g.full_mask & ~s_mask)
+            else:
+                assert settled == comb(nv, k)
+                got = (status, None)
             expected = oracle_scan_level(g, k)
-            assert _scan_level(probes, k) == expected, (g.pointset.coords, k)
-            seen.add((_level_plan(g.n_vertices, k)[0], expected[0]))
+            assert got == expected, (g.pointset.coords, k)
+            seen.add((_level_plan(nv, k)[0], expected[0]))
     assert {("direct", "found"), ("complement", "found"),
             ("complement", "refuted")} <= seen
-    assert expected == ("refuted", None, 7140)  # double-chain:3,6, the last case
+    assert (expected, settled) == (("refuted", None), 7140)  # double-chain:3,6, the last case
 
 
 def test_scan_level_stops_mid_walk():
     # 50 search nodes settle 1,428,471 of the C(36, 6) = 1,947,792
-    # candidates of a level whose first passing set is candidate 1,532,647,
-    # on every run
+    # candidates of level 30, on every run; without a budget the level's
+    # first passing set is found
     ps = gen_random_general_position(9, seed=60000, bound=10000)
-    probes = _Probes(build_disjointness_graph(ps))
+    g = build_disjointness_graph(ps)
+    probes = _Probes(g)
     for _ in range(2):
-        assert _scan_level(probes, 30, node_budget=50) == (EXHAUSTED, None, 1428471)
-    assert _scan_level(probes, 30)[::2] == (FOUND, 1532647)
+        assert _Engine(probes, 50).exists(0, g.full_mask, 6) == (EXHAUSTED, None, 1428471)
+    engine = _Engine(probes)
+    status, s_mask, _ = engine.exists(0, g.full_mask, 6)
+    assert status == FOUND
+    assert g.full_mask & ~engine.first(*_level_plan(g.n_vertices, 30), s_mask) == 68635389823
 
 
 def _mask(vertices):
@@ -125,13 +136,6 @@ def test_exists_matches_brute_force(n, seed, data):
         assert (status, s_mask, settled) == (REFUTED, None, comb(len(free), r))
 
 
-def test_rank_matches_combinations_order():
-    for nv in range(13):
-        for size in range(nv + 1):
-            for index, combo in enumerate(itertools.combinations(range(nv), size)):
-                assert _rank(_mask(combo), nv, size) == index
-
-
 def test_refuted_levels_settle_every_candidate():
     # A closed branch settles C(|allowed|, r) candidates.  On a refuted
     # level they add up to C(|V|, k), with or without a budget that runs
@@ -146,14 +150,14 @@ def test_refuted_levels_settle_every_candidate():
         probes = _Probes(g)
         nv = g.n_vertices
         for k in range(1, nv + 1):
-            status, _, count = _scan_level(probes, k)
+            status, _, count = _Engine(probes).exists(0, g.full_mask, nv - k)
             if status != REFUTED:
                 continue
             refuted += 1
             assert count == comb(nv, k)
             for budget in (1, 4, 16):
-                cut = _scan_level(probes, k, node_budget=budget)
-                assert cut == _scan_level(probes, k, node_budget=budget)
+                cut = _Engine(probes, budget).exists(0, g.full_mask, nv - k)
+                assert cut == _Engine(probes, budget).exists(0, g.full_mask, nv - k)
                 assert cut[:2] == (REFUTED, None) and cut[2] == count or (
                     cut[:2] == (EXHAUSTED, None) and cut[2] < count
                 )
@@ -191,16 +195,21 @@ def test_mu_exact_cacerola(cacerola, cacerola_graph):
 
 
 def test_mu_exact_paths_agree(cacerola, cacerola_graph):
-    asc = mu_exact(cacerola_graph, witness_hint=certificate_witness(cacerola, cacerola_graph))
-    desc = mu_exact(cacerola_graph)
-    assert asc.mu == desc.mu == 12
-    assert asc.refuted_size == desc.refuted_size == 13
+    # the ascent from the certificate's witness and from a single vertex
+    # refute the same level
+    for start in (
+        certificate_witness(cacerola, cacerola_graph),
+        VertexSet(cacerola_graph.n_vertices, 1),
+    ):
+        res = mu_exact(cacerola_graph, witness_hint=start)
+        assert (res.mu, res.refuted_size, res.sets_examined) == (12, 13, 203490)
 
 
 def test_mu_exact_convex5_matches_brute_force():
-    g = build_disjointness_graph(gen_convex(5))
+    ps = gen_convex(5)
+    g = build_disjointness_graph(ps)
     assert oracle_mu(g) == 5  # frozen by full enumeration over all subsets
-    res = mu_exact(g)
+    res = mu_exact(g, witness_hint=certificate_witness(ps, g))
     assert res.mu == 5 and res.refuted_size == 6
 
 
@@ -208,7 +217,7 @@ def test_mu_exact_random_small_vs_oracle():
     for seed in (2, 5):
         ps = gen_random_general_position(5, seed=seed, bound=1500)
         g = build_disjointness_graph(ps)
-        assert mu_exact(g).mu == oracle_mu(g)
+        assert mu_exact(g, witness_hint=certificate_witness(ps, g)).mu == oracle_mu(g)
 
 
 def test_mu_exact_convex7():
@@ -222,7 +231,7 @@ def test_mu_exact_convex7():
 def test_mu_exact_rejects_disconnected():
     g = build_disjointness_graph(gen_convex(4))
     with pytest.raises(ValueError):
-        mu_exact(g)
+        mu_exact(g, witness_hint=VertexSet(g.n_vertices, 1))
 
 
 def test_mu_exact_rejects_bad_witness(cacerola_graph):
@@ -231,10 +240,17 @@ def test_mu_exact_rejects_bad_witness(cacerola_graph):
         mu_exact(cacerola_graph, witness_hint=full)
 
 
-def test_mu_exact_is_serial(cacerola_graph):
+def test_mu_exact_is_serial(cacerola, cacerola_graph):
     # threads survives only as a keyword that accepts 1
     with pytest.raises(ValueError):
-        mu_exact(cacerola_graph, threads=2)
+        mu_exact(
+            cacerola_graph, witness_hint=certificate_witness(cacerola, cacerola_graph), threads=2
+        )
+
+
+def test_mu_exact_needs_a_witness(cacerola_graph):
+    with pytest.raises(TypeError):
+        mu_exact(cacerola_graph)
 
 
 def test_mu_bound_relations():
@@ -247,11 +263,12 @@ def test_mu_bound_relations():
         assert res.mu <= default_upper_bound(g)
 
 
-def test_timeout_brackets(cacerola_graph):
-    # the descent's one node refutes level 20 (a single complement
-    # element), and level 19 finds the budget spent
-    res = mu_exact(cacerola_graph, node_budget=1)
-    assert (res.mu, res.mu_lower, res.mu_upper) == (None, 1, 19)
+def test_timeout_brackets(cacerola, cacerola_graph):
+    # the ascent's one node is spent in level 13, above the certificate
+    # witness (12), so only the a-priori bound |V| - 1 holds above it
+    witness = certificate_witness(cacerola, cacerola_graph)
+    res = mu_exact(cacerola_graph, witness_hint=witness, node_budget=1)
+    assert (res.mu, res.mu_lower, res.mu_upper) == (None, 12, 20)
     assert res.refuted_size is None and not res.refutation_exhaustive
 
 
