@@ -9,17 +9,10 @@ determine mutual-visibility numbers by exhaustive refutation.
 from .constructions import (
     Certificate,
     ConstructionError,
-    RegionDecomposition,
     build_certificate,
     certificate_from_blockers,
     certificate_json,
-    decompose_regions,
     double_chain_blocker,
-    find_five_disjoint_clean,
-    find_good_2set,
-    find_good_triangle,
-    s_from_good_2set,
-    s_from_good_triangle,
 )
 from .geometry import (
     MAX_COORD,
@@ -34,18 +27,15 @@ from .geometry import (
     all_segments,
     cacerola_points,
     convex_hull,
-    crosses,
     gen_convex,
     gen_double_chain,
     gen_random_general_position,
-    is_clean,
     is_general_position,
     load_pointset,
     orientation,
     rotation_neighbors,
     save_pointset,
     segment,
-    segments_intersect,
 )
 from .graph import (
     INFINITY,

@@ -12,7 +12,10 @@ plain and y-mirrored (mirroring reverses the cyclic orientation, covering
 the symmetric branches); a mirrored labelling reads the same points with
 every orientation test negated.  The hull-5..7 cases read interior regions
 (ears, wedges, cores, lenses) as frame methods, each written in that
-frame's labels over one chord-side table per query.
+frame's labels over one chord-side table per query.  Good triangles and
+good 2-sets are checked only inside the cases that build them, from frame
+labels; the one other way in, ``certificate_from_blockers``, verifies a
+caller's blocker set.
 
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
@@ -46,8 +49,6 @@ from .solver import FOUND, REFUTED, min_blocker_set
 from .visibility import first_failing_pair
 
 STRATEGY_EXPLICIT = "ExplicitBlockers"
-STRATEGY_GOOD_TRIANGLE = "GoodTriangle"
-STRATEGY_GOOD_2SET = "Good2Set"
 STRATEGY_HULL3 = "Hull3"
 STRATEGY_HULL4 = "Hull4"
 STRATEGY_HULL5 = "Hull5Case"
@@ -89,66 +90,6 @@ def certificate_json(cert: Certificate) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RegionDecomposition:
-    """Interior-point regions of a hull of size 5, 6 or 7, listed by the
-    hull positions of one frame (clockwise order, 0-based, indices mod m;
-    H(k) is the hull point at position k).
-
-    - ``ear[k]``: points strictly inside the triangle H(k-1), H(k), H(k+1).
-    - ``ear_fwd[k]`` / ``ear_bwd[k]``: the wedges of ``ear[k]`` that hug the
-      hull edges (k, k+1) and (k-1, k).  The wedge of the ear at v towards
-      its neighbour w is the part of the ear on w's side of the chord from
-      v to w's other neighbour.  ``ear_mid[k]`` is the remainder, and
-      ``ear_fwd[k] == ear_bwd[k+1]``.
-    - ``center`` (m = 6 only): interior points inside no ear.
-    - m = 7 only: ``edge_quad[k]`` is the quadrilateral H(k-1) .. H(k+2) on
-      the hull edge (k, k+1); ``span_tri[k]`` the triangle H(k), H(k+3),
-      H(k+4); ``core[k] = span_tri[k] - (edge_quad[k+2] + edge_quad[k+4] +
-      ear[k])``; ``core_tip[k] = core[k] & edge_quad[k] & edge_quad[k+6]``;
-      and ``lens[k] = (edge_quad[k+2] & edge_quad[k+4]) - (ear[k+3] +
-      ear[k+4])``.
-
-    Each field tabulates the ``_Frame`` method of the same name, which the
-    cases read directly.
-    """
-
-    m: int
-    hull: tuple[int, ...]
-    ear: tuple[frozenset[int], ...]
-    ear_fwd: tuple[frozenset[int], ...]
-    ear_mid: tuple[frozenset[int], ...]
-    ear_bwd: tuple[frozenset[int], ...]
-    center: frozenset[int] | None = None
-    edge_quad: tuple[frozenset[int], ...] | None = None
-    span_tri: tuple[frozenset[int], ...] | None = None
-    core: tuple[frozenset[int], ...] | None = None
-    core_tip: tuple[frozenset[int], ...] | None = None
-    lens: tuple[frozenset[int], ...] | None = None
-
-
-def decompose_regions(ps: PointSet) -> RegionDecomposition:
-    """Assign every interior point to its regions via exact side tests,
-    listed by the positions of ``convex_hull(ps)``."""
-    hull = convex_hull(ps)
-    if hull.m not in (5, 6, 7):
-        raise ValueError("region decomposition is defined for hull sizes 5, 6, 7")
-    return _region_table(_Frame(list(ps.points), hull.hull, False, hull.interior, {}))
-
-
-def _region_table(f: _Frame) -> RegionDecomposition:
-    """Every region of frame f, listed by its hull positions."""
-    names = ("ear", "ear_fwd", "ear_mid", "ear_bwd")
-    if f.m == 7:
-        names += ("edge_quad", "span_tri", "core", "core_tip", "lens")
-    return RegionDecomposition(
-        m=f.m,
-        hull=f.hull,
-        center=f.center() if f.m == 6 else None,
-        **{name: tuple(map(getattr(f, name), range(f.m))) for name in names},
-    )
-
-
 def _chord_sides(
     pts: list[Point], interior: tuple[int, ...], a: int, b: int
 ) -> tuple[frozenset[int], frozenset[int]]:
@@ -171,11 +112,27 @@ class _Frame:
     keeps every distance and both sides of every chord, so the point
     selectors and the chord-side table serve the mirrored frames unchanged.
 
-    Each region of ``RegionDecomposition`` is a method written in this
-    frame's labels over ``side``, and is computed only when a case reads
-    it.  ``sides`` is the query's chord-side table, shared by all its
-    frames and keyed by the sorted pair of hull points; a frame holds no
-    reference to its workspace."""
+    The interior regions that the hull-5..7 cases read are methods written
+    in this frame's labels over ``side`` (H(k) is the hull point at
+    position k, indices mod m), each computed only when a case reads it:
+
+    - ``ear(k)``: points strictly inside the triangle H(k-1), H(k), H(k+1).
+    - ``ear_fwd(k)`` / ``ear_bwd(k)``: the wedges of ``ear(k)`` that hug the
+      hull edges (k, k+1) and (k-1, k).  The wedge of the ear at v towards
+      its neighbour w is the part of the ear on w's side of the chord from
+      v to w's other neighbour.  ``ear_mid(k)`` is the remainder, and
+      ``ear_fwd(k) == ear_bwd(k+1)``.
+    - ``center()`` (m = 6): interior points inside no ear.
+    - m = 7: ``edge_quad(k)`` is the quadrilateral H(k-1) .. H(k+2) on the
+      hull edge (k, k+1); ``span_tri(k)`` the triangle H(k), H(k+3),
+      H(k+4); ``core(k) = span_tri(k) - (edge_quad(k+2) + edge_quad(k+4) +
+      ear(k))``; ``core_tip(k) = core(k) & edge_quad(k) & edge_quad(k+6)``;
+      and ``lens(k) = (edge_quad(k+2) & edge_quad(k+4)) - (ear(k+3) +
+      ear(k+4))``.
+
+    ``sides`` is the query's chord-side table, shared by all its frames and
+    keyed by the sorted pair of hull points; a frame holds no reference to
+    its workspace."""
 
     def __init__(
         self,
@@ -221,7 +178,7 @@ class _Frame:
         first = self.orient(o, t, a) * self.orient(o, t, b) * self.orient(o, a, b) < 0
         return a if first else b
 
-    # -- regions (see RegionDecomposition) -----------------------------------
+    # -- regions (see the class docstring) -----------------------------------
 
     def side(self, i: int, j: int, k: int) -> frozenset[int]:
         """The interior points on H(k)'s side of the chord H(i)H(j)."""
@@ -288,8 +245,9 @@ class _Frame:
 class _Workspace:
     """One query's graph (built when not given), hull, frames and notes.
 
-    A given graph must be the point set's own: one built from another
-    point set raises a ValueError, whatever its size.
+    ``build_certificate`` and ``certificate_from_blockers`` may pass a
+    caller's graph, which must be the point set's own: one built from
+    another point set raises a ValueError, whatever its size.
     The hull is the one ``convex_hull`` stores on the point set; the
     y-mirrored frames reuse it reversed.  All frames share one chord-side
     table, so each chord is split once however many frames read it.
@@ -359,8 +317,8 @@ class _Workspace:
         return None
 
     def certify(self, strategy: str, segs: list[SegmentId], desc: str, what: str) -> Certificate:
-        """``attempt`` outside the case table; a ConstructionError says that
-        ``what`` failed."""
+        """``attempt`` for explicit blockers and the fallback; a
+        ConstructionError says that ``what`` failed."""
         cert = self.attempt(strategy, None, segs, desc)
         if cert is None:
             raise ConstructionError(f"{what} failed verification: {self.diagnostics}")
@@ -396,20 +354,6 @@ def _triangle_is_good(ws: _Workspace, frame: _Frame, x: int, i: int) -> bool:
     return all(g.segment_of(v) in allowed for v in iter_bits(bad))
 
 
-def find_good_triangle(ps: PointSet, graph: DisjointnessGraph | None = None):
-    """First (x, hull position i) in scan order such that the triangle on x
-    and hull edge i passes both good-triangle conditions; None otherwise."""
-    ws = _Workspace(ps, graph)
-    if ws.m < 6:
-        raise ValueError("good triangles need hull size >= 6")
-    frame = ws.base_frame()
-    for x in frame.interior:
-        for i in range(ws.m):
-            if _triangle_is_good(ws, frame, x, i):
-                return x, i
-    return None
-
-
 def _good_triangle_blockers(frame: _Frame, x: int, i: int) -> list[SegmentId]:
     # Relabel so the triangle sits on hull positions 2, 3.
     h = [frame.H(k + i - 2) for k in range(frame.m)]
@@ -424,23 +368,6 @@ def _good_triangle_blockers(frame: _Frame, x: int, i: int) -> list[SegmentId]:
         segment(h[2], h[4]),
         segment(h[2], h[5]),
     ]
-
-
-def s_from_good_triangle(
-    ps: PointSet, x: int, i: int, graph: DisjointnessGraph | None = None
-) -> Certificate:
-    """Nine-segment blocker set built from a good triangle (hull size >= 6)."""
-    _require_ids(ps, [x], "good-triangle apex", size=1)
-    ws = _Workspace(ps, graph)
-    if type(i) is not int or not 0 <= i < ws.m:
-        raise ValueError(f"hull position {i!r} is not a position of this {ws.m}-point hull")
-    if ws.m < 6:
-        raise ConstructionError("good-triangle certificate needs hull size >= 6")
-    frame = ws.base_frame()
-    if not _triangle_is_good(ws, frame, x, i):
-        raise ConstructionError(f"({x}, {i}) is not a good triangle")
-    segs = _good_triangle_blockers(frame, x, i)
-    return ws.certify(STRATEGY_GOOD_TRIANGLE, segs, frame.describe(), "good-triangle blocker set")
 
 
 # ---------------------------------------------------------------------------
@@ -513,23 +440,6 @@ def _quadrant_of(frame: _Frame, d1: SegmentId, d2: SegmentId, s: SegmentId):
     return tuple(sides)
 
 
-def _k4_quadrants(ws: _Workspace, frame: _Frame, uv: SegmentId, xy: SegmentId):
-    """The diagonals d1, d2 of the K4 drawing on the base segments uv and xy,
-    and its two lateral quadrants; a ConstructionError says why uv and xy do
-    not sit in opposite open quadrants."""
-    d1, d2 = _good_2set_diagonals(ws, frame, uv, xy)
-    q_uv = (_segment_side(frame, d1, uv), _segment_side(frame, d2, uv))
-    q_xy = (_segment_side(frame, d1, xy), _segment_side(frame, d2, xy))
-    if 0 in q_uv or 0 in q_xy or q_xy != (-q_uv[0], -q_uv[1]):
-        raise ConstructionError("base segments do not sit in opposite quadrants")
-    return d1, d2, [(q_uv[0], -q_uv[1]), (-q_uv[0], q_uv[1])]
-
-
-def _crossed_outside(g: DisjointnessGraph, k4_mask: int, e: SegmentId) -> bool:
-    """Does a segment outside the K4 drawing cross e?"""
-    return bool(g.cross_mask[g.vertex(e)] & ~k4_mask)
-
-
 def _validate_good_2set(
     ws: _Workspace,
     frame: _Frame,
@@ -549,9 +459,14 @@ def _validate_good_2set(
         if not (set(s) & hull_pts):
             return f"base segment {s} has no hull endpoint"
     try:
-        d1, d2, lateral = _k4_quadrants(ws, frame, uv, xy)
+        d1, d2 = _good_2set_diagonals(ws, frame, uv, xy)
+        q_uv = (_segment_side(frame, d1, uv), _segment_side(frame, d2, uv))
+        q_xy = (_segment_side(frame, d1, xy), _segment_side(frame, d2, xy))
     except ConstructionError as exc:
         return str(exc)
+    if 0 in q_uv or 0 in q_xy or q_xy != (-q_uv[0], -q_uv[1]):
+        return "base segments do not sit in opposite quadrants"
+    lateral = [(q_uv[0], -q_uv[1]), (-q_uv[0], q_uv[1])]
     ql = _quadrant_of(frame, d1, d2, e_l)
     qr = _quadrant_of(frame, d1, d2, e_r)
     if ql not in lateral:
@@ -560,48 +475,8 @@ def _validate_good_2set(
         return f"{e_r} is not interior to the opposite lateral quadrant"
     k4_mask = g.mask_of(_k4_segments(uv, xy))
     for e in (e_l, e_r):
-        if _crossed_outside(g, k4_mask, e):
+        if g.cross_mask[g.vertex(e)] & ~k4_mask:
             return f"{e} is crossed outside the 4-point drawing"
-    return None
-
-
-def find_good_2set(ps: PointSet, graph: DisjointnessGraph | None = None):
-    """Deterministic scan for a good 2-set: a drawn K4 on two disjoint clean
-    segments with hull endpoints, plus one protected segment in each lateral
-    quadrant.  Hull-edge base pairs are scanned first."""
-    ws = _Workspace(ps, graph)
-    if ws.n < 8:
-        return None
-    g = ws.g
-    frame = ws.base_frame()
-    hull_pts = set(ws.hull_data.hull)
-    hull_edges = {frame.E(k) for k in range(ws.m)}
-    clean = [
-        s
-        for s in g.vertices
-        if g.is_clean_vertex(g.vertex(s)) and set(s) & hull_pts
-    ]
-    edge_pairs, other_pairs = [], []
-    for s1, s2 in itertools.combinations(clean, 2):
-        if not g.are_adjacent(g.vertex(s1), g.vertex(s2)):
-            continue
-        (edge_pairs if s1 in hull_edges and s2 in hull_edges else other_pairs).append(
-            (s1, s2)
-        )
-    for uv, xy in edge_pairs + other_pairs:
-        try:
-            d1, d2, lateral = _k4_quadrants(ws, frame, uv, xy)
-        except ConstructionError:
-            continue
-        k4_mask = g.mask_of(_k4_segments(uv, xy))
-        found: dict[tuple, SegmentId] = {}
-        for e in g.vertices:
-            q = _quadrant_of(frame, d1, d2, e)
-            if q not in lateral or q in found or _crossed_outside(g, k4_mask, e):
-                continue
-            found[q] = e
-            if len(found) == 2:
-                return uv, xy, found[lateral[0]], found[lateral[1]]
     return None
 
 
@@ -619,58 +494,6 @@ def _try_good_2set(
         ws.note(f"good-2-set [{desc}]: {reason}")
         return None
     return _k4_segments(uv, xy) + [e_l, e_r]
-
-
-def s_from_good_2set(
-    ps: PointSet,
-    quadruple,
-    graph: DisjointnessGraph | None = None,
-) -> Certificate:
-    """Eight-segment blocker set: the K4 drawing plus the two protected
-    quadrant segments; ``quadruple`` is (uv, xy, e_l, e_r), as
-    ``find_good_2set`` returns it."""
-    entries = tuple(quadruple)
-    if len(entries) != 4:
-        raise ValueError(f"a good 2-set needs four entries (uv, xy, e_l, e_r), got {len(entries)}")
-    _require_ids(ps, entries, "good-2-set entry")
-    ws = _Workspace(ps, graph)
-    frame = ws.base_frame()
-    segs = _try_good_2set(ws, frame, *entries, frame.describe())
-    if segs is None:
-        raise ConstructionError(f"not a good 2-set: {ws.diagnostics}")
-    return ws.certify(STRATEGY_GOOD_2SET, segs, frame.describe(), "good-2-set blockers")
-
-
-# ---------------------------------------------------------------------------
-# Five pairwise-disjoint clean segments
-
-
-def find_five_disjoint_clean(ps: PointSet, graph: DisjointnessGraph | None = None):
-    """Five pairwise-disjoint clean segments, or None.
-
-    Alternating hull edges are tried first (they always work once the hull
-    has ten or more vertices); otherwise the clean segments are searched
-    exhaustively in lexicographic order.
-    """
-    ws = _Workspace(ps, graph)
-    g = ws.g
-    if ws.m >= 10:
-        frame = ws.base_frame()
-        return [frame.E(k) for k in (0, 2, 4, 6, 8)]
-    clean = [s for s in g.vertices if g.is_clean_vertex(g.vertex(s))]
-
-    def extend(chosen: list[SegmentId], start: int):
-        if len(chosen) == 5:
-            return list(chosen)
-        for t in range(start, len(clean)):
-            s = clean[t]
-            if all(g.are_adjacent(g.vertex(s), g.vertex(c)) for c in chosen):
-                got = extend(chosen + [s], t + 1)
-                if got:
-                    return got
-        return None
-
-    return extend([], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1257,15 +1080,13 @@ def _fallback_certificate(ws: _Workspace) -> Certificate:
     return ws.certify(STRATEGY_FALLBACK, segs, "minimum blocker set", "fallback blocker set")
 
 
-def _require_ids(ps: PointSet, entries, what: str, size: int = 2) -> None:
+def _require_ids(ps: PointSet, entries, what: str) -> None:
     """Raise a ValueError naming the first entry that is not a segment id
-    (i, j) of ints, 0 <= i < j < n, or, for size 1, a point index of ps."""
-    noun = "a segment id" if size == 2 else "a point index"
+    (i, j) of ints, 0 <= i < j < n."""
     for e in entries:
-        ids = e if size == 2 else (e,)
-        if not (type(ids) is tuple and len(ids) == size and all(type(i) is int for i in ids)
-                and all(a < b for a, b in zip((-1, *ids), (*ids, ps.n)))):
-            raise ValueError(f"{what} {e!r} is not {noun} of this {ps.n}-point set")
+        if not (type(e) is tuple and len(e) == 2 and all(type(i) is int for i in e)
+                and 0 <= e[0] < e[1] < ps.n):
+            raise ValueError(f"{what} {e!r} is not a segment id of this {ps.n}-point set")
 
 
 def certificate_from_blockers(

@@ -177,58 +177,6 @@ def all_segments(n: int) -> list[SegmentId]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def segments_intersect(ps: PointSet, a: SegmentId, b: SegmentId) -> bool:
-    """Do the closed segments share at least one point?
-
-    Under general position this is either a shared endpoint or a proper
-    crossing; touching configurations would need a collinear triple.
-    """
-    if a == b:
-        raise ValueError("segments_intersect expects distinct segments")
-    if set(a) & set(b):
-        return True
-    return _proper_cross(ps, a, b)
-
-
-def crosses(ps: PointSet, a: SegmentId, b: SegmentId) -> bool:
-    """Do the segments meet at a point interior to both?
-
-    Shared endpoints do not count.
-    """
-    if a == b:
-        raise ValueError("crosses expects distinct segments")
-    if set(a) & set(b):
-        return False
-    return _proper_cross(ps, a, b)
-
-
-def _proper_cross(ps: PointSet, a: SegmentId, b: SegmentId) -> bool:
-    p1, p2 = ps[a[0]], ps[a[1]]
-    q1, q2 = ps[b[0]], ps[b[1]]
-    d1 = _sign(cross(p1, p2, q1))
-    d2 = _sign(cross(p1, p2, q2))
-    if d1 == d2:
-        return False
-    d3 = _sign(cross(q1, q2, p1))
-    d4 = _sign(cross(q1, q2, p2))
-    return d3 != d4
-
-
-def is_clean(ps: PointSet, a: SegmentId) -> bool:
-    """True iff no other segment spanned by the point set crosses a."""
-    n = ps.n
-    ai, aj = a
-    for i in range(n):
-        if i in (ai, aj):
-            continue
-        for j in range(i + 1, n):
-            if j in (ai, aj):
-                continue
-            if _proper_cross(ps, a, (i, j)):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class HullData:
     """Convex hull of a point set: indices in clockwise cyclic order.
@@ -387,6 +335,8 @@ def gen_random_general_position(
         raise ValueError("need n >= 3")
     if bound < n:
         raise ValueError("bound must be at least n")
+    if bound > MAX_COORD:
+        raise ValueError(f"bound {bound} exceeds the coordinate bound 2^30")
     rng = random.Random(seed)
     pts: list[Point] = []
     # seen[i]: the directions from pts[i] to the points placed after it; a

@@ -321,13 +321,12 @@ def oracle_edges(g):
 
 
 def oracle_regions(coords, hull_cw):
-    """The interior regions of one labelled hull (see
-    ``constructions.RegionDecomposition``), decomposed by position: each
-    interior point is tested against every ear triangle, wedge ray, edge
-    quadrilateral and span triangle of this labelling, over the given
-    (possibly mirrored) coordinates."""
-    from segvis.constructions import RegionDecomposition
-
+    """The interior regions of one labelled hull (see ``constructions._Frame``),
+    decomposed by position: each interior point is tested against every ear
+    triangle, wedge ray, edge quadrilateral and span triangle of this
+    labelling, over the given (possibly mirrored) coordinates.  Returns a
+    dict from region name to its tuple of regions by hull position
+    (``center``: one region)."""
     m = len(hull_cw)
     interior = [p for p in range(len(coords)) if p not in hull_cw]
 
@@ -371,7 +370,7 @@ def oracle_regions(coords, hull_cw):
                 for k in range(7)
             ),
         )
-    return RegionDecomposition(m=m, hull=tuple(hull_cw), **fields)
+    return fields
 
 
 def oracle_random_general_position(n, seed, bound, max_tries=20000):

@@ -90,16 +90,15 @@ def is_known_hull7_template_gap(ps) -> bool:
     protected segment to the lens point crosses the line of a long diagonal
     the case's crossing claim does not account for.  No good 2-set exists in
     such instances at all, so the exact fallback is the sanctioned route."""
-    from segvis.constructions import decompose_regions
+    from segvis.constructions import _Workspace
 
-    h = convex_hull(ps)
-    if h.m != 7:
+    if convex_hull(ps).m != 7:
         return False
-    r = decompose_regions(ps)
-    if any(r.ear[k] for k in range(7)) or any(r.core[k] for k in range(7)):
+    f = _Workspace(ps).base_frame()
+    if any(f.ear(k) or f.core(k) for k in range(7)):
         return False
-    occupied = [k for k in range(7) if r.lens[k]]
-    return len(occupied) == 1 and len(r.lens[occupied[0]]) == 1
+    occupied = [f.lens(k) for k in range(7) if f.lens(k)]
+    return len(occupied) == 1 and len(occupied[0]) == 1
 
 
 def test_criterion_03_constructive_lower_bound(sweep):

@@ -153,11 +153,13 @@ def test_build_rejects_malformed(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
-    "spec", ["random:8:8076:10000:junk", "random:8:8076:10000:5", "random:8"]
+    "spec",
+    ["random:8:8076:10000:junk", "random:8:8076:10000:5", "random:8", "random:8:1:1073741825"],
 )
 def test_build_rejects_malformed_gen_spec(capsys, spec):
     # a random spec has two or three fields: one missing or extra is an
-    # error, never ignored
+    # error, never ignored; nor is a bound over the coordinate cap, which
+    # draws could miss
     assert run_cli("build", "--gen", spec) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: malformed generator spec {spec!r}")
@@ -357,7 +359,11 @@ def test_sweep_small(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--count", "0"], ["--count", "-1"], ["--n-min", "9", "--n-max", "5"]]
+    "argv",
+    [
+        ["--count", "0"], ["--count", "-1"], ["--n-min", "9", "--n-max", "5"],
+        ["--count", "1", "--bound", "1073741825"],  # over the coordinate cap
+    ],
 )
 def test_empty_sweep_exits_2(capsys, argv):
     assert run_cli("sweep", *argv) == 2

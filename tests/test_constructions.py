@@ -14,13 +14,7 @@ from segvis.constructions import (
     build_certificate,
     certificate_from_blockers,
     certificate_json,
-    decompose_regions,
     double_chain_blocker,
-    find_five_disjoint_clean,
-    find_good_2set,
-    find_good_triangle,
-    s_from_good_2set,
-    s_from_good_triangle,
 )
 from segvis.geometry import (
     Point,
@@ -37,6 +31,7 @@ from segvis.visibility import VertexSet, is_mutual_visibility_set
 from conftest import hull3_instance, ngon, random_instances
 from oracles import (
     first_on_rotating_line,
+    oracle_is_clean,
     oracle_min_blockers,
     oracle_regions,
     strictly_inside_convex,
@@ -53,41 +48,52 @@ def verify_blockers(ps, blockers) -> bool:
 # -- regions ----------------------------------------------------------------
 
 
+def base_frame(ps):
+    return constructions._Workspace(ps).base_frame()
+
+
+def frame_regions(f) -> dict:
+    """Every region of frame f, listed by its hull positions and keyed as
+    ``oracle_regions`` keys them."""
+    names = ["ear", "ear_fwd", "ear_mid", "ear_bwd"]
+    if f.m == 7:
+        names += ["edge_quad", "span_tri", "core", "core_tip", "lens"]
+    regions = {name: tuple(map(getattr(f, name), range(f.m))) for name in names}
+    if f.m == 6:
+        regions["center"] = f.center()
+    return regions
+
+
 def test_region_partition_identities():
     for n in (8, 9, 10):
         for seed in (1, 2, 3, 4):
-            ps = gen_random_general_position(n, seed=700 + seed, bound=6000)
-            h = convex_hull(ps)
-            if h.m not in (5, 6, 7):
+            f = base_frame(gen_random_general_position(n, seed=700 + seed, bound=6000))
+            if f.m not in (5, 6, 7):
                 continue
-            r = decompose_regions(ps)
-            for k in range(h.m):
-                assert r.ear[k] == r.ear_fwd[k] | r.ear_mid[k] | r.ear_bwd[k]
-                assert not (r.ear_fwd[k] & r.ear_bwd[k])
-                assert r.ear_fwd[k] == r.ear_bwd[(k + 1) % h.m]
+            for k in range(f.m):
+                assert f.ear(k) == f.ear_fwd(k) | f.ear_mid(k) | f.ear_bwd(k)
+                assert not (f.ear_fwd(k) & f.ear_bwd(k))
+                assert f.ear_fwd(k) == f.ear_bwd(k + 1)
 
 
 def test_regions_empty_for_pure_hull():
-    ps = gen_convex(7)
-    r = decompose_regions(ps)
-    assert all(not r.ear[k] for k in range(7))
-    assert all(not r.core[k] and not r.lens[k] for k in range(7))
+    f = base_frame(gen_convex(7))
+    assert all(not f.ear(k) for k in range(7))
+    assert all(not f.core(k) and not f.lens(k) for k in range(7))
 
 
 def test_regions_m7_coverage():
     count = 0
     for n in (9, 10, 11):
         for seed in range(30):
-            ps = gen_random_general_position(n, seed=4000 + seed, bound=9000)
-            h = convex_hull(ps)
-            if h.m != 7:
+            f = base_frame(gen_random_general_position(n, seed=4000 + seed, bound=9000))
+            if f.m != 7:
                 continue
             count += 1
-            r = decompose_regions(ps)
             cover = set()
             for k in range(7):
-                cover |= r.ear[k] | r.core[k] | r.lens[k]
-            assert cover >= set(h.interior)
+                cover |= f.ear(k) | f.core(k) | f.lens(k)
+            assert cover >= set(f.interior)
     assert count > 3
 
 
@@ -107,7 +113,7 @@ def test_frame_regions_match_fresh_decomposition():
         mirror_pts = [Point(p.x, -p.y) for p in ps.points]
         for f in ws.frames():
             pts = mirror_pts if f.mirrored else f.pts
-            assert constructions._region_table(f) == oracle_regions(pts, f.hull), f.describe()
+            assert frame_regions(f) == oracle_regions(pts, f.hull), f.describe()
             frames += 1
     assert sizes == {5, 6, 7}
     assert frames == 2704
@@ -132,55 +138,67 @@ def test_first_swept_matches_rotating_line_oracle():
     assert checked == 20 * 2 * 360
 
 
-def test_regions_need_hull_5_to_7():
-    ps = gen_convex(8)
-    with pytest.raises(ValueError):
-        decompose_regions(ps)
-
-
 # -- certificate primitives ----------------------------------------------------
+# good triangles and good 2-sets are built only inside the cases, from frame
+# labels; these pin the helpers the cases call
 
 
 def test_find_five_disjoint_clean():
-    ps = gen_convex(10)
-    h = convex_hull(ps).hull
-    got = find_five_disjoint_clean(ps)
-    assert got == [segment(h[k], h[(k + 1) % 10]) for k in (0, 2, 4, 6, 8)]
-    assert find_five_disjoint_clean(gen_convex(5)) is None
-    assert find_five_disjoint_clean(gen_random_general_position(5, seed=4, bound=500)) is None
+    # the hull-10+ case's five alternating hull edges are pairwise disjoint
+    # clean segments, with or without interior points
+    for ps in (
+        gen_convex(10),
+        gen_convex(13),
+        PointSet.from_coords([(k, k * k) for k in range(10)] + [(3, 20), (5, 42)]),
+    ):
+        ws = constructions._Workspace(ps)
+        assert ws.m >= 10
+        ((_, segs),) = constructions._ch10(ws)
+        g = ws.g
+        vs = [g.vertex(s) for s in segs]
+        assert len(set(vs)) == 5 and all(map(g.is_clean_vertex, vs))
+        assert all(g.are_adjacent(a, b) for a, b in itertools.combinations(vs, 2))
+
+
+def good_triangles(ws):
+    f = ws.base_frame()
+    return [
+        (x, i)
+        for x in range(ws.n)
+        for i in range(ws.m)
+        if constructions._triangle_is_good(ws, f, x, i)
+    ]
 
 
 def test_find_good_triangle(cacerola):
-    got = find_good_triangle(cacerola)
-    assert got is not None
-    x, i = got
-    assert x == 6  # the lone interior point
-    assert find_good_triangle(gen_convex(8)) is None
-    with pytest.raises(ValueError):
-        find_good_triangle(gen_convex(5))
+    # only the lone interior point is an apex; case 2 of hull size 6
+    # certifies through one of its good triangles
+    ws = constructions._Workspace(cacerola)
+    got = good_triangles(ws)
+    assert got and {x for x, _ in got} == {6}
+    (_, segs), *_ = constructions._ch6_case2(ws)
+    assert segs in [constructions._good_triangle_blockers(ws.base_frame(), 6, i) for _, i in got]
 
 
 def test_s_from_good_triangle(cacerola):
-    x, i = find_good_triangle(cacerola)
-    c1 = s_from_good_triangle(cacerola, x, i)
-    c2 = s_from_good_triangle(cacerola, x, i)
-    assert c1.blockers == c2.blockers  # deterministic
-    assert c1.size == 9 and c1.verified
-    assert c1.mu_lower_bound == comb(7, 2) - 9
-    assert verify_blockers(cacerola, c1.blockers)
-    with pytest.raises(ConstructionError):
-        s_from_good_triangle(cacerola, 0, i)  # hull vertices are never apexes
+    ws = constructions._Workspace(cacerola)
+    for x, i in good_triangles(ws):
+        segs = constructions._good_triangle_blockers(ws.base_frame(), x, i)
+        cert = certificate_from_blockers(cacerola, segs)
+        assert cert.size == 9 and cert.verified
+        assert cert.mu_lower_bound == comb(7, 2) - 9
+        assert verify_blockers(cacerola, cert.blockers)
 
 
 def test_clean_sided_triangle_is_good():
     # whenever x sits in the stated quadrilateral and both segments joining
     # x to the edge ends are clean, the triangle qualifies
     from segvis.constructions import _Workspace, _triangle_is_good
-    from segvis.geometry import is_clean
 
     checked = 0
     for seed in range(30):
         ps = gen_random_general_position(8, seed=7000 + seed, bound=6000)
+        coords = [(p.x, p.y) for p in ps.points]
         h = convex_hull(ps)
         if h.m < 6:
             continue
@@ -188,17 +206,13 @@ def test_clean_sided_triangle_is_good():
         f = ws.base_frame()
         for x in h.interior:
             for i in range(h.m):
-                quad = [
-                    ps[f.H(i + h.m - 1)], ps[f.H(i)], ps[f.H(i + 1)], ps[f.H(i + 2)]
-                ]
-                quad = [quad[1], quad[2], quad[3], quad[0]]
                 if not strictly_inside_convex(
                     [ps[f.H(i + h.m - 1)], ps[f.H(i)], ps[f.H(i + 1)], ps[f.H(i + 2)]],
                     ps[x],
                 ):
                     continue
-                if is_clean(ps, segment(x, f.H(i))) and is_clean(
-                    ps, segment(x, f.H(i + 1))
+                if oracle_is_clean(coords, segment(x, f.H(i))) and oracle_is_clean(
+                    coords, segment(x, f.H(i + 1))
                 ):
                     checked += 1
                     assert _triangle_is_good(ws, f, x, i)
@@ -206,37 +220,36 @@ def test_clean_sided_triangle_is_good():
 
 
 def test_find_good_2set_convex():
+    # the hull-8/9 case's good 2-set on two opposite hull edges
     for n in (8, 9):
-        quad = find_good_2set(gen_convex(n))
-        assert quad is not None
-        cert = s_from_good_2set(gen_convex(n), quad)
+        ps = gen_convex(n)
+        ws = constructions._Workspace(ps)
+        f = ws.base_frame()
+        quad = (f.E(0), f.E(4), f.E(6), f.E(2))
+        assert constructions._validate_good_2set(ws, f, *quad) is None
+        ((_, segs),) = constructions._ch89(ws)
+        assert segs == constructions._k4_segments(*quad[:2]) + list(quad[2:])
+        cert = certificate_from_blockers(ps, segs)
         assert cert.size == 8 and cert.verified
-
-
-def test_find_good_2set_needs_eight_points(cacerola):
-    assert find_good_2set(cacerola) is None
 
 
 def test_good_2set_triangle_shape():
     # instance found by scanning: the K4 drawing's hull is a triangle
     ps = gen_random_general_position(8, seed=20014, bound=3000)
-    quad = find_good_2set(ps)
-    assert quad == ((1, 6), (4, 5), (0, 3), (2, 7))
-    cert = s_from_good_2set(ps, quad)
+    uv, xy, e_l, e_r = (1, 6), (4, 5), (0, 3), (2, 7)
+    ws = constructions._Workspace(ps)
+    assert constructions._inner_point(ws.base_frame(), [*uv, *xy]) is not None
+    assert constructions._validate_good_2set(ws, ws.base_frame(), uv, xy, e_l, e_r) is None
+    cert = certificate_from_blockers(ps, constructions._k4_segments(uv, xy) + [e_l, e_r])
     assert cert.verified and cert.size == 8
 
 
 def test_s_from_good_2set_rejects_invalid():
     ps = gen_convex(8)
-    h = convex_hull(ps).hull
-    bad = (
-        segment(h[0], h[1]),
-        segment(h[1], h[2]),  # not disjoint from the first
-        segment(h[4], h[5]),
-        segment(h[6], h[7]),
-    )
-    with pytest.raises(ConstructionError):
-        s_from_good_2set(ps, bad)
+    ws = constructions._Workspace(ps)
+    f = ws.base_frame()
+    bad = (f.E(0), f.E(1), f.E(4), f.E(6))  # the first two share a hull point
+    assert constructions._validate_good_2set(ws, f, *bad) == "base segments are not disjoint"
 
 
 # -- hull-size builders -----------------------------------------------------------
@@ -447,7 +460,7 @@ def test_build_certificate_computes_one_hull(monkeypatch):
     # hull-6 and hull-10 cases never read regions, so they fill none.  The
     # monotone chain runs once per PointSet, whether build_certificate or
     # convex_hull reads the hull first, and never again, through
-    # convex_hull, build_certificate or decompose_regions
+    # convex_hull or build_certificate
     cases = [
         (gen_random_general_position(8, seed=8076, bound=10000), "FallbackSearch", True),
         (gen_convex(6), "Hull6Case", False),
@@ -476,8 +489,6 @@ def test_build_certificate_computes_one_hull(monkeypatch):
 
     def read_again(ps):
         assert convex_hull(ps) is convex_hull(ps)
-        if convex_hull(ps).m in (5, 6, 7):
-            decompose_regions(ps)
         fills.clear()
         assert build_certificate(ps).verified
         assert len(fills) == len(set(fills))
@@ -561,45 +572,19 @@ def test_certificate_from_blockers_rejects_bad_set():
 @pytest.mark.parametrize(
     "blocker", [(1, 0), (0, 9), (0, 0), [0, 1], (0, 1, 2), (True, 2), "01", 9, -1]
 )
-@pytest.mark.parametrize(
-    "entry",
-    ["certificate_from_blockers", "check_bounds_report", "s_from_good_2set", "s_from_good_triangle"],
-)
+@pytest.mark.parametrize("entry", ["certificate_from_blockers", "check_bounds_report"])
 def test_explicit_blockers_must_be_segment_ids(entry, blocker):
-    # the good-triangle apex must be a point index instead
     ps = gen_convex(6)
     with pytest.raises(ValueError, match=re.escape(repr(blocker))):
         if entry == "certificate_from_blockers":
             certificate_from_blockers(ps, [blocker])
-        elif entry == "check_bounds_report":
-            solver.check_bounds_report(ps, extra_blockers=[(0, 1), blocker])
-        elif entry == "s_from_good_2set":
-            s_from_good_2set(ps, ((0, 2), (3, 5), blocker, (1, 4)))
         else:
-            s_from_good_triangle(ps, blocker, 0)
-
-
-@pytest.mark.parametrize("count", [0, 3, 5])
-def test_good_2set_needs_four_entries(count):
-    entries = ((0, 2), (3, 5), (1, 4), (0, 1), (2, 3))[:count]
-    with pytest.raises(ValueError, match=f"four entries .* got {count}"):
-        s_from_good_2set(gen_convex(6), entries)
-
-
-@pytest.mark.parametrize("i", [1.5, "1", None, True, 6, -6, -1])
-def test_good_triangle_position_must_be_a_hull_position(cacerola, i):
-    with pytest.raises(ValueError, match=re.escape(repr(i))):
-        s_from_good_triangle(cacerola, 6, i)
+            solver.check_bounds_report(ps, extra_blockers=[(0, 1), blocker])
 
 
 _GRAPH_ENTRIES = {
     "build_certificate": build_certificate,
     "certificate_from_blockers": lambda ps, g: certificate_from_blockers(ps, [(0, 1)], graph=g),
-    "find_good_triangle": find_good_triangle,
-    "s_from_good_triangle": lambda ps, g: s_from_good_triangle(ps, 0, 0, g),
-    "find_good_2set": find_good_2set,
-    "s_from_good_2set": lambda ps, g: s_from_good_2set(ps, ((0, 1), (2, 3), (4, 5), (6, 7)), g),
-    "find_five_disjoint_clean": find_five_disjoint_clean,
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from segvis.geometry import (
+    MAX_COORD,
     CoordinateError,
     GeneralPositionError,
     GenerationError,
@@ -15,19 +16,18 @@ from segvis.geometry import (
     all_segments,
     cacerola_points,
     convex_hull,
-    crosses,
     gen_convex,
     gen_double_chain,
     gen_random_general_position,
-    is_clean,
     is_general_position,
     load_pointset,
     orientation,
     rotation_neighbors,
     save_pointset,
     segment,
-    segments_intersect,
 )
+
+from segvis.graph import build_disjointness_graph
 
 from oracles import (
     float_rotation_neighbors,
@@ -122,60 +122,72 @@ def test_pointset_rejects_bad_input():
         PointSet.from_coords("abc")
 
 
-# -- intersection predicates ---------------------------------------------------
+# -- crossings, read from D(P) ----------------------------------------------------
+# D(P)'s crossing rows are the one crossing test: two segments meet exactly
+# when they share an endpoint or cross, and are adjacent otherwise
+
+
+def crossing(g, a, b) -> bool:
+    return bool(g.cross_mask[g.vertex(a)] >> g.vertex(b) & 1)
 
 
 def test_intersection_examples():
     quad = PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10), (25, 17)])
-    assert segments_intersect(quad, (0, 1), (0, 2))  # shared endpoint
-    assert segments_intersect(quad, (0, 2), (1, 3))  # crossing diagonals
-    assert not segments_intersect(quad, (0, 1), (2, 3))  # opposite edges
-    assert crosses(quad, (0, 2), (1, 3))
-    assert not crosses(quad, (0, 1), (0, 2))
+    g = build_disjointness_graph(quad)
+    v = g.vertex
+    assert not g.are_adjacent(v((0, 1)), v((0, 2)))  # shared endpoint
+    assert not g.are_adjacent(v((0, 2)), v((1, 3)))  # crossing diagonals
+    assert g.are_adjacent(v((0, 1)), v((2, 3)))  # opposite edges
+    assert crossing(g, (0, 2), (1, 3))
+    assert not crossing(g, (0, 1), (0, 2))
 
 
-def test_cacerola_cross_and_clean_frozen_values(cacerola):
+def test_cacerola_cross_and_clean_frozen_values(cacerola, cacerola_graph):
     coords = [(p.x, p.y) for p in cacerola.points]
+    g = cacerola_graph
     # values fixed by the rational-arithmetic oracle
     assert oracle_crosses(coords, (0, 3), (1, 6)) is True
-    assert crosses(cacerola, (0, 3), (1, 6)) is True
+    assert crossing(g, (0, 3), (1, 6))
     assert oracle_is_clean(coords, (2, 6)) is False
-    assert is_clean(cacerola, (2, 6)) is False
+    assert g.is_clean_vertex(g.vertex((2, 6))) is False
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_predicates_match_rational_oracle(seed):
     ps = gen_random_general_position(7, seed=seed, bound=500)
     coords = [(p.x, p.y) for p in ps.points]
+    g = build_disjointness_graph(ps)
     for a, b in itertools.combinations(all_segments(ps.n), 2):
-        assert segments_intersect(ps, a, b) == oracle_segments_intersect(coords, a, b)
-        assert crosses(ps, a, b) == oracle_crosses(coords, a, b)
+        meet = not g.are_adjacent(g.vertex(a), g.vertex(b))
+        assert meet == oracle_segments_intersect(coords, a, b)
+        assert crossing(g, a, b) == oracle_crosses(coords, a, b)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_predicate_properties(seed):
-    ps = gen_random_general_position(6, seed=seed, bound=300)
-    for a, b in itertools.combinations(all_segments(ps.n), 2):
-        assert segments_intersect(ps, a, b) == segments_intersect(ps, b, a)
-        if crosses(ps, a, b):
-            assert segments_intersect(ps, a, b)
+    g = build_disjointness_graph(gen_random_general_position(6, seed=seed, bound=300))
+    for a, b in itertools.combinations(g.vertices, 2):
+        assert crossing(g, a, b) == crossing(g, b, a)
+        if crossing(g, a, b):
+            assert not g.are_adjacent(g.vertex(a), g.vertex(b))
         if set(a) & set(b):
-            assert segments_intersect(ps, a, b) and not crosses(ps, a, b)
+            assert not g.are_adjacent(g.vertex(a), g.vertex(b)) and not crossing(g, a, b)
 
 
 def test_hull_edges_are_clean():
     for seed in range(3):
         ps = gen_random_general_position(8, seed=seed, bound=2000)
+        g = build_disjointness_graph(ps)
         h = convex_hull(ps)
         for k in range(h.m):
-            assert is_clean(ps, segment(h.hull[k], h.hull[(k + 1) % h.m]))
+            assert g.is_clean_vertex(g.vertex(segment(h.hull[k], h.hull[(k + 1) % h.m])))
 
 
 def test_pentagon_diagonal_not_clean():
     ps = gen_convex(5)
     h = convex_hull(ps)
-    diag = segment(h.hull[0], h.hull[2])
-    assert not is_clean(ps, diag)
+    g = build_disjointness_graph(ps)
+    assert not g.is_clean_vertex(g.vertex(segment(h.hull[0], h.hull[2])))
 
 
 # -- convex hull ---------------------------------------------------------------
@@ -308,6 +320,10 @@ def test_gen_random_general_position():
     assert gen_random_general_position(3, seed=9, bound=10).n == 3
     with pytest.raises(ValueError):
         gen_random_general_position(5, seed=0, bound=3)
+    # a bound over the coordinate cap is refused before any draw
+    assert gen_random_general_position(5, seed=0, bound=MAX_COORD).n == 5
+    with pytest.raises(ValueError, match=re.escape(f"bound {MAX_COORD + 1} exceeds")):
+        gen_random_general_position(5, seed=0, bound=MAX_COORD + 1)
     with pytest.raises(GenerationError):
         gen_random_general_position(12, seed=0, bound=12, max_tries=5)
 

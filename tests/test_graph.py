@@ -25,7 +25,7 @@ from segvis.graph import (
     to_json_dict,
 )
 
-from oracles import oracle_adjacency, oracle_distances, oracle_edges
+from oracles import oracle_adjacency, oracle_distances, oracle_edges, oracle_is_clean
 
 
 def test_vertex_layout(cacerola_graph):
@@ -296,11 +296,10 @@ def test_rebuild_deterministic(cacerola):
 
 
 def test_clean_vertex_matches_geometry(cacerola, cacerola_graph):
-    from segvis.geometry import all_segments, is_clean
-
-    for s in all_segments(cacerola.n):
-        assert cacerola_graph.is_clean_vertex(cacerola_graph.vertex(s)) == is_clean(
-            cacerola, s
+    coords = [(p.x, p.y) for p in cacerola.points]
+    for s in cacerola_graph.vertices:
+        assert cacerola_graph.is_clean_vertex(cacerola_graph.vertex(s)) == oracle_is_clean(
+            coords, s
         )
 
 
