@@ -138,6 +138,31 @@ def test_first_swept_matches_rotating_line_oracle():
     assert checked == 20 * 2 * 360
 
 
+def test_regions_need_hull_5_to_7(monkeypatch):
+    # only the hull-5..7 cases read interior regions: every other hull size
+    # certifies (or falls back) without splitting a single chord
+    fills = []
+    chord_sides = constructions._chord_sides
+
+    def recording(pts, interior, a, b):
+        fills.append((a, b))
+        return chord_sides(pts, interior, a, b)
+
+    monkeypatch.setattr(constructions, "_chord_sides", recording)
+    instances = [ps for _, ps in random_instances(range(5, 13), 12, base_seed=300)]
+    instances += [gen_convex(n) for n in (8, 9, 10, 12)]
+    instances += [hull3_instance(4, seed) for seed in range(3)]
+    instances += [PointSet.from_coords(ngon(4) + [(50, 120), (-130, -45)]), gen_double_chain(3, 6)]
+    read = set()
+    for ps in instances:
+        fills.clear()
+        assert build_certificate(ps).verified
+        m = convex_hull(ps).m
+        if fills:
+            read.add(m)
+    assert read == {5, 6, 7}
+
+
 # -- certificate primitives ----------------------------------------------------
 # good triangles and good 2-sets are built only inside the cases, from frame
 # labels; these pin the helpers the cases call
@@ -231,6 +256,37 @@ def test_find_good_2set_convex():
         assert segs == constructions._k4_segments(*quad[:2]) + list(quad[2:])
         cert = certificate_from_blockers(ps, segs)
         assert cert.size == 8 and cert.verified
+
+
+def test_find_good_2set_needs_eight_points(cacerola):
+    # a good 2-set spans eight distinct points: every lateral segment lies
+    # in an open quadrant of the diagonal lines, which pass through or
+    # separate the four base points, so the seven-point cacerola has none
+    ws = constructions._Workspace(cacerola)
+    f = ws.base_frame()
+    segs = [ws.g.segment_of(v) for v in range(ws.g.n_vertices)]
+    # base pairs that pass every check on the base segments themselves
+    bases = [
+        (uv, xy)
+        for uv, xy in itertools.permutations(segs, 2)
+        if not constructions._validate_good_2set(ws, f, uv, xy, uv, uv).startswith("base")
+    ]
+    assert bases
+    for uv, xy in bases:
+        for e_l, e_r in itertools.product(segs, repeat=2):
+            assert constructions._validate_good_2set(ws, f, uv, xy, e_l, e_r) is not None
+    # and the good 2-sets that the hull-8/9 case and the triangle-shape
+    # instance use do cover eight points
+    for ps, quad in (
+        (gen_convex(8), None),
+        (gen_random_general_position(8, seed=20014, bound=3000),
+         ((1, 6), (4, 5), (0, 3), (2, 7))),
+    ):
+        ws = constructions._Workspace(ps)
+        f = ws.base_frame()
+        quad = quad or (f.E(0), f.E(4), f.E(6), f.E(2))
+        assert constructions._validate_good_2set(ws, f, *quad) is None
+        assert len({p for s in quad for p in s}) == 8
 
 
 def test_good_2set_triangle_shape():
@@ -580,6 +636,22 @@ def test_explicit_blockers_must_be_segment_ids(entry, blocker):
             certificate_from_blockers(ps, [blocker])
         else:
             solver.check_bounds_report(ps, extra_blockers=[(0, 1), blocker])
+
+
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_good_2set_needs_four_entries(count):
+    # the cases hand a good 2-set to _try_good_2set as exactly four entries,
+    # two base segments and two laterals, and get back its eight blockers;
+    # any other count is refused before a blocker set is built
+    ps = gen_convex(8)
+    ws = constructions._Workspace(ps)
+    f = ws.base_frame()
+    entries = (f.E(0), f.E(4), f.E(6), f.E(2), f.E(1))
+    segs = constructions._try_good_2set(ws, f, *entries[:4], "four")
+    assert segs == constructions._k4_segments(*entries[:2]) + list(entries[2:4])
+    with pytest.raises(TypeError):
+        constructions._try_good_2set(ws, f, *entries[:count], f"{count} entries")
+    assert not ws.diagnostics
 
 
 _GRAPH_ENTRIES = {
