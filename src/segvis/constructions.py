@@ -90,13 +90,13 @@ def certificate_json(cert: Certificate) -> dict:
     }
 
 
-def _chord_sides(
-    pts: list[Point], interior: tuple[int, ...], a: int, b: int
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The interior points right and left of the chord a -> b."""
+def _chord_side(
+    pts: list[Point], interior: tuple[int, ...], a: int, b: int, c: int
+) -> frozenset[int]:
+    """The interior points on c's side of the chord a -> b."""
     pa, pb = pts[a], pts[b]
-    left = frozenset(p for p in interior if cross(pa, pb, pts[p]) > 0)
-    return frozenset(interior) - left, left
+    left = cross(pa, pb, pts[c]) > 0
+    return frozenset(p for p in interior if (cross(pa, pb, pts[p]) > 0) == left)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +131,8 @@ class _Frame:
       ear(k+4))``.
 
     ``sides`` is the query's chord-side table, shared by all its frames and
-    keyed by the sorted pair of hull points; a frame holds no reference to
-    its workspace."""
+    keyed by hull points (the chord's ends, ascending, then H(k)); a frame
+    holds no reference to its workspace."""
 
     def __init__(
         self,
@@ -140,7 +140,7 @@ class _Frame:
         hull_cw: tuple[int, ...],
         mirrored: bool,
         interior: tuple[int, ...],
-        sides: dict[tuple[int, int], tuple[frozenset[int], frozenset[int]]],
+        sides: dict[tuple[int, int, int], frozenset[int]],
     ):
         self.pts = pts
         self.hull = hull_cw
@@ -182,11 +182,13 @@ class _Frame:
 
     def side(self, i: int, j: int, k: int) -> frozenset[int]:
         """The interior points on H(k)'s side of the chord H(i)H(j)."""
-        pts = self.pts
-        a, b = sorted((self.H(i), self.H(j)))
-        if (a, b) not in self._sides:
-            self._sides[a, b] = _chord_sides(pts, self.interior, a, b)
-        return self._sides[a, b][cross(pts[a], pts[b], pts[self.H(k)]) > 0]
+        hull, m = self.hull, self.m
+        a, b, c = hull[i % m], hull[j % m], hull[k % m]
+        key = (a, b, c) if a < b else (b, a, c)
+        region = self._sides.get(key)
+        if region is None:
+            region = self._sides[key] = _chord_side(self.pts, self.interior, *key)
+        return region
 
     def ear(self, k: int) -> frozenset[int]:
         return self.side(k - 1, k + 1, k)
@@ -250,7 +252,8 @@ class _Workspace:
     another point set raises a ValueError, whatever its size.
     The hull is the one ``convex_hull`` stores on the point set; the
     y-mirrored frames reuse it reversed.  All frames share one chord-side
-    table, so each chord is split once however many frames read it.
+    table keyed by hull points, so each side of a chord is evaluated once
+    however many frames read it, and the table goes with the query.
     ``attempt`` is the one place a Certificate is built: it rejects
     duplicate or oversized blocker sets and verifies the rest with
     ``first_failing_pair``, for the case table and the fallback alike.

@@ -69,7 +69,7 @@ class VertexSet:
         return VertexSet(self.n_vertices, ((1 << self.n_vertices) - 1) & ~self.mask)
 
     def __contains__(self, v: int) -> bool:
-        return bool(self.mask >> v & 1)
+        return 0 <= v < self.n_vertices and bool(self.mask >> v & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -134,9 +134,13 @@ def first_failing_pair(
     layers_of = g.distance_layers
     s_mask = g.full_mask & ~u_mask
     covers = {}
+    # iter_bits inlined over U and over N(a) & S: a generator per call
+    # costs more than the few tests it runs
     rest = u_mask
-    for a in iter_bits(u_mask):
-        rest ^= 1 << a
+    while rest:
+        low = rest & -rest
+        a = low.bit_length() - 1
+        rest ^= low
         if not rest:
             break
         if len(layers_of[a]) <= 3:
@@ -145,8 +149,11 @@ def first_failing_pair(
             cover = covers.get(inner)
             if cover is None:
                 cover = 0
-                for s in iter_bits(inner):
-                    cover |= adj[s]
+                left = inner
+                while left:
+                    low = left & -left
+                    cover |= adj[low.bit_length() - 1]
+                    left ^= low
                 covers[inner] = cover
             fail = rest & ~row & ~cover
         else:
@@ -231,6 +238,9 @@ def classify_pair(
     five-point configurations.
     """
     require_sized_for(g, s)
+    for v in (a, b):
+        if not 0 <= v < g.n_vertices:
+            raise ValueError(f"endpoint {v} is not a vertex of the graph")
     if a in s or b in s:
         raise ValueError("pair endpoints must lie outside the blocker set")
     if a == b:

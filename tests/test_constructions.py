@@ -140,15 +140,15 @@ def test_first_swept_matches_rotating_line_oracle():
 
 def test_regions_need_hull_5_to_7(monkeypatch):
     # only the hull-5..7 cases read interior regions: every other hull size
-    # certifies (or falls back) without splitting a single chord
+    # certifies (or falls back) without reading a single chord side
     fills = []
-    chord_sides = constructions._chord_sides
+    chord_side = constructions._chord_side
 
-    def recording(pts, interior, a, b):
-        fills.append((a, b))
-        return chord_sides(pts, interior, a, b)
+    def recording(pts, interior, a, b, c):
+        fills.append((a, b, c))
+        return chord_side(pts, interior, a, b, c)
 
-    monkeypatch.setattr(constructions, "_chord_sides", recording)
+    monkeypatch.setattr(constructions, "_chord_side", recording)
     instances = [ps for _, ps in random_instances(range(5, 13), 12, base_seed=300)]
     instances += [gen_convex(n) for n in (8, 9, 10, 12)]
     instances += [hull3_instance(4, seed) for seed in range(3)]
@@ -512,11 +512,11 @@ def test_certificate_records_pinned():
 def test_build_certificate_computes_one_hull(monkeypatch):
     # the hull-7 lens instance exhausts its cases and falls back, scanning
     # the mirrored frames too: even then one call builds one workspace and
-    # fills each chord's sides at most once, for all its frames; the convex
-    # hull-6 and hull-10 cases never read regions, so they fill none.  The
-    # monotone chain runs once per PointSet, whether build_certificate or
-    # convex_hull reads the hull first, and never again, through
-    # convex_hull or build_certificate
+    # evaluates each (chord, hull point) side at most once, for all its
+    # frames; the convex hull-6 and hull-10 cases never read regions, so
+    # they evaluate none.  The monotone chain runs once per PointSet,
+    # whether build_certificate or convex_hull reads the hull first, and
+    # never again, through convex_hull or build_certificate
     cases = [
         (gen_random_general_position(8, seed=8076, bound=10000), "FallbackSearch", True),
         (gen_convex(6), "Hull6Case", False),
@@ -526,7 +526,7 @@ def test_build_certificate_computes_one_hull(monkeypatch):
     fills = []
     init = constructions._Workspace.__init__
     chain = geometry._hull_indices_clockwise
-    chord_sides = constructions._chord_sides
+    chord_side = constructions._chord_side
 
     def counting(key, func):
         def wrapped(*args):
@@ -535,13 +535,13 @@ def test_build_certificate_computes_one_hull(monkeypatch):
 
         return wrapped
 
-    def recording(pts, interior, a, b):
-        fills.append((a, b))
-        return chord_sides(pts, interior, a, b)
+    def recording(pts, interior, a, b, c):
+        fills.append((a, b, c))
+        return chord_side(pts, interior, a, b, c)
 
     monkeypatch.setattr(constructions._Workspace, "__init__", counting("workspace", init))
     monkeypatch.setattr(geometry, "_hull_indices_clockwise", counting("chain", chain))
-    monkeypatch.setattr(constructions, "_chord_sides", recording)
+    monkeypatch.setattr(constructions, "_chord_side", recording)
 
     def read_again(ps):
         assert convex_hull(ps) is convex_hull(ps)
@@ -558,7 +558,7 @@ def test_build_certificate_computes_one_hull(monkeypatch):
         assert calls == {"workspace": 1, "chain": 1}
         assert len(fills) == len(set(fills)) and bool(fills) == reads_regions
         hull_pts = set(convex_hull(ps).hull)
-        assert all(a < b and {a, b} <= hull_pts for a, b in fills)
+        assert all(a < b and {a, b, c} <= hull_pts for a, b, c in fills)
         read_again(ps)
         assert calls["workspace"] == 2 and calls["chain"] == 1
 
@@ -568,6 +568,49 @@ def test_build_certificate_computes_one_hull(monkeypatch):
         assert calls["chain"] == 1
         read_again(ps)
         assert calls["chain"] == 1 and convex_hull(ps) is hull
+
+
+def test_region_reads_evaluated_once(monkeypatch):
+    # each read of "the interior points on H(k)'s side of the chord
+    # H(i)H(j)" is evaluated once per build_certificate call, keyed by hull
+    # points, and every frame, plain or mirrored, gets the stored frozenset:
+    # the hull-7 lens instance (it falls back), a hull-6 instance that
+    # reaches case 7 and a hull-5 instance that reaches case 2, all three
+    # reading mirrored frames (276 reads of 35 sides, 251 of 6 and 20 of 5)
+    cases = [
+        (gen_random_general_position(8, seed=8076, bound=10000), 7),
+        (gen_random_general_position(8, seed=8008, bound=10000), 6),
+        (gen_random_general_position(11, seed=11023, bound=10000), 5),
+    ]
+    reads, evaluations = [], []
+    side, chord_side = constructions._Frame.side, constructions._chord_side
+
+    def reading(frame, i, j, k):
+        region = side(frame, i, j, k)
+        a, b, c = frame.H(i), frame.H(j), frame.H(k)
+        reads.append((frame.mirrored, (min(a, b), max(a, b), c), region))
+        return region
+
+    def evaluating(pts, interior, a, b, c):
+        evaluations.append((a, b, c))
+        return chord_side(pts, interior, a, b, c)
+
+    monkeypatch.setattr(constructions._Frame, "side", reading)
+    monkeypatch.setattr(constructions, "_chord_side", evaluating)
+    for ps, m in cases:
+        reads.clear()
+        evaluations.clear()
+        assert convex_hull(ps).m == m
+        assert build_certificate(ps).verified
+        keys = {key for _, key, _ in reads}
+        assert len(reads) > len(keys)
+        assert sorted(evaluations) == sorted(keys)
+        stored = {}
+        for _, key, region in reads:
+            assert stored.setdefault(key, region) is region
+        plain = {key for mirrored, key, _ in reads if not mirrored}
+        mirror = {key for mirrored, key, _ in reads if mirrored}
+        assert plain & mirror
 
 
 def _mirror_hull_instances():

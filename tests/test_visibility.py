@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segvis.constructions import build_certificate
 from segvis.geometry import PointSet, gen_convex, gen_random_general_position, segment
@@ -79,6 +81,17 @@ def test_membership_preconditions(cacerola_graph):
         is_mutually_visible(cacerola_graph, u, 0, 5)
     with pytest.raises(ValueError):
         classify_pair(cacerola_graph, u, 1, 5)
+    # an endpoint outside 0..20 is in no set, never a shift error, so each
+    # pair entry refuses it with its own message
+    full = VertexSet.full(21)
+    assert 0 in full and 20 in full
+    assert -1 not in full and 21 not in full and 99 not in full
+    for a, b in ((-1, 3), (3, -1), (0, 21), (0, 99)):
+        bad = b if 0 <= a < 21 else a
+        with pytest.raises(ValueError, match="both endpoints must belong"):
+            is_mutually_visible(cacerola_graph, full, a, b)
+        with pytest.raises(ValueError, match=f"endpoint {bad} is not a vertex"):
+            classify_pair(cacerola_graph, VertexSet(21, 0), a, b)
 
 
 def test_witness_path_invariants(cacerola_graph):
@@ -185,6 +198,28 @@ def test_cover_test_pairs_match_naive_oracle(cacerola):
         if pair is not None:
             seen.add(len(g.distance_layers[pair[0]]) <= 3)
     assert seen == {False, True}
+
+
+@given(
+    n=st.integers(5, 8),
+    seed=st.integers(0, 10**6),
+    bound=st.sampled_from([50, 10000]),
+    data=st.data(),
+)
+def test_first_failing_pair_matches_oracle_property(n, seed, bound, data):
+    # n = 5..8 gives diameters 2 to 4, so sources take both the cover test
+    # and the reach walk; U is empty, a singleton or any subset
+    g = build_disjointness_graph(gen_random_general_position(n, seed=seed, bound=bound))
+    u_mask = data.draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, g.n_vertices - 1).map(lambda v: 1 << v),
+            st.integers(0, g.full_mask),
+        ),
+        label="u_mask",
+    )
+    ids = list(iter_bits(u_mask))
+    assert first_failing_pair(g, u_mask) == oracle_first_failing_pair(g, ids)
 
 
 def test_vertex_set_sized_for_another_graph_is_refused():
