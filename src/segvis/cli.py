@@ -145,8 +145,9 @@ def _graph_json_dumps(g, **extra) -> str:
     with no tuple or ``str`` call per edge, spliced into the dump of the rest."""
     names = list(map(str, range(g.n_vertices)))
     rows = []
-    for u, first, sel in _upper_neighbours(g):
-        if sel:
+    for u, (row, sel) in enumerate(zip(g.adj, _upper_neighbours(g))):
+        first = u + 1
+        if row >> first:
             head = f"    [\n      {u},\n      "
             rows.append(head + f"\n    ],\n{head}".join(compress(names[first:], sel)) + "\n    ]")
     data = {"n_points": g.n_points, "vertices": [list(s) for s in g.vertices], **extra}

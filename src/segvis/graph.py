@@ -5,33 +5,35 @@ vertices are adjacent exactly when the segments are disjoint.  Adjacency is
 stored as one Python-int bitset row per vertex, which the solver relies on
 for fast common-neighbour queries.
 
-The rows come from packed orientation columns and one bit-matrix
-transpose, with no Python loop over segment pairs or (segment, point)
-pairs.  Each segment owns one field, W bits wide, of three big ints (its
-direction and its line's offset), so one exact expression per point
-evaluates that point's orientation against every segment's line at once.
-W is the fewest whole bytes whose sign bit lies above the squared
-coordinate span, which bounds every orientation, so no field borrows from
-or carries into the next; the coordinate cap keeps W at most 64 bits.  The cost is n evaluations of
-O(|V| W) bits plus O(|V|^2 / word) bit work (see
-``DisjointnessGraph._crossing_rows``).  Distances take one
-BFS per source, with layers 1 and 2 settled directly, since almost every
-D(P) has diameter 2: layer 1 is the source's row, and a few high-degree
-rows settle most of layer 2 at once, so a source costs O(log |V|) row ORs
-plus a row test for each vertex they leave.  Only a source of eccentricity
-3 or more takes the generic frontier step (see
+The rows come from packed orientation columns, one n-by-|V| bit-matrix
+transpose and per-n tables of cuts, with no Python loop over segment pairs
+or (segment, point) pairs.  Each segment owns one field, W bits wide, of
+three big ints (its direction and its line's offset), so one exact
+expression per point evaluates that point's orientation against every
+segment's line at once.  W is the fewest whole bytes whose sign bit lies
+above the squared coordinate span, which bounds every orientation, so no
+field borrows from or carries into the next; the coordinate cap keeps W at
+most 64 bits.  The cost is n evaluations of O(|V| W) bits, a transpose of
+n * |V| bits and |V| * ceil(n/8) table lookups (see
+``DisjointnessGraph._crossing_rows``).  Distances take one BFS per source,
+with layers 1 and 2 settled directly, since almost every D(P) has diameter
+2: layer 1 is the source's row, and a few high-degree hub rows settle most
+of layer 2 at once, so a source costs one lookup in a table of their
+unions plus a row test for each vertex they leave.  Only a source of
+eccentricity 3 or more takes the generic frontier step (see
 ``DisjointnessGraph.distance_layers``).
 
 The segment tables depend on n alone: the vertex list, the read-only
-``index_of`` map and the ``touch_mask`` rows are built once per n and
-shared by every graph of that size (see ``_segment_tables``).
+``index_of`` map, the ``touch_mask`` rows and the cut tables are built once
+per n and shared by every graph of that size (see ``_segment_tables``).
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import chain, combinations, compress
+from operator import xor
 from types import MappingProxyType
 
 from .geometry import PointSet, SegmentId, all_segments
@@ -51,17 +53,17 @@ class DisjointnessGraph:
         self.n_points = pointset.n
         #: touch_mask[v]: vertices whose segment shares an endpoint with v
         #: (v itself included)
-        self.vertices, self.index_of, self.touch_mask = _segment_tables(pointset.n)
+        self.vertices, self.index_of, self.touch_mask, cuts = _segment_tables(pointset.n)
         nv = len(self.vertices)
         self.n_vertices = nv
         full = self.full_mask = (1 << nv) - 1
         #: cross_mask[v]: vertices whose segment properly crosses v's
-        self.cross_mask: tuple[int, ...] = self._crossing_rows()
+        self.cross_mask: tuple[int, ...] = self._crossing_rows(cuts)
         self.adj: tuple[int, ...] = tuple(
             full & ~cross & ~touch for cross, touch in zip(self.cross_mask, self.touch_mask)
         )
 
-    def _crossing_rows(self) -> tuple[int, ...]:
+    def _crossing_rows(self, cuts: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         """Row u, for u = (i, j): the segments that properly cross u.
 
         Segments with four distinct endpoints cross iff each one's line
@@ -81,10 +83,15 @@ class DisjointnessGraph:
         or to the left of line u; one strided byte per field, read as
         ``bit_columns`` reads a column, gives those bits as ``sides[k]``.
         For v = (k, l), ``sep[v] = sides[k] ^ sides[l]`` holds the lines
-        that separate v's endpoints, so ``sep[u] & column u of sep`` holds
-        the segments crossing u, once those touching u are masked off.
-        Cost: n evaluations of O(|V| W) bits, plus O(|V|^2 / word) bit work
-        for the transpose."""
+        that separate v's endpoints.  Column u of ``sep``, the segments
+        whose endpoints line u separates, is the cut of the points on or
+        left of line u: the XOR of their star rows.  Those points are
+        column u of ``sides``, read as ``ceil(n/8)`` bytes, and each byte
+        picks its entry of that byte's 256-entry table in ``cuts`` (see
+        ``_segment_tables``).  ``sep[u] & column u`` holds the segments
+        crossing u, once those touching u are masked off.  Cost: n
+        evaluations of O(|V| W) bits, an n-by-|V| transpose and
+        |V| * ceil(n/8) table lookups."""
         nv = self.n_vertices
         if not nv:
             return ()
@@ -117,9 +124,13 @@ class DisjointnessGraph:
             for x, y in zip(xs, ys)
         ]
         sep = [sides[i] ^ sides[j] for i, j in self.vertices]
+        n_bytes = (n + 7) // 8
+        keys = b"".join(left.to_bytes(n_bytes, "little") for left in bit_columns(sides, nv))
+        cols = map(cuts[0].__getitem__, keys[::n_bytes])
+        for b in range(1, n_bytes):
+            cols = map(xor, cols, map(cuts[b].__getitem__, keys[b::n_bytes]))
         return tuple(
-            row & col & ~touch
-            for row, col, touch in zip(sep, bit_columns(sep, nv), self.touch_mask)
+            row & col & ~touch for row, col, touch in zip(sep, cols, self.touch_mask)
         )
 
     # -- vertex helpers ----------------------------------------------------
@@ -159,32 +170,39 @@ class DisjointnessGraph:
         Layers 1 and 2 are settled directly, since almost every D(P) has
         diameter 2.  Layer 1 is ``adj[a]``; a vertex with no neighbours has
         the single layer {a}.  Layer 2 is mostly settled at once by hubs,
-        the rows of the ``n_vertices.bit_length()`` highest-degree vertices
-        (ties broken by index): every unseen vertex w in ``near``, the union
-        of the hub rows that hold a, is at distance 2, since a-h-w is a path
-        and w is not a neighbour of a.  Each unseen vertex outside ``near``
-        joins layer 2 when its row meets ``adj[a]``.  Only layers 3 and up
-        take the generic step, which ORs the frontier's rows, or tests each
-        unseen vertex's row against the frontier when fewer vertices are
-        unseen."""
+        the rows of the k = ``n_vertices.bit_length()`` highest-degree
+        vertices (ties broken by index): every unseen vertex w in the union
+        of the hub rows that hold a is at distance 2, since a-h-w is a path
+        and w is not a neighbour of a.  That union is one entry of ``near``,
+        the 2^k unions of hub rows, indexed by a's hub code: bit p is set
+        iff hub p holds a, read for every source at once as a column of the
+        hub rows.  A source whose union covers every unseen vertex has all
+        of them as layer 2, its last layer.  Otherwise each unseen vertex
+        outside the union joins layer 2 when its row meets ``adj[a]``.
+        Only layers 3 and up take the generic step, which ORs the
+        frontier's rows, or tests each unseen vertex's row against the
+        frontier when fewer vertices are unseen."""
         adj = self.adj
         full = self.full_mask
         nv = self.n_vertices
         by_degree = sorted(range(nv), key=lambda v: -adj[v].bit_count())
         hubs = [adj[h] for h in by_degree[:nv.bit_length()]]
+        # near[code]: the union of the hub rows p with bit p set in code
+        near = [0]
+        for row in hubs:
+            near += [union | row for union in near]
         out = []
-        for a in range(nv):
+        for a, code in enumerate(bit_columns(hubs, nv)):
             first = adj[a]
             if not first:
                 out.append((1 << a,))
                 continue
-            near = 0
-            for row in hubs:
-                if row >> a & 1:
-                    near |= row
             unseen = full & ~(first | 1 << a)
-            second = near & unseen
-            rest = unseen & ~second
+            rest = unseen & ~near[code]
+            if not rest:
+                out.append((1 << a, first, unseen) if unseen else (1 << a, first))
+                continue
+            second = unseen ^ rest
             # iter_bits inlined: rest is mostly empty, and a generator per
             # source costs more than the tests it runs
             while rest:
@@ -213,19 +231,28 @@ class DisjointnessGraph:
         return tuple(out)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _segment_tables(n: int):
-    """(vertices, index_of, touch_mask) for n points, shared by every
-    graph of that size, so ``index_of`` is a read-only view.  One entry
-    suffices: a sweep builds its graphs grouped by n."""
+    """(vertices, index_of, touch_mask, cuts) for n points, shared by every
+    graph of that size, so ``index_of`` is a read-only view.  ``cuts[b][m]``
+    is the XOR of the star rows (the vertices with endpoint p) of the points
+    p = 8b + t for the set bits t of m: the segments with exactly one
+    endpoint among those points.  Eight sizes are kept, enough for the
+    default sweep's n = 5..12 and for workloads that alternate sizes."""
     vertices: tuple[SegmentId, ...] = tuple(all_segments(n))
     index_of = MappingProxyType({s: k for k, s in enumerate(vertices)})
-    star = [0] * n  # star[p]: the vertices with endpoint p
+    star = [0] * n
     for k, (i, j) in enumerate(vertices):
         star[i] |= 1 << k
         star[j] |= 1 << k
     touch_mask = tuple(star[i] | star[j] for i, j in vertices)
-    return vertices, index_of, touch_mask
+    cuts = []
+    for base in range(0, n, 8):
+        table = [0]
+        for row in star[base:base + 8]:
+            table += [t ^ row for t in table]
+        cuts.append(tuple(table))
+    return vertices, index_of, touch_mask, tuple(cuts)
 
 
 def build_disjointness_graph(ps: PointSet) -> DisjointnessGraph:
@@ -299,25 +326,24 @@ def is_connected(g: DisjointnessGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Exports
 
-# _BYTE_SELECTORS[b]: the bits of byte b, least significant first, one byte
-# (0 or 1) each.
-_BYTE_SELECTORS = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
+# _SELECTORS maps the ASCII digits 0 and 1 to the bytes 0 and 1.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _upper_neighbours(g: DisjointnessGraph):
-    """(u, first, selectors) for u ascending, first = u + 1: selector byte
-    k is 1 iff u is adjacent to vertex first + k (0 past the last vertex).
+    """One selector row per vertex u, ascending: byte k is 1 iff u is
+    adjacent to vertex u + 1 + k.  Row u has |V| - u - 1 bytes (the last
+    row has one, a 0), so the rows chained together select the pairs of
+    ``combinations(range(|V|), 2)``.
 
-    A row's upper part is decoded once, as bytes, through a 256-entry table;
-    each writer compresses its own per-vertex table from ``first`` on with
-    the selectors, so no Python loop runs per edge.
+    A row's upper part is written as binary digits, zero-padded, reversed
+    so that its lowest bit comes first, and translated digit for digit;
+    each writer compresses with the selectors, so no Python loop runs per
+    edge.
     """
-    selectors = _BYTE_SELECTORS.__getitem__
-    for u, row in enumerate(g.adj):
-        first = u + 1
-        upper = row >> first
-        data = upper.to_bytes((upper.bit_length() + 7) // 8, "little")
-        yield u, first, b"".join(map(selectors, data))
+    nv = g.n_vertices
+    for first, row in enumerate(g.adj, 1):
+        yield format(row >> first, "b").zfill(nv - first)[::-1].encode().translate(_SELECTORS)
 
 
 def to_dot(g: DisjointnessGraph) -> str:
@@ -326,8 +352,9 @@ def to_dot(g: DisjointnessGraph) -> str:
     ends = [f"{label};\n" for label in labels]
     parts = ["graph disjointness {\n"]
     parts.extend(f"  {end}" for end in ends)
-    for u, first, sel in _upper_neighbours(g):
-        if sel:
+    for u, (row, sel) in enumerate(zip(g.adj, _upper_neighbours(g))):
+        first = u + 1
+        if row >> first:
             head = f"  {labels[u]} -- "
             parts.append(head + head.join(compress(ends[first:], sel)))
     parts.append("}\n")
@@ -338,14 +365,12 @@ def to_json_dict(g: DisjointnessGraph) -> dict:
     """The graph as plain data: ``n_points``, ``vertices`` as [i, j] lists
     and ``edges`` as (u, v) tuples with u < v, in ascending lexicographic
     order.  ``json.dumps`` writes a tuple as it writes a list, so the JSON is
-    the same as with [u, v] lists.  Every tuple refers to the ints of one
-    shared ``list(range(n_vertices))``, so the edges add no int per edge."""
-    ids = list(range(g.n_vertices))
-    edges = []
-    for u, first, sel in _upper_neighbours(g):
-        edges.extend(zip(repeat(ids[u]), compress(ids[first:], sel)))
+    the same as with [u, v] lists.  The edges are drawn from
+    ``combinations(range(n_vertices), 2)``, whose tuples all refer to the
+    ints of one pool, so the edges add no int per edge."""
+    pairs = combinations(range(g.n_vertices), 2)
     return {
         "n_points": g.n_points,
         "vertices": [list(s) for s in g.vertices],
-        "edges": edges,
+        "edges": list(compress(pairs, chain.from_iterable(_upper_neighbours(g)))),
     }

@@ -59,6 +59,13 @@ def test_adjacency_matches_rational_oracle():
         for n in range(3, 11)
         for seed in (3, 4, 5)
     ]
+    # each byte of points has its own cut table: sizes on and next to its
+    # boundaries
+    point_sets += [
+        gen_random_general_position(n, seed=n, bound=bound)
+        for n in (8, 9, 16, 17, 24, 25)
+        for bound in (800, 1 << 20)
+    ]
     point_sets += [gen_convex(n) for n in range(3, 13)]
     point_sets += [gen_double_chain(2, 6), gen_double_chain(3, 6), near_cap_chain()]
     for ps in point_sets:
@@ -351,6 +358,14 @@ def test_exports_match_oracle(case):
     assert to_dot(g) == oracle_dot(g, edges)
 
 
+def test_json_edges_share_one_int_per_vertex():
+    # 496 vertices: most ids lie above the small ints CPython caches
+    g = build_disjointness_graph(gen_random_general_position(32, seed=32, bound=1 << 20))
+    edges = to_json_dict(g)["edges"]
+    assert len(edges) == g.n_edges
+    assert len({id(v) for edge in edges for v in edge}) <= g.n_vertices
+
+
 def test_graphs_of_one_size_share_their_segment_tables():
     a = build_disjointness_graph(gen_random_general_position(9, seed=1, bound=1000))
     b = build_disjointness_graph(gen_convex(9))
@@ -359,3 +374,12 @@ def test_graphs_of_one_size_share_their_segment_tables():
     with pytest.raises(TypeError):
         a.index_of[(0, 1)] = 5
     assert a.index_of[(0, 1)] == 0 and a.vertex((7, 8)) == len(a.vertices) - 1
+    # alternating sizes keep their tables too: the golden instances' sizes
+    # for exact mu, then 32 and 48
+    first = {}
+    for seed in (1, 2):
+        for n in (7, 10, 9, 9, 10, 11, 32, 48):
+            g = build_disjointness_graph(gen_random_general_position(n, seed=seed, bound=1 << 20))
+            tables = (g.vertices, g.index_of, g.touch_mask)
+            kept = first.setdefault(n, tables)
+            assert all(x is y for x, y in zip(kept, tables)), n
