@@ -18,8 +18,8 @@ n * |V| bits and |V| * ceil(n/8) table lookups (see
 ``DisjointnessGraph._crossing_rows``).  Distances take one BFS per source,
 with layers 1 and 2 settled directly, since almost every D(P) has diameter
 2: layer 1 is the source's row, and a few high-degree hub rows settle most
-of layer 2 at once, so a source costs one lookup in a table of their
-unions plus a row test for each vertex they leave.  Only a source of
+of layer 2 at once, so a source costs one or two lookups in tables of
+their unions plus a row test for each vertex they leave.  Only a source of
 eccentricity 3 or more takes the generic frontier step (see
 ``DisjointnessGraph.distance_layers``).
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress
-from operator import xor
+from operator import or_, xor
 from types import MappingProxyType
 
 from .geometry import PointSet, SegmentId, all_segments
@@ -88,10 +88,10 @@ class DisjointnessGraph:
         left of line u: the XOR of their star rows.  Those points are
         column u of ``sides``, read as ``ceil(n/8)`` bytes, and each byte
         picks its entry of that byte's 256-entry table in ``cuts`` (see
-        ``_segment_tables``).  ``sep[u] & column u`` holds the segments
-        crossing u, once those touching u are masked off.  Cost: n
-        evaluations of O(|V| W) bits, an n-by-|V| transpose and
-        |V| * ceil(n/8) table lookups."""
+        ``_segment_tables`` and ``_byte_lookups``).  ``sep[u] & column u``
+        holds the segments crossing u, once those touching u are masked
+        off.  Cost: n evaluations of O(|V| W) bits, an n-by-|V| transpose
+        and |V| * ceil(n/8) table lookups."""
         nv = self.n_vertices
         if not nv:
             return ()
@@ -124,11 +124,7 @@ class DisjointnessGraph:
             for x, y in zip(xs, ys)
         ]
         sep = [sides[i] ^ sides[j] for i, j in self.vertices]
-        n_bytes = (n + 7) // 8
-        keys = b"".join(left.to_bytes(n_bytes, "little") for left in bit_columns(sides, nv))
-        cols = map(cuts[0].__getitem__, keys[::n_bytes])
-        for b in range(1, n_bytes):
-            cols = map(xor, cols, map(cuts[b].__getitem__, keys[b::n_bytes]))
+        cols = _byte_lookups(cuts, sides, nv, xor)
         return tuple(
             row & col & ~touch for row, col, touch in zip(sep, cols, self.touch_mask)
         )
@@ -173,32 +169,31 @@ class DisjointnessGraph:
         the rows of the k = ``n_vertices.bit_length()`` highest-degree
         vertices (ties broken by index): every unseen vertex w in the union
         of the hub rows that hold a is at distance 2, since a-h-w is a path
-        and w is not a neighbour of a.  That union is one entry of ``near``,
-        the 2^k unions of hub rows, indexed by a's hub code: bit p is set
-        iff hub p holds a, read for every source at once as a column of the
-        hub rows.  A source whose union covers every unseen vertex has all
-        of them as layer 2, its last layer.  Otherwise each unseen vertex
-        outside the union joins layer 2 when its row meets ``adj[a]``.
-        Only layers 3 and up take the generic step, which ORs the
-        frontier's rows, or tests each unseen vertex's row against the
-        frontier when fewer vertices are unseen."""
+        and w is not a neighbour of a.  Column a of the hub rows says which
+        hubs hold a; each byte of it picks one entry of a 256-entry table of
+        unions of those eight hub rows (``_byte_lookups``), so the union
+        costs ceil(k/8) lookups, read for every source at once.  A source
+        whose union covers every unseen vertex has all of them as layer 2,
+        its last layer.  Otherwise each unseen vertex outside the union
+        joins layer 2 when its row meets ``adj[a]``.  Only layers 3 and up
+        take the generic step, which ORs the frontier's rows, or tests each
+        unseen vertex's row against the frontier when fewer vertices are
+        unseen."""
         adj = self.adj
         full = self.full_mask
         nv = self.n_vertices
         by_degree = sorted(range(nv), key=lambda v: -adj[v].bit_count())
         hubs = [adj[h] for h in by_degree[:nv.bit_length()]]
-        # near[code]: the union of the hub rows p with bit p set in code
-        near = [0]
-        for row in hubs:
-            near += [union | row for union in near]
+        if not hubs:
+            return ()
         out = []
-        for a, code in enumerate(bit_columns(hubs, nv)):
+        for a, near in enumerate(_byte_lookups(_byte_tables(hubs, or_), hubs, nv, or_)):
             first = adj[a]
             if not first:
                 out.append((1 << a,))
                 continue
             unseen = full & ~(first | 1 << a)
-            rest = unseen & ~near[code]
+            rest = unseen & ~near
             if not rest:
                 out.append((1 << a, first, unseen) if unseen else (1 << a, first))
                 continue
@@ -246,13 +241,7 @@ def _segment_tables(n: int):
         star[i] |= 1 << k
         star[j] |= 1 << k
     touch_mask = tuple(star[i] | star[j] for i, j in vertices)
-    cuts = []
-    for base in range(0, n, 8):
-        table = [0]
-        for row in star[base:base + 8]:
-            table += [t ^ row for t in table]
-        cuts.append(tuple(table))
-    return vertices, index_of, touch_mask, tuple(cuts)
+    return vertices, index_of, touch_mask, _byte_tables(star, xor)
 
 
 def build_disjointness_graph(ps: PointSet) -> DisjointnessGraph:
@@ -298,6 +287,48 @@ def bit_columns(rows: list[int], n_cols: int) -> list[int]:
     return cols
 
 
+# _SELECTORS maps the ASCII digits 0 and 1 to the bytes 0 and 1.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_bytes(row: int, length: int) -> bytes:
+    """The bits of row, lowest first, one byte (0 or 1) each, zero-padded
+    to ``length`` bytes (row 0 gives at least one byte)."""
+    return format(row, "b").zfill(length)[::-1].encode().translate(_SELECTORS)
+
+
+def _byte_tables(rows: list[int], op) -> tuple[tuple[int, ...], ...]:
+    """``tables[b][m]``: ``op`` folded over the rows 8b + t for the set
+    bits t of m, and 0 for m = 0; one table per byte of rows."""
+    tables = []
+    for base in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[base:base + 8]:
+            table += [op(folded, row) for folded in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _byte_lookups(tables, rows: list[int], length: int, op):
+    """For each column u < length of the bit matrix ``rows``, ``op``
+    folded over ``tables[b][key]``, where bit t of key is bit u of
+    ``rows[8b + t]``.  With ``tables = _byte_tables(values, op)`` that is
+    ``op`` folded over ``values[p]`` for the rows p whose bit u is set.
+
+    The transpose takes no Python step per column: byte u of ``spread[p]``
+    is bit u of ``rows[p]``, so eight of them, shifted and summed, hold
+    every column's key byte at once.  Needs at least one row."""
+    spread = [int.from_bytes(_bit_bytes(row, length), "little") for row in rows]
+    keys = [
+        sum(row << t for t, row in enumerate(spread[base:base + 8])).to_bytes(length, "little")
+        for base in range(0, len(rows), 8)
+    ]
+    out = map(tables[0].__getitem__, keys[0])
+    for table, key in zip(tables[1:], keys[1:]):
+        out = map(op, out, map(table.__getitem__, key))
+    return out
+
+
 def distances_from(g: DisjointnessGraph, a: int) -> list:
     """Exact hop distances from a; unreachable vertices get math.inf."""
     dist = [INFINITY] * g.n_vertices
@@ -326,8 +357,6 @@ def is_connected(g: DisjointnessGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Exports
 
-# _SELECTORS maps the ASCII digits 0 and 1 to the bytes 0 and 1.
-_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _upper_neighbours(g: DisjointnessGraph):
@@ -343,7 +372,7 @@ def _upper_neighbours(g: DisjointnessGraph):
     """
     nv = g.n_vertices
     for first, row in enumerate(g.adj, 1):
-        yield format(row >> first, "b").zfill(nv - first)[::-1].encode().translate(_SELECTORS)
+        yield _bit_bytes(row >> first, nv - first)
 
 
 def to_dot(g: DisjointnessGraph) -> str:
