@@ -236,7 +236,7 @@ def _segment_tables(n: int):
     default sweep's n = 5..12 and for workloads that alternate sizes."""
     vertices: tuple[SegmentId, ...] = tuple(all_segments(n))
     index_of = MappingProxyType({s: k for k, s in enumerate(vertices)})
-    star = [0] * n
+    star = [0] * n  # star[p]: the vertices with endpoint p
     for k, (i, j) in enumerate(vertices):
         star[i] |= 1 << k
         star[j] |= 1 << k
@@ -356,7 +356,6 @@ def is_connected(g: DisjointnessGraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Exports
-
 
 
 def _upper_neighbours(g: DisjointnessGraph):
