@@ -22,8 +22,6 @@ from .constructions import (
     double_chain_blocker,
 )
 from .geometry import (
-    CoordinateError,
-    GeneralPositionError,
     GenerationError,
     PointSet,
     cacerola_points,
@@ -114,13 +112,11 @@ def resolve_pointset(args) -> PointSet:
             raise CliError(f"point file not found: {args.points}") from exc
         except OSError as exc:
             raise CliError(f"cannot read point file {args.points}: {exc}") from exc
-        except (ValueError, CoordinateError, GeneralPositionError) as exc:
+        except ValueError as exc:
             raise CliError(f"invalid point file {args.points}: {exc}") from exc
     try:
         return parse_gen_spec(args.gen)
-    except (GenerationError, GeneralPositionError, ValueError) as exc:
-        if isinstance(exc, CliError):
-            raise
+    except (GenerationError, ValueError) as exc:
         raise CliError(f"generator failed: {exc}") from exc
 
 
@@ -378,7 +374,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (GeneralPositionError, CoordinateError, GenerationError, ValueError) as exc:
+    except (GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -9,13 +9,15 @@ may assume the earlier ones did not apply.  Every case is written against a
 fixed hull labelling; the workspace realises the "relabel without loss of
 generality" steps by scanning all rotations of the clockwise hull order,
 plain and y-mirrored (mirroring reverses the cyclic orientation, covering
-the symmetric branches); a mirrored labelling reads the same points with
-every orientation test negated.  The hull-5..7 cases read interior regions
-(ears, wedges, cores, lenses) as frame methods, each written in that
-frame's labels over one chord-side table per query.  Good triangles and
-good 2-sets are checked only inside the cases that build them, from frame
-labels; the one other way in, ``certificate_from_blockers``, verifies a
-caller's blocker set.
+the symmetric branches).  A frame answers only label questions, and
+``first_swept``, its one chiral test, alone reads whether it is mirrored.
+The hull-4..7 cases locate interior points (triangles, ears, wedges,
+cores, lenses) through frame methods, each written in that frame's labels
+over one chord-side table per query.  Good triangles and good 2-sets are
+checked only inside the cases that build them; a good 2-set is a property
+of its segments, checked from the points' own orientations with no frame.
+The one other way in, ``certificate_from_blockers``, verifies a caller's
+blocker set.
 
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
@@ -90,6 +92,10 @@ def certificate_json(cert: Certificate) -> dict:
     }
 
 
+def _orient(pts: list[Point], i: int, j: int, k: int) -> int:
+    return _sign(cross(pts[i], pts[j], pts[k]))
+
+
 def _chord_side(
     pts: list[Point], interior: tuple[int, ...], a: int, b: int, c: int
 ) -> frozenset[int]:
@@ -107,10 +113,12 @@ class _Frame:
     """One labelling of a workspace's hull: a rotation of the clockwise
     order, plain or y-mirrored.
 
-    Mirroring y negates every cross product exactly, so a mirrored frame
-    reads the same points and negates each orientation test.  Mirroring
-    keeps every distance and both sides of every chord, so the point
-    selectors and the chord-side table serve the mirrored frames unchanged.
+    A frame answers label questions only: H and E, the regions over
+    ``side``, the point selectors and ``first_swept``.  Mirroring keeps
+    every distance and both sides of every chord, so the point selectors
+    and the chord-side table serve the mirrored frames unchanged.
+    Mirroring y negates every cross product exactly, so ``first_swept``,
+    the one chiral test, multiplies by the frame's sense.
 
     The interior regions that the hull-5..7 cases read are methods written
     in this frame's labels over ``side`` (H(k) is the hull point at
@@ -165,18 +173,13 @@ class _Frame:
     def seg(i: int, j: int) -> SegmentId:
         return segment(i, j)
 
-    def orient(self, i: int, j: int, k: int) -> int:
-        return self._sense * _sign(cross(self.pts[i], self.pts[j], self.pts[k]))
-
-    def inside(self, poly: list[int], p: int) -> bool:
-        """Is p strictly inside the convex polygon, clockwise in this frame?"""
-        return all(self.orient(a, b, p) == -1 for a, b in zip(poly, poly[1:] + poly[:1]))
-
     def first_swept(self, o: int, t: int, a: int, b: int) -> int:
         """Whichever of a, b the full line through o and t meets first as it
-        turns clockwise about o (the line sweeps both of its rays)."""
-        first = self.orient(o, t, a) * self.orient(o, t, b) * self.orient(o, a, b) < 0
-        return a if first else b
+        turns clockwise about o (the line sweeps both of its rays).  This is
+        the one chiral test: a mirrored frame turns the other way."""
+        pts = self.pts
+        product = _orient(pts, o, t, a) * _orient(pts, o, t, b) * _orient(pts, o, a, b)
+        return a if self._sense * product < 0 else b
 
     # -- regions (see the class docstring) -----------------------------------
 
@@ -333,9 +336,7 @@ class _Workspace:
 
 
 def _triangle_is_good(ws: _Workspace, frame: _Frame, x: int, i: int) -> bool:
-    m = frame.m
-    quad = [frame.H(i + m - 1), frame.H(i), frame.H(i + 1), frame.H(i + 2)]
-    if not frame.inside(quad, x):
+    if x not in frame.edge_quad(i):
         return False
     g = ws.g
     tri = [
@@ -347,8 +348,8 @@ def _triangle_is_good(ws: _Workspace, frame: _Frame, x: int, i: int) -> bool:
     allowed = {
         segment(frame.H(i), frame.H(i + 2)),
         segment(frame.H(i), frame.H(i + 3)),
-        segment(frame.H(i + 1), frame.H(i + m - 2)),
-        segment(frame.H(i + 1), frame.H(i + m - 1)),
+        segment(frame.H(i + 1), frame.H(i - 2)),
+        segment(frame.H(i + 1), frame.H(i - 1)),
     }
     # Segments meeting all three triangle sides = non-neighbours of all three.
     bad = g.full_mask & ~tri_mask
@@ -390,18 +391,18 @@ def _k4_segments(uv: SegmentId, xy: SegmentId) -> list[SegmentId]:
     ]
 
 
-def _segment_side(frame: _Frame, line: SegmentId, seg_: SegmentId) -> int:
+def _segment_side(ws: _Workspace, line: SegmentId, seg_: SegmentId) -> int:
     """Side of a line taken by a segment that does not cross it: the sign of
     whichever endpoint is off the line (both, when neither lies on it)."""
     a, b = line
-    s1 = frame.orient(a, b, seg_[0])
-    s2 = frame.orient(a, b, seg_[1])
+    s1 = _orient(ws._pts, a, b, seg_[0])
+    s2 = _orient(ws._pts, a, b, seg_[1])
     if s1 and s2 and s1 != s2:
         raise ConstructionError("segment unexpectedly crosses a diagonal line")
     return s1 or s2
 
 
-def _good_2set_diagonals(ws: _Workspace, frame: _Frame, uv: SegmentId, xy: SegmentId):
+def _good_2set_diagonals(ws: _Workspace, uv: SegmentId, xy: SegmentId):
     u, v = uv
     x, y = xy
     g = ws.g
@@ -410,7 +411,7 @@ def _good_2set_diagonals(ws: _Workspace, frame: _Frame, uv: SegmentId, xy: Segme
         if g.cross_mask[g.vertex(d1)] >> g.vertex(d2) & 1:
             return d1, d2
     # Triangle case: one endpoint sits inside the triangle of the others.
-    t = _inner_point(frame, [u, v, x, y])
+    t = _inner_point(ws, [u, v, x, y])
     if t is None:
         raise ConstructionError("could not locate the diagonals of the 4-point drawing")
     partner = v if t == u else u if t == v else y if t == x else x
@@ -418,25 +419,27 @@ def _good_2set_diagonals(ws: _Workspace, frame: _Frame, uv: SegmentId, xy: Segme
     return d[0], d[1]
 
 
-def _inner_point(frame: _Frame, four: list[int]) -> int | None:
+def _inner_point(ws: _Workspace, four: list[int]) -> int | None:
     """The one of four points strictly inside the triangle of the other
-    three, or None when the four are in convex position."""
+    three, or None when the four are in convex position.  t is inside the
+    triangle a, b, c when it has one orientation against all three edges."""
+    pts = ws._pts
     for t in four:
         a, b, c = (p for p in four if p != t)
-        tri = [a, b, c] if frame.orient(a, b, c) == -1 else [a, c, b]
-        if frame.inside(tri, t):
+        s = _orient(pts, a, b, t)
+        if s and s == _orient(pts, b, c, t) == _orient(pts, c, a, t):
             return t
     return None
 
 
-def _quadrant_of(frame: _Frame, d1: SegmentId, d2: SegmentId, s: SegmentId):
+def _quadrant_of(ws: _Workspace, d1: SegmentId, d2: SegmentId, s: SegmentId):
     """Open quadrant (sign pair) containing segment s, or None when s meets
     either diagonal line."""
     sides = []
     for d in (d1, d2):
         a, b = d
-        s1 = frame.orient(a, b, s[0])
-        s2 = frame.orient(a, b, s[1])
+        s1 = _orient(ws._pts, a, b, s[0])
+        s2 = _orient(ws._pts, a, b, s[1])
         if s1 == 0 or s1 != s2:
             return None
         sides.append(s1)
@@ -445,7 +448,6 @@ def _quadrant_of(frame: _Frame, d1: SegmentId, d2: SegmentId, s: SegmentId):
 
 def _validate_good_2set(
     ws: _Workspace,
-    frame: _Frame,
     uv: SegmentId,
     xy: SegmentId,
     e_l: SegmentId,
@@ -462,16 +464,16 @@ def _validate_good_2set(
         if not (set(s) & hull_pts):
             return f"base segment {s} has no hull endpoint"
     try:
-        d1, d2 = _good_2set_diagonals(ws, frame, uv, xy)
-        q_uv = (_segment_side(frame, d1, uv), _segment_side(frame, d2, uv))
-        q_xy = (_segment_side(frame, d1, xy), _segment_side(frame, d2, xy))
+        d1, d2 = _good_2set_diagonals(ws, uv, xy)
+        q_uv = (_segment_side(ws, d1, uv), _segment_side(ws, d2, uv))
+        q_xy = (_segment_side(ws, d1, xy), _segment_side(ws, d2, xy))
     except ConstructionError as exc:
         return str(exc)
     if 0 in q_uv or 0 in q_xy or q_xy != (-q_uv[0], -q_uv[1]):
         return "base segments do not sit in opposite quadrants"
     lateral = [(q_uv[0], -q_uv[1]), (-q_uv[0], q_uv[1])]
-    ql = _quadrant_of(frame, d1, d2, e_l)
-    qr = _quadrant_of(frame, d1, d2, e_r)
+    ql = _quadrant_of(ws, d1, d2, e_l)
+    qr = _quadrant_of(ws, d1, d2, e_r)
     if ql not in lateral:
         return f"{e_l} is not interior to a lateral quadrant"
     if qr not in lateral or qr == ql:
@@ -485,14 +487,13 @@ def _validate_good_2set(
 
 def _try_good_2set(
     ws: _Workspace,
-    frame: _Frame,
     uv: SegmentId,
     xy: SegmentId,
     e_l: SegmentId,
     e_r: SegmentId,
     desc: str,
 ):
-    reason = _validate_good_2set(ws, frame, uv, xy, e_l, e_r)
+    reason = _validate_good_2set(ws, uv, xy, e_l, e_r)
     if reason is not None:
         ws.note(f"good-2-set [{desc}]: {reason}")
         return None
@@ -516,7 +517,7 @@ def _ch3(ws: _Workspace):
     for i in range(3):
         um, up = rotation_neighbors(ws.ps, i)
         u, v, w = hull.hull[i], hull.hull[(i + 1) % 3], hull.hull[(i + 2) % 3]
-        if _inner_point(ws.base_frame(), [um, up, v, w]) is None:
+        if _inner_point(ws, [um, up, v, w]) is None:
             yield f"apex={u}", [
                 segment(u, um),
                 segment(u, up),
@@ -538,17 +539,11 @@ def _ch3(ws: _Workspace):
 def _ch4(ws: _Workspace):
     """Quadrilateral hulls: blocker set of size 9."""
     for f in ws.frames():
-        h = [f.H(k) for k in range(4)]
-        # Triangle between edge (h2, h3) and the diagonal crossing.
-        s1 = f.orient(h[0], h[2], h[3])
-        s2 = f.orient(h[1], h[3], h[2])
-        members = [
-            p
-            for p in f.interior
-            if f.orient(h[0], h[2], p) == s1 and f.orient(h[1], h[3], p) == s2
-        ]
+        # Triangle between edge H(2)H(3) and the diagonal crossing.
+        members = f.side(0, 2, 3) & f.side(1, 3, 2)
         if not members:
             continue
+        h = [f.H(k) for k in range(4)]
         vp = f.closest_to_edge(members, 2)
         yield f.describe(), [
             segment(h[0], h[1]),
@@ -660,16 +655,9 @@ def _ch6_case2(ws: _Workspace):
     x = f.interior[0]
     for i in range(6):
         # Triangle between edge i and the two long diagonals at its ends.
-        if f.orient(f.H(i), f.H(i + 1), x) != -1:
+        if x not in f.side(i, i + 3, i + 1) or x not in f.side(i + 1, i + 4, i):
             continue
-        if f.orient(f.H(i), f.H(i + 3), x) != f.orient(f.H(i), f.H(i + 3), f.H(i + 1)):
-            continue
-        if f.orient(f.H(i + 1), f.H(i + 4), x) != f.orient(
-            f.H(i + 1), f.H(i + 4), f.H(i)
-        ):
-            continue
-        side = f.orient(f.H(i + 2), f.H(i + 5), x)
-        pos = i if side == -1 else i + 3
+        pos = i if x in f.side(i + 2, i + 5, i) else i + 3
         if _triangle_is_good(ws, f, x, pos % 6):
             yield f"{f.describe()},edge={pos % 6}", _good_triangle_blockers(
                 f, x, pos % 6
@@ -686,7 +674,6 @@ def _ch6_case3(ws: _Workspace):
             u4 = f.furthest_from_line(f.ear(3), f.H(2), f.H(4))
             segs = _try_good_2set(
                 ws,
-                f,
                 f.seg(f.H(1), f.H(2)),
                 f.seg(f.H(4), f.H(5)),
                 f.seg(f.H(3), u4),
@@ -736,7 +723,7 @@ def _ch6_case4(ws: _Workspace):
                 continue
             if make is via_bwd and not f.ear(0):
                 continue
-            segs = _try_good_2set(ws, f, *make(), f"case4 {f.describe()}")
+            segs = _try_good_2set(ws, *make(), f"case4 {f.describe()}")
             if segs:
                 yield f.describe(), segs
 
@@ -748,7 +735,6 @@ def _ch6_case5(ws: _Workspace):
             u3 = f.furthest_from_line(f.ear(2), f.H(1), f.H(3))
             segs = _try_good_2set(
                 ws,
-                f,
                 f.seg(u2, f.H(1)),
                 f.seg(f.H(3), f.H(4)),
                 f.seg(u3, f.H(2)),
@@ -793,7 +779,6 @@ def _ch6_case7(ws: _Workspace):
             u2 = f.furthest_from_line(f.ear(1), f.H(0), f.H(2))
             segs = _try_good_2set(
                 ws,
-                f,
                 f.seg(f.H(0), u1),
                 f.seg(f.H(2), f.H(3)),
                 f.seg(f.H(4), f.H(5)),
@@ -868,7 +853,6 @@ def _ch7_case2(ws: _Workspace):
             x = f.furthest_from_line(f.ear(0), f.H(1), f.H(6))
             segs = _try_good_2set(
                 ws,
-                f,
                 f.seg(f.H(1), f.H(2)),
                 f.seg(f.H(5), f.H(6)),
                 f.seg(f.H(0), x),
@@ -993,7 +977,7 @@ def _ch7_case6(ws: _Workspace):
         else:
             uvxy = (f.seg(f.H(0), f.H(6)), f.seg(f.H(3), f.H(4)))
             e_l, e_r = f.seg(f.H(5), x), f.seg(f.H(1), f.H(2))
-        segs = _try_good_2set(ws, f, *uvxy, e_l, e_r, f"case6 {f.describe()}")
+        segs = _try_good_2set(ws, *uvxy, e_l, e_r, f"case6 {f.describe()}")
         if segs:
             yield f.describe(), segs
 
@@ -1005,7 +989,6 @@ def _ch7_case7(ws: _Workspace):
         (x,) = f.lens(0)
         segs = _try_good_2set(
             ws,
-            f,
             f.seg(f.H(2), f.H(3)),
             f.seg(f.H(5), f.H(6)),
             f.seg(f.H(0), f.H(1)),
@@ -1025,7 +1008,6 @@ def _ch89(ws: _Workspace):
     f = ws.base_frame()
     segs = _try_good_2set(
         ws,
-        f,
         f.seg(f.H(0), f.H(1)),
         f.seg(f.H(4), f.H(5)),
         f.seg(f.H(6), f.H(7)),

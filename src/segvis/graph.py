@@ -46,9 +46,11 @@ _DIAMETER_RANGE = {5: (2, 4), 6: (2, 3), 7: (2, 3), 8: (2, 3)}
 
 
 class DisjointnessGraph:
-    """Immutable graph over the segments of a point set in general position."""
+    """Immutable graph over the segments of n >= 3 points in general position."""
 
     def __init__(self, pointset: PointSet):
+        if pointset.n < 3:
+            raise ValueError("graph construction needs n >= 3")
         self.pointset = pointset
         self.n_points = pointset.n
         #: touch_mask[v]: vertices whose segment shares an endpoint with v
@@ -93,8 +95,6 @@ class DisjointnessGraph:
         off.  Cost: n evaluations of O(|V| W) bits, an n-by-|V| transpose
         and |V| * ceil(n/8) table lookups."""
         nv = self.n_vertices
-        if not nv:
-            return ()
         xs, ys = zip(*self.pointset.points)
         x0, y0 = min(xs), min(ys)
         xs = [x - x0 for x in xs]
@@ -184,8 +184,6 @@ class DisjointnessGraph:
         nv = self.n_vertices
         by_degree = sorted(range(nv), key=lambda v: -adj[v].bit_count())
         hubs = [adj[h] for h in by_degree[:nv.bit_length()]]
-        if not hubs:
-            return ()
         out = []
         for a, near in enumerate(_byte_lookups(_byte_tables(hubs, or_), hubs, nv, or_)):
             first = adj[a]
@@ -246,8 +244,6 @@ def _segment_tables(n: int):
 
 def build_disjointness_graph(ps: PointSet) -> DisjointnessGraph:
     """D(P) from exact orientation tests; every segment pair is classified."""
-    if ps.n < 3:
-        raise ValueError("graph construction needs n >= 3")
     return DisjointnessGraph(ps)
 
 

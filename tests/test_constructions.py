@@ -138,9 +138,10 @@ def test_first_swept_matches_rotating_line_oracle():
     assert checked == 20 * 2 * 360
 
 
-def test_regions_need_hull_5_to_7(monkeypatch):
-    # only the hull-5..7 cases read interior regions: every other hull size
-    # certifies (or falls back) without reading a single chord side
+def test_regions_need_hull_4_to_7(monkeypatch):
+    # only the hull-4..7 cases read interior regions (hull 4 reads the
+    # triangle between an edge and the diagonal crossing): every other hull
+    # size certifies (or falls back) without reading a single chord side
     fills = []
     chord_side = constructions._chord_side
 
@@ -160,7 +161,7 @@ def test_regions_need_hull_5_to_7(monkeypatch):
         m = convex_hull(ps).m
         if fills:
             read.add(m)
-    assert read == {5, 6, 7}
+    assert read == {4, 5, 6, 7}
 
 
 # -- certificate primitives ----------------------------------------------------
@@ -251,7 +252,7 @@ def test_find_good_2set_convex():
         ws = constructions._Workspace(ps)
         f = ws.base_frame()
         quad = (f.E(0), f.E(4), f.E(6), f.E(2))
-        assert constructions._validate_good_2set(ws, f, *quad) is None
+        assert constructions._validate_good_2set(ws, *quad) is None
         ((_, segs),) = constructions._ch89(ws)
         assert segs == constructions._k4_segments(*quad[:2]) + list(quad[2:])
         cert = certificate_from_blockers(ps, segs)
@@ -263,18 +264,17 @@ def test_find_good_2set_needs_eight_points(cacerola):
     # in an open quadrant of the diagonal lines, which pass through or
     # separate the four base points, so the seven-point cacerola has none
     ws = constructions._Workspace(cacerola)
-    f = ws.base_frame()
     segs = [ws.g.segment_of(v) for v in range(ws.g.n_vertices)]
     # base pairs that pass every check on the base segments themselves
     bases = [
         (uv, xy)
         for uv, xy in itertools.permutations(segs, 2)
-        if not constructions._validate_good_2set(ws, f, uv, xy, uv, uv).startswith("base")
+        if not constructions._validate_good_2set(ws, uv, xy, uv, uv).startswith("base")
     ]
     assert bases
     for uv, xy in bases:
         for e_l, e_r in itertools.product(segs, repeat=2):
-            assert constructions._validate_good_2set(ws, f, uv, xy, e_l, e_r) is not None
+            assert constructions._validate_good_2set(ws, uv, xy, e_l, e_r) is not None
     # and the good 2-sets that the hull-8/9 case and the triangle-shape
     # instance use do cover eight points
     for ps, quad in (
@@ -285,7 +285,7 @@ def test_find_good_2set_needs_eight_points(cacerola):
         ws = constructions._Workspace(ps)
         f = ws.base_frame()
         quad = quad or (f.E(0), f.E(4), f.E(6), f.E(2))
-        assert constructions._validate_good_2set(ws, f, *quad) is None
+        assert constructions._validate_good_2set(ws, *quad) is None
         assert len({p for s in quad for p in s}) == 8
 
 
@@ -294,8 +294,8 @@ def test_good_2set_triangle_shape():
     ps = gen_random_general_position(8, seed=20014, bound=3000)
     uv, xy, e_l, e_r = (1, 6), (4, 5), (0, 3), (2, 7)
     ws = constructions._Workspace(ps)
-    assert constructions._inner_point(ws.base_frame(), [*uv, *xy]) is not None
-    assert constructions._validate_good_2set(ws, ws.base_frame(), uv, xy, e_l, e_r) is None
+    assert constructions._inner_point(ws, [*uv, *xy]) is not None
+    assert constructions._validate_good_2set(ws, uv, xy, e_l, e_r) is None
     cert = certificate_from_blockers(ps, constructions._k4_segments(uv, xy) + [e_l, e_r])
     assert cert.verified and cert.size == 8
 
@@ -305,7 +305,72 @@ def test_s_from_good_2set_rejects_invalid():
     ws = constructions._Workspace(ps)
     f = ws.base_frame()
     bad = (f.E(0), f.E(1), f.E(4), f.E(6))  # the first two share a hull point
-    assert constructions._validate_good_2set(ws, f, *bad) == "base segments are not disjoint"
+    assert constructions._validate_good_2set(ws, *bad) == "base segments are not disjoint"
+
+
+def mirrored(ps):
+    return PointSet.from_coords([(p.x, -p.y) for p in ps.points])
+
+
+def test_good_2set_verdicts_survive_mirroring():
+    # a good 2-set is a property of its segments: every index quadruple gets
+    # the same verdict on the y-mirrored point set, which negates every
+    # orientation.  Laterals range over the segments crossed only inside
+    # the K4 drawing, so each quadruple reaches the quadrant tests
+    verdicts = set()
+    for n in (8, 9):
+        for seed in range(4):
+            ps = gen_random_general_position(n, seed=9000 + 100 * n + seed, bound=2000)
+            ws, wm = constructions._Workspace(ps), constructions._Workspace(mirrored(ps))
+            g = ws.g
+            segs = [g.segment_of(v) for v in range(g.n_vertices)]
+            for uv, xy in itertools.permutations(segs, 2):
+                base = constructions._validate_good_2set(ws, uv, xy, uv, uv)
+                assert base == constructions._validate_good_2set(wm, uv, xy, uv, uv)
+                if base.startswith("base"):
+                    continue
+                k4_mask = g.mask_of(constructions._k4_segments(uv, xy))
+                lateral = [e for e in segs if not g.cross_mask[g.vertex(e)] & ~k4_mask]
+                for e_l, e_r in itertools.product(lateral, repeat=2):
+                    verdict = constructions._validate_good_2set(ws, uv, xy, e_l, e_r)
+                    assert verdict == constructions._validate_good_2set(
+                        wm, uv, xy, e_l, e_r
+                    ), (n, seed, uv, xy, e_l, e_r)
+                    verdicts.add(verdict and verdict.partition(" is ")[2])
+    assert verdicts == {
+        None,
+        "not interior to a lateral quadrant",
+        "not interior to the opposite lateral quadrant",
+    }
+
+
+def test_inner_point_matches_triangle_oracle():
+    # on every 4-subset, plain and y-mirrored: the point strictly inside the
+    # triangle of the other three (clockwise in one of its two orders), or
+    # None in convex position
+    instances = [
+        gen_random_general_position(n, seed=9500 + 100 * n + seed, bound=2000)
+        for n in (8, 9)
+        for seed in range(3)
+    ]
+    instances += [hull3_instance(5, seed) for seed in range(2)]
+    outcomes = set()
+    for ps in instances + [mirrored(ps) for ps in instances]:
+        ws = constructions._Workspace(ps)
+        for four in itertools.combinations(range(ps.n), 4):
+            inside = [
+                t
+                for t in four
+                if any(
+                    strictly_inside_convex([ps[p] for p in tri], ps[t])
+                    for tri in itertools.permutations([p for p in four if p != t])
+                )
+            ]
+            assert len(inside) <= 1
+            got = constructions._inner_point(ws, list(four))
+            assert got == (inside[0] if inside else None), four
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 # -- hull-size builders -----------------------------------------------------------
@@ -690,10 +755,10 @@ def test_good_2set_needs_four_entries(count):
     ws = constructions._Workspace(ps)
     f = ws.base_frame()
     entries = (f.E(0), f.E(4), f.E(6), f.E(2), f.E(1))
-    segs = constructions._try_good_2set(ws, f, *entries[:4], "four")
+    segs = constructions._try_good_2set(ws, *entries[:4], "four")
     assert segs == constructions._k4_segments(*entries[:2]) + list(entries[2:4])
     with pytest.raises(TypeError):
-        constructions._try_good_2set(ws, f, *entries[:count], f"{count} entries")
+        constructions._try_good_2set(ws, *entries[:count], f"{count} entries")
     assert not ws.diagnostics
 
 

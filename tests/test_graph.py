@@ -113,11 +113,12 @@ def test_adjacency_matches_oracle_with_negative_coordinates():
             assert_rows_match_oracle(PointSet.from_coords([(x - sx, y - sy) for x, y in pts]))
 
 
-def test_rows_of_one_and_two_points():
-    one = DisjointnessGraph(PointSet.from_coords([(-5, 7)]))
-    assert one.cross_mask == one.adj == ()
-    two = DisjointnessGraph(PointSet.from_coords([(-5, 7), (MAX_COORD, -MAX_COORD)]))
-    assert two.cross_mask == two.adj == (0,)
+def test_graph_needs_three_points():
+    # the constructor itself refuses D(P) of 1 or 2 points, so no graph
+    # reaches the distance queries with at most one vertex
+    for coords in ([(-5, 7)], [(-5, 7), (MAX_COORD, -MAX_COORD)]):
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            DisjointnessGraph(PointSet.from_coords(coords))
 
 
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=12))
