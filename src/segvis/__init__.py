@@ -20,7 +20,6 @@ from .geometry import (
     GeneralPositionError,
     GenerationError,
     HullData,
-    Orientation,
     Point,
     PointSet,
     SegmentId,
@@ -30,9 +29,7 @@ from .geometry import (
     gen_convex,
     gen_double_chain,
     gen_random_general_position,
-    is_general_position,
     load_pointset,
-    orientation,
     rotation_neighbors,
     save_pointset,
     segment,

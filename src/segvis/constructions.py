@@ -19,6 +19,18 @@ of its segments, checked from the points' own orientations with no frame.
 The one other way in, ``certificate_from_blockers``, verifies a caller's
 blocker set.
 
+Most cases are data, read by one loop (``_rows``).  A row is (guard,
+picks, pairs): in a frame where the guard, a region test, holds, the picks
+choose the points the row names, and pairs is a label template of small
+ints, k >= 0 for H(k) and ~k for the k-th pick.  A four-pair template is a
+good 2-set (uv, xy, e_l, e_r), checked before it is tried.  A case's rows
+are scanned in order, each over every frame (or the base frame only)
+before the next.  Seven cases stay code because they branch: the hull-3
+rotation sweep, the hull-6 good triangle (case 2), the hull-6 wedge order
+(case 4) and the hull-7 interior pairs (case 3); hull-6 case 6 and hull-7
+cases 5 and 6 pick a branch frame by frame, which rows, each scanned over
+all frames before the next, would reorder.
+
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
 slip into a loud diagnostic instead of a wrong certificate.  Beneath the
@@ -140,7 +152,15 @@ class _Frame:
 
     ``sides`` is the query's chord-side table, shared by all its frames and
     keyed by hull points (the chord's ends, ascending, then H(k)); a frame
-    holds no reference to its workspace."""
+    holds no reference to its workspace.
+
+    A case row is written in these labels: its guard and picks read the
+    regions and selectors, and ``template`` turns its label pairs into
+    segments.  The seven cases that branch stay code over the same methods
+    (see the module docstring)."""
+
+    # every query makes 2m frames: slots make them cheaper to build and read
+    __slots__ = ("pts", "hull", "m", "mirrored", "_sense", "interior", "_sides")
 
     def __init__(
         self,
@@ -169,9 +189,14 @@ class _Frame:
     def E(self, k: int) -> SegmentId:
         return segment(self.H(k), self.H(k + 1))
 
-    @staticmethod
-    def seg(i: int, j: int) -> SegmentId:
-        return segment(i, j)
+    def template(self, pairs, picks) -> list[SegmentId]:
+        """The segments of a label template: label k >= 0 is H(k), and a
+        negative label ~k is the k-th of the picks."""
+        hull, m = self.hull, self.m
+        return [
+            segment(picks[~a] if a < 0 else hull[a % m], picks[~b] if b < 0 else hull[b % m])
+            for a, b in pairs
+        ]
 
     def first_swept(self, o: int, t: int, a: int, b: int) -> int:
         """Whichever of a, b the full line through o and t meets first as it
@@ -501,6 +526,37 @@ def _try_good_2set(
 
 
 # ---------------------------------------------------------------------------
+# Case rows
+
+
+def _rows(*rows, desc: str = "", base_only: bool = False):
+    """A case written as data: rows (guard, picks, pairs), read in order,
+    each over every frame (or over the base frame only) before the next.
+
+    In a frame where ``guard`` holds (None: always), ``picks`` names the
+    points the template refers to (None: none) and ``pairs`` is the label
+    template that ``_Frame.template`` reads.  A four-pair template is a
+    good 2-set (uv, xy, e_l, e_r): it is kept only when ``_try_good_2set``
+    accepts it, which notes ``desc`` with the frame's text in place of
+    ``{}``."""
+
+    def case(ws: _Workspace):
+        frames = [ws.base_frame()] if base_only else ws.frames()
+        for guard, picks, pairs in rows:
+            for f in frames:
+                if guard is not None and not guard(f):
+                    continue
+                segs = f.template(pairs, picks(f) if picks else ())
+                if len(segs) == 4:
+                    segs = _try_good_2set(ws, *segs, desc.format(f.describe()))
+                    if segs is None:
+                        continue
+                yield f.describe(), segs
+
+    return case
+
+
+# ---------------------------------------------------------------------------
 # Hull-size 3 and 4
 
 
@@ -536,116 +592,69 @@ def _ch3(ws: _Workspace):
     )
 
 
-def _ch4(ws: _Workspace):
-    """Quadrilateral hulls: blocker set of size 9."""
-    for f in ws.frames():
-        # Triangle between edge H(2)H(3) and the diagonal crossing.
-        members = f.side(0, 2, 3) & f.side(1, 3, 2)
-        if not members:
-            continue
-        h = [f.H(k) for k in range(4)]
-        vp = f.closest_to_edge(members, 2)
-        yield f.describe(), [
-            segment(h[0], h[1]),
-            segment(h[0], h[2]),
-            segment(h[0], vp),
-            segment(h[0], h[3]),
-            segment(h[1], h[2]),
-            segment(h[1], vp),
-            segment(h[1], h[3]),
-            segment(h[2], vp),
-            segment(h[3], vp),
-        ]
+# Quadrilateral hulls, blocker set of size 9: the point closest to the edge
+# H(2)H(3) in the triangle between that edge and the diagonal crossing.
+_ch4 = _rows((
+    lambda f: f.side(0, 2, 3) & f.side(1, 3, 2),
+    lambda f: (f.closest_to_edge(f.side(0, 2, 3) & f.side(1, 3, 2), 2),),
+    ((0, 1), (0, 2), (0, ~0), (0, 3), (1, 2), (1, ~0), (1, 3), (2, ~0), (3, ~0)),
+))
 
 
 # ---------------------------------------------------------------------------
 # Hull size 5
 
+_ch5_case1 = _rows((
+    lambda f: not f.ear(0),
+    None,
+    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (0, 3), (1, 3), (2, 4)),
+))
 
-def _ch5_case1(ws: _Workspace):
-    for f in ws.frames():
-        if not f.ear(0):
-            yield f.describe(), [
-                f.E(0),
-                f.E(1),
-                f.E(2),
-                f.E(3),
-                f.E(4),
-                f.seg(f.H(0), f.H(2)),
-                f.seg(f.H(0), f.H(3)),
-                f.seg(f.H(1), f.H(3)),
-                f.seg(f.H(2), f.H(4)),
-            ]
+_ch5_case2 = _rows((
+    lambda f: f.ear_fwd(0) and f.ear_fwd(2) and f.ear(4),
+    lambda f: (
+        f.closest_to_edge(f.ear_fwd(0), 0),
+        f.closest_to_edge(f.ear_fwd(2), 2),
+        f.furthest_from_line(f.ear(4), f.H(0), f.H(3)),
+    ),
+    ((0, 1), (~0, 0), (~0, 1), (2, 3), (~1, 2), (~1, 3), (~2, 4)),
+))
 
+_ch5_case3 = _rows((
+    lambda f: f.ear_fwd(0) and f.ear_bwd(0) and f.ear_mid(2) and f.ear_mid(3),
+    lambda f: (
+        f.closest_to_edge(f.ear_fwd(0), 0),
+        f.closest_to_edge(f.ear_bwd(0), 4),
+        f.closest_to_point(f.ear_mid(2), f.H(2)),
+        f.closest_to_point(f.ear_mid(3), f.H(3)),
+    ),
+    ((0, 1), (~0, 0), (~0, 1), (4, 0), (~1, 4), (~1, 0), (~2, 2), (~3, 3)),
+))
 
-def _ch5_case2(ws: _Workspace):
-    for f in ws.frames():
-        if f.ear_fwd(0) and f.ear_fwd(2) and f.ear(4):
-            u1 = f.closest_to_edge(f.ear_fwd(0), 0)
-            u3 = f.closest_to_edge(f.ear_fwd(2), 2)
-            u5 = f.furthest_from_line(f.ear(4), f.H(0), f.H(3))
-            yield f.describe(), [
-                f.E(0),
-                f.seg(u1, f.H(0)),
-                f.seg(u1, f.H(1)),
-                f.E(2),
-                f.seg(u3, f.H(2)),
-                f.seg(u3, f.H(3)),
-                f.seg(u5, f.H(4)),
-            ]
+_ch5_case4 = _rows((
+    lambda f: f.ear_fwd(0) and f.ear_mid(2) and f.ear_mid(3) and f.ear_mid(4),
+    lambda f: (
+        f.closest_to_edge(f.ear_fwd(0), 0),
+        *(f.closest_to_point(f.ear_mid(k), f.H(k)) for k in (2, 3, 4)),
+    ),
+    ((0, 1), (~0, 0), (~0, 1), (~1, 2), (~2, 3), (~3, 4)),
+))
 
-
-def _ch5_case3(ws: _Workspace):
-    for f in ws.frames():
-        if f.ear_fwd(0) and f.ear_bwd(0) and f.ear_mid(2) and f.ear_mid(3):
-            u1 = f.closest_to_edge(f.ear_fwd(0), 0)
-            u5 = f.closest_to_edge(f.ear_bwd(0), 4)
-            u3 = f.closest_to_point(f.ear_mid(2), f.H(2))
-            u4 = f.closest_to_point(f.ear_mid(3), f.H(3))
-            yield f.describe(), [
-                f.E(0),
-                f.seg(u1, f.H(0)),
-                f.seg(u1, f.H(1)),
-                f.E(4),
-                f.seg(u5, f.H(4)),
-                f.seg(u5, f.H(0)),
-                f.seg(u3, f.H(2)),
-                f.seg(u4, f.H(3)),
-            ]
-
-
-def _ch5_case4(ws: _Workspace):
-    for f in ws.frames():
-        if f.ear_fwd(0) and f.ear_mid(2) and f.ear_mid(3) and f.ear_mid(4):
-            u1 = f.closest_to_edge(f.ear_fwd(0), 0)
-            picks = [f.closest_to_point(f.ear_mid(k), f.H(k)) for k in (2, 3, 4)]
-            yield f.describe(), [
-                f.E(0),
-                f.seg(u1, f.H(0)),
-                f.seg(u1, f.H(1)),
-            ] + [f.seg(p, f.H(k)) for p, k in zip(picks, (2, 3, 4))]
-
-
-def _ch5_case5(ws: _Workspace):
-    f = ws.base_frame()
-    if all(f.ear_mid(k) for k in range(5)):
-        yield f.describe(), [
-            f.seg(f.closest_to_point(f.ear_mid(k), f.H(k)), f.H(k)) for k in range(5)
-        ]
+_ch5_case5 = _rows((
+    lambda f: all(f.ear_mid(k) for k in range(5)),
+    lambda f: [f.closest_to_point(f.ear_mid(k), f.H(k)) for k in range(5)],
+    ((~0, 0), (~1, 1), (~2, 2), (~3, 3), (~4, 4)),
+), base_only=True)
 
 
 # ---------------------------------------------------------------------------
 # Hull size 6
 
-
-def _ch6_case1(ws: _Workspace):
-    if ws.n == 6:
-        f = ws.base_frame()
-        yield f.describe(), [
-            f.seg(f.H(0), f.H(3)),
-            f.seg(f.H(1), f.H(4)),
-            f.seg(f.H(2), f.H(5)),
-        ] + [f.E(k) for k in range(6)]
+_ch6_case1 = _rows((
+    lambda f: not f.interior,
+    None,
+    ((0, 3), (1, 4), (2, 5), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)),
+), base_only=True)
 
 
 def _ch6_case2(ws: _Workspace):
@@ -667,21 +676,14 @@ def _ch6_case2(ws: _Workspace):
         return
 
 
-def _ch6_case3(ws: _Workspace):
-    for f in ws.frames():
-        if f.ear(0) and f.ear(3):
-            u1 = f.furthest_from_line(f.ear(0), f.H(1), f.H(5))
-            u4 = f.furthest_from_line(f.ear(3), f.H(2), f.H(4))
-            segs = _try_good_2set(
-                ws,
-                f.seg(f.H(1), f.H(2)),
-                f.seg(f.H(4), f.H(5)),
-                f.seg(f.H(3), u4),
-                f.seg(f.H(0), u1),
-                f"case3 {f.describe()}",
-            )
-            if segs:
-                yield f.describe(), segs
+_ch6_case3 = _rows((
+    lambda f: f.ear(0) and f.ear(3),
+    lambda f: (
+        f.furthest_from_line(f.ear(0), f.H(1), f.H(5)),
+        f.furthest_from_line(f.ear(3), f.H(2), f.H(4)),
+    ),
+    ((1, 2), (4, 5), (3, ~1), (0, ~0)),
+), desc="case3 {}")
 
 
 def _ch6_case4(ws: _Workspace):
@@ -694,21 +696,11 @@ def _ch6_case4(ws: _Workspace):
         def via_fwd():
             # foremost wedge occupied: pull the helper from the next ear
             u = f.furthest_from_line(f.ear(2), f.H(1), f.H(3))
-            return (
-                f.seg(u2, f.H(1)),
-                f.seg(f.H(3), f.H(4)),
-                f.seg(u, f.H(2)),
-                f.seg(f.H(0), f.H(5)),
-            )
+            return f.template(((~0, 1), (3, 4), (~1, 2), (0, 5)), (u2, u))
 
         def via_bwd():
             u = f.furthest_from_line(f.ear(0), f.H(1), f.H(5))
-            return (
-                f.seg(u2, f.H(1)),
-                f.seg(f.H(4), f.H(5)),
-                f.seg(f.H(2), f.H(3)),
-                f.seg(u, f.H(0)),
-            )
+            return f.template(((~0, 1), (4, 5), (2, 3), (~1, 0)), (u2, u))
 
         if u2 in f.ear_mid(1):
             order = [via_fwd, via_bwd] if f.ear_fwd(1) else [via_bwd]
@@ -728,21 +720,14 @@ def _ch6_case4(ws: _Workspace):
                 yield f.describe(), segs
 
 
-def _ch6_case5(ws: _Workspace):
-    for f in ws.frames():
-        if f.ear_fwd(0) and f.ear_mid(2):
-            u2 = f.furthest_from_line(f.ear_fwd(0), f.H(0), f.H(2))
-            u3 = f.furthest_from_line(f.ear(2), f.H(1), f.H(3))
-            segs = _try_good_2set(
-                ws,
-                f.seg(u2, f.H(1)),
-                f.seg(f.H(3), f.H(4)),
-                f.seg(u3, f.H(2)),
-                f.seg(f.H(0), f.H(5)),
-                f"case5 {f.describe()}",
-            )
-            if segs:
-                yield f.describe(), segs
+_ch6_case5 = _rows((
+    lambda f: f.ear_fwd(0) and f.ear_mid(2),
+    lambda f: (
+        f.furthest_from_line(f.ear_fwd(0), f.H(0), f.H(2)),
+        f.furthest_from_line(f.ear(2), f.H(1), f.H(3)),
+    ),
+    ((~0, 1), (3, 4), (~1, 2), (0, 5)),
+), desc="case5 {}")
 
 
 def _ch6_case6(ws: _Workspace):
@@ -756,111 +741,62 @@ def _ch6_case6(ws: _Workspace):
             else:
                 ws.note(f"hull6 case 6 [{f.describe()}]: lone-point triangle not good")
             continue
-        xs = sorted(f.ear_fwd(0))
-        x, y = xs[0], xs[1]
-        yield f.describe(), [
-            f.E(0),
-            f.E(2),
-            f.E(4),
-            f.seg(f.H(0), f.H(3)),
-            f.seg(f.H(1), f.H(4)),
-            f.seg(f.H(2), f.H(5)),
-            f.seg(f.H(1), f.H(5)),
-            f.seg(f.H(0), f.H(2)),
-            f.seg(x, y),
-        ]
+        pairs = ((0, 1), (2, 3), (4, 5), (0, 3), (1, 4), (2, 5), (1, 5), (0, 2), (~0, ~1))
+        yield f.describe(), f.template(pairs, sorted(f.ear_fwd(0)))
 
 
-def _ch6_case7(ws: _Workspace):
-    # Sub-branches in order: each scanned over all frames before the next.
-    for f in ws.frames():
-        if f.ear_mid(0) and f.ear_mid(1):
-            u1 = f.closest_to_point(f.ear_mid(0), f.H(0))
-            u2 = f.furthest_from_line(f.ear(1), f.H(0), f.H(2))
-            segs = _try_good_2set(
-                ws,
-                f.seg(f.H(0), u1),
-                f.seg(f.H(2), f.H(3)),
-                f.seg(f.H(4), f.H(5)),
-                f.seg(f.H(1), u2),
-                f"case7a {f.describe()}",
-            )
-            if segs:
-                yield f.describe(), segs
-    for f in ws.frames():
-        if f.ear_mid(0) and f.ear_mid(2):
-            u1 = f.closest_to_point(f.ear_mid(0), f.H(0))
-            u3 = f.closest_to_point(f.ear_mid(2), f.H(2))
-            yield f.describe(), [
-                f.E(0),
-                f.E(1),
-                f.E(4),
-                f.seg(f.H(0), u1),
-                f.seg(f.H(1), f.H(4)),
-                f.seg(f.H(1), f.H(5)),
-                f.seg(f.H(2), f.H(4)),
-                f.seg(f.H(2), f.H(5)),
-                f.seg(f.H(3), u3),
-            ]
-    for f in ws.frames():
-        if not f.ear_mid(0):
-            continue
-        u1 = f.closest_to_point(f.ear_mid(0), f.H(0))
-        rest = sorted((f.ear_mid(0) | f.center()) - {u1})
-        if not rest:
-            continue
-        yield f.describe(), [
-            f.E(0),
-            f.E(2),
-            f.E(4),
-            f.seg(f.H(0), f.H(2)),
-            f.seg(f.H(0), f.H(3)),
-            f.seg(f.H(1), f.H(4)),
-            f.seg(f.H(2), f.H(5)),
-            f.seg(f.H(1), f.H(5)),
-            f.seg(u1, rest[0]),
-        ]
+# Rows 7a (a good 2-set), 7b and 7c, in order.
+_ch6_case7 = _rows(
+    (
+        lambda f: f.ear_mid(0) and f.ear_mid(1),
+        lambda f: (
+            f.closest_to_point(f.ear_mid(0), f.H(0)),
+            f.furthest_from_line(f.ear(1), f.H(0), f.H(2)),
+        ),
+        ((0, ~0), (2, 3), (4, 5), (1, ~1)),
+    ),
+    (
+        lambda f: f.ear_mid(0) and f.ear_mid(2),
+        lambda f: (
+            f.closest_to_point(f.ear_mid(0), f.H(0)),
+            f.closest_to_point(f.ear_mid(2), f.H(2)),
+        ),
+        ((0, 1), (1, 2), (4, 5), (0, ~0), (1, 4), (1, 5), (2, 4), (2, 5), (3, ~1)),
+    ),
+    (
+        # the point of ear_mid(0) closest to H(0), then the least other
+        # point of ear_mid(0) or the center
+        lambda f: f.ear_mid(0) and len(f.ear_mid(0) | f.center()) > 1,
+        lambda f: (
+            u1 := f.closest_to_point(f.ear_mid(0), f.H(0)),
+            min((f.ear_mid(0) | f.center()) - {u1}),
+        ),
+        ((0, 1), (2, 3), (4, 5), (0, 2), (0, 3), (1, 4), (2, 5), (1, 5), (~0, ~1)),
+    ),
+    desc="case7a {}",
+)
 
-
-def _ch6_case8(ws: _Workspace):
-    f = ws.base_frame()
-    xs = sorted(f.center())
-    if len(xs) >= 2:
-        yield f.describe(), [
-            f.E(0),
-            f.E(2),
-            f.E(4),
-            f.seg(f.H(0), f.H(3)),
-            f.seg(f.H(1), f.H(4)),
-            f.seg(f.H(2), f.H(5)),
-            f.seg(xs[0], xs[1]),
-        ]
+_ch6_case8 = _rows((
+    lambda f: len(f.center()) >= 2,
+    lambda f: sorted(f.center()),
+    ((0, 1), (2, 3), (4, 5), (0, 3), (1, 4), (2, 5), (~0, ~1)),
+), base_only=True)
 
 
 # ---------------------------------------------------------------------------
 # Hull size 7
 
+_ch7_case1 = _rows((
+    lambda f: not f.interior,
+    None,
+    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)),
+), base_only=True)
 
-def _ch7_case1(ws: _Workspace):
-    if ws.n == 7:
-        f = ws.base_frame()
-        yield f.describe(), [f.E(k) for k in range(7)]
-
-
-def _ch7_case2(ws: _Workspace):
-    for f in ws.frames():
-        if f.ear(0):
-            x = f.furthest_from_line(f.ear(0), f.H(1), f.H(6))
-            segs = _try_good_2set(
-                ws,
-                f.seg(f.H(1), f.H(2)),
-                f.seg(f.H(5), f.H(6)),
-                f.seg(f.H(0), x),
-                f.seg(f.H(3), f.H(4)),
-                f"case2 {f.describe()}",
-            )
-            if segs:
-                yield f.describe(), segs
+_ch7_case2 = _rows((
+    lambda f: f.ear(0),
+    lambda f: (f.furthest_from_line(f.ear(0), f.H(1), f.H(6)),),
+    ((1, 2), (5, 6), (0, ~0), (3, 4)),
+), desc="case2 {}")
 
 
 def _hull_pair_crossings(ws: _Workspace, s: SegmentId) -> list[SegmentId]:
@@ -892,21 +828,11 @@ def _ch7_case3(ws: _Workspace):
             yield f"pair={x},{y}", segs
 
 
-def _ch7_case4(ws: _Workspace):
-    for f in ws.frames():
-        if len(f.lens(0)) == 1 and len(f.lens(2)) == 1:
-            (u1,) = f.lens(0)
-            (u3,) = f.lens(2)
-            yield f.describe(), [
-                f.E(2),
-                f.E(3),
-                f.seg(f.H(2), u1),
-                f.seg(f.H(4), u1),
-                f.E(5),
-                f.seg(f.H(5), u3),
-                f.seg(f.H(6), u3),
-                f.E(0),
-            ]
+_ch7_case4 = _rows((
+    lambda f: len(f.lens(0)) == 1 and len(f.lens(2)) == 1,
+    lambda f: (*f.lens(0), *f.lens(2)),
+    ((2, 3), (3, 4), (2, ~0), (4, ~0), (5, 6), (5, ~1), (6, ~1), (0, 1)),
+))
 
 
 def _ch7_case5(ws: _Workspace):
@@ -916,17 +842,8 @@ def _ch7_case5(ws: _Workspace):
         x = min(f.core(0))
         meet = f.core(3) & f.edge_quad(2)
         if not meet:
-            yield f"5.1 {f.describe()}", [
-                f.E(0),
-                f.E(1),
-                f.E(3),
-                f.E(6),
-                f.seg(f.H(0), x),
-                f.seg(f.H(2), x),
-                f.seg(f.H(5), x),
-                f.seg(f.H(0), f.H(3)),
-                f.seg(f.H(0), f.H(4)),
-            ]
+            pairs = ((0, 1), (1, 2), (3, 4), (6, 0), (0, ~0), (2, ~0), (5, ~0), (0, 3), (0, 4))
+            yield f"5.1 {f.describe()}", f.template(pairs, (x,))
         elif len(meet) >= 2:
             xs = sorted(meet)
             segs = _ch7_interior_pair_blockers(ws, xs[0], xs[1])
@@ -935,18 +852,8 @@ def _ch7_case5(ws: _Workspace):
             else:
                 ws.note(f"hull7 case 5.2 [{f.describe()}]: pair crosses too much")
         else:
-            (u,) = meet
-            yield f"5.2b {f.describe()}", [
-                f.E(0),
-                f.E(4),
-                f.E(5),
-                f.E(6),
-                f.seg(f.H(2), u),
-                f.seg(f.H(3), u),
-                f.E(2),
-                f.seg(f.H(0), f.H(3)),
-                f.seg(f.H(2), f.H(5)),
-            ]
+            pairs = ((0, 1), (4, 5), (5, 6), (6, 0), (2, ~0), (3, ~0), (2, 3), (0, 3), (2, 5))
+            yield f"5.2b {f.describe()}", f.template(pairs, tuple(meet))
 
 
 def _ch7_case6(ws: _Workspace):
@@ -972,56 +879,29 @@ def _ch7_case6(ws: _Workspace):
             continue
         x = f.first_swept(f.H(3), f.H(5), u1, u2)
         if x == u1:
-            uvxy = (f.seg(f.H(4), f.H(5)), f.seg(f.H(1), f.H(2)))
-            e_l, e_r = f.seg(f.H(3), x), f.seg(f.H(0), f.H(6))
+            quad = ((4, 5), (1, 2), (3, ~0), (0, 6))
         else:
-            uvxy = (f.seg(f.H(0), f.H(6)), f.seg(f.H(3), f.H(4)))
-            e_l, e_r = f.seg(f.H(5), x), f.seg(f.H(1), f.H(2))
-        segs = _try_good_2set(ws, *uvxy, e_l, e_r, f"case6 {f.describe()}")
+            quad = ((0, 6), (3, 4), (5, ~0), (1, 2))
+        segs = _try_good_2set(ws, *f.template(quad, (x,)), f"case6 {f.describe()}")
         if segs:
             yield f.describe(), segs
 
 
-def _ch7_case7(ws: _Workspace):
-    for f in ws.frames():
-        if len(f.lens(0)) != 1:
-            continue
-        (x,) = f.lens(0)
-        segs = _try_good_2set(
-            ws,
-            f.seg(f.H(2), f.H(3)),
-            f.seg(f.H(5), f.H(6)),
-            f.seg(f.H(0), f.H(1)),
-            f.seg(f.H(4), x),
-            f"case7 {f.describe()}",
-        )
-        if segs:
-            yield f.describe(), segs
+_ch7_case7 = _rows((
+    lambda f: len(f.lens(0)) == 1,
+    lambda f: tuple(f.lens(0)),
+    ((2, 3), (5, 6), (0, 1), (4, ~0)),
+), desc="case7 {}")
 
 
 # ---------------------------------------------------------------------------
 # Hull sizes 8 and above, and the case table
 
+# Hull sizes 8 and 9: a good 2-set on two opposite hull edges.
+_ch89 = _rows((None, None, ((0, 1), (4, 5), (6, 7), (2, 3))), desc="hull89", base_only=True)
 
-def _ch89(ws: _Workspace):
-    """Hull sizes 8 and 9: a good 2-set on two opposite hull edges."""
-    f = ws.base_frame()
-    segs = _try_good_2set(
-        ws,
-        f.seg(f.H(0), f.H(1)),
-        f.seg(f.H(4), f.H(5)),
-        f.seg(f.H(6), f.H(7)),
-        f.seg(f.H(2), f.H(3)),
-        "hull89",
-    )
-    if segs:
-        yield f.describe(), segs
-
-
-def _ch10(ws: _Workspace):
-    """Hull size >= 10: five alternating hull edges, pairwise disjoint."""
-    f = ws.base_frame()
-    yield f.describe(), [f.E(k) for k in (0, 2, 4, 6, 8)]
+# Hull size >= 10: five alternating hull edges, pairwise disjoint.
+_ch10 = _rows((None, None, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))), base_only=True)
 
 
 #: Hull size -> (strategy, ordered (case, generator) list); any hull size

@@ -23,7 +23,6 @@ import csv
 import json
 import random
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 from math import gcd
 from pathlib import Path
@@ -47,12 +46,6 @@ class GenerationError(RuntimeError):
     """Raised when a point-set generator cannot satisfy its contract."""
 
 
-class Orientation(IntEnum):
-    CLOCKWISE = -1
-    COLLINEAR = 0
-    COUNTERCLOCKWISE = 1
-
-
 class Point(NamedTuple):
     x: int
     y: int
@@ -65,17 +58,6 @@ def _sign(v: int) -> int:
 def cross(o: Point, a: Point, b: Point) -> int:
     """Twice the signed area of triangle o, a, b (positive = ccw turn)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Exact turn direction of the ordered triple p, q, r."""
-    return Orientation(_sign(cross(p, q, r)))
-
-
-def is_general_position(points: Sequence[Point]) -> bool:
-    """True iff the points are pairwise distinct with no collinear triple."""
-    pts = [Point(p[0], p[1]) for p in points]
-    return len(set(pts)) == len(pts) and _find_collinear_triple(pts) is None
 
 
 def _validate_coord(v) -> int:

@@ -402,14 +402,15 @@ def test_hull4_tie_break_deterministic():
     assert cert1.verified
 
 
-@pytest.mark.parametrize(
-    "extra,case",
-    [
-        ([(25, 925), (-500, 325), (20, -380), (-540, -700)], 3),
-        ([(25, 925), (20, -380), (-540, -700), (-700, 140)], 4),
-        ([(-220, 320), (240, 280), (20, -380), (-540, -700), (-700, 140)], 5),
-    ],
-)
+# interior points added to ngon(5), each set won by the hull-5 case named
+HULL5_EXTRAS = [
+    ([(25, 925), (-500, 325), (20, -380), (-540, -700)], 3),
+    ([(25, 925), (20, -380), (-540, -700), (-700, 140)], 4),
+    ([(-220, 320), (240, 280), (20, -380), (-540, -700), (-700, 140)], 5),
+]
+
+
+@pytest.mark.parametrize("extra,case", HULL5_EXTRAS)
 def test_hull5_cases(extra, case):
     ps = PointSet.from_coords(ngon(5) + extra)
     cert = build_certificate(ps)
@@ -571,6 +572,46 @@ def test_certificate_records_pinned():
         digest.update(repr(record).encode())
     assert digest.hexdigest() == (
         "6641a00e7d76e27b80ab54263931e9ea1d39030c83b2d94f8fcb17a4d1d7adb9"
+    )
+
+
+def case_yields(instances) -> tuple[int, str]:
+    """Run every case of each instance's table entry to exhaustion and hash
+    each (strategy, case, desc, segs) it yields, then the notes."""
+    digest = hashlib.sha256()
+    count = 0
+    for ps in instances:
+        ws = constructions._Workspace(ps)
+        strategy, cases = constructions._CASE_TABLE.get(ws.m, constructions._HULL10_ENTRY)
+        for case, gen in cases:
+            for desc, segs in gen(ws):
+                digest.update(repr((strategy, case, desc, segs)).encode())
+                count += 1
+        digest.update(repr(ws.diagnostics).encode())
+    return count, digest.hexdigest()
+
+
+def test_case_yields_pinned(monkeypatch):
+    # every candidate of every case, not only the one that wins, with its
+    # frame text and order, and every note a case writes; the hull-5 sets
+    # reach cases 3 to 5, which the random window never does.  Then every
+    # good 2-set is rejected, so each good-2-set case writes its desc
+    window = [
+        ps
+        for n in range(5, 13)
+        for bound in (100, 10000)
+        for _, ps in random_instances([n], 50, bound, base_seed=900)
+    ]
+    hull5 = [PointSet.from_coords(ngon(5) + extra) for extra, _ in HULL5_EXTRAS]
+    assert case_yields(window) == (
+        4341, "0a29761e11da9c3584cf906f84a52dfde316f3c2a7f938083a1a57527cf75dbb"
+    )
+    assert case_yields(hull5) == (
+        5, "91ed1bca62028f70ee16a89f8f6a477ee18d967df391638e29f37c9e3eeebcbb"
+    )
+    monkeypatch.setattr(constructions, "_validate_good_2set", lambda *a: "forced")
+    assert case_yields(window) == (
+        3153, "fa945667ba886cd0470cc2767329ba8c08c924aa387b4532779d513facabb903"
     )
 
 

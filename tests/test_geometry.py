@@ -9,19 +9,17 @@ from segvis.geometry import (
     CoordinateError,
     GeneralPositionError,
     GenerationError,
-    Orientation,
     Point,
     PointSet,
     _find_collinear_triple,
     all_segments,
     cacerola_points,
     convex_hull,
+    cross,
     gen_convex,
     gen_double_chain,
     gen_random_general_position,
-    is_general_position,
     load_pointset,
-    orientation,
     rotation_neighbors,
     save_pointset,
     segment,
@@ -38,41 +36,20 @@ from oracles import (
     oracle_segments_intersect,
 )
 
-points_st = st.tuples(
-    st.integers(min_value=-200, max_value=200),
-    st.integers(min_value=-200, max_value=200),
-).map(lambda t: Point(*t))
-
-
-def distinct_triples():
-    return st.tuples(points_st, points_st, points_st).filter(
-        lambda t: len(set(t)) == 3
-    )
-
-
-# -- orientation -------------------------------------------------------------
-
-
-def test_orientation_examples():
-    assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) == Orientation.COUNTERCLOCKWISE
-    assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) == Orientation.COLLINEAR
-    # determinant of the first three reference points: 54*(-122) - (-8)*95 = -5828
-    assert orientation(Point(121, 204), Point(175, 196), Point(216, 82)) == Orientation.CLOCKWISE
-
-
-@given(distinct_triples())
-def test_orientation_antisymmetric(t):
-    p, q, r = t
-    assert orientation(p, q, r) == -orientation(p, r, q)
-
 
 # -- general position ---------------------------------------------------------
 
 
-def test_general_position_examples():
-    assert is_general_position(cacerola_points().points)
-    assert not is_general_position([(0, 0), (1, 1), (2, 2), (0, 5)])
-    assert is_general_position(gen_convex(10).points)
+def first_collinear_triple(pts):
+    """The lexicographically first collinear index triple, by a plain scan."""
+    return next(
+        (
+            t
+            for t in itertools.combinations(range(len(pts)), 3)
+            if cross(*(pts[k] for k in t)) == 0
+        ),
+        None,
+    )
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=14))
@@ -89,14 +66,7 @@ def test_general_position_examples():
 def test_collinear_triple_is_lexicographically_first(coords):
     # the reported triple names the error message; a plain scan is the oracle
     pts = [Point(*p) for p in dict.fromkeys(coords)]
-    first = next(
-        (
-            t
-            for t in itertools.combinations(range(len(pts)), 3)
-            if orientation(*(pts[k] for k in t)) == Orientation.COLLINEAR
-        ),
-        None,
-    )
+    first = first_collinear_triple(pts)
     assert _find_collinear_triple(pts) == first
     if first is None:
         PointSet.from_coords(pts)
@@ -212,7 +182,7 @@ def test_hull_is_clockwise_and_partitions():
     h = convex_hull(ps)
     for k in range(h.m):
         a, b, c = (ps[h.hull[k % h.m]], ps[h.hull[(k + 1) % h.m]], ps[h.hull[(k + 2) % h.m]])
-        assert orientation(a, b, c) == Orientation.CLOCKWISE
+        assert cross(a, b, c) < 0
     assert sorted(h.hull + h.interior) == list(range(ps.n))
 
 
@@ -276,7 +246,7 @@ def test_gen_convex():
     assert convex_hull(gen_convex(5)).m == 5
     ps = gen_convex(10)
     assert convex_hull(ps).m == 10
-    assert is_general_position(ps.points)
+    assert first_collinear_triple(ps.points) is None
     with pytest.raises(ValueError):
         gen_convex(2)
 
@@ -292,10 +262,10 @@ def test_gen_double_chain_separation_explicit():
     upper, lower = range(0, 3), range(3, 9)
     for a in upper:
         for b1, b2 in itertools.combinations(lower, 2):
-            assert orientation(ps[b1], ps[b2], ps[a]) == Orientation.COUNTERCLOCKWISE
+            assert cross(ps[b1], ps[b2], ps[a]) > 0
     for b in lower:
         for a1, a2 in itertools.combinations(upper, 2):
-            assert orientation(ps[a1], ps[a2], ps[b]) == Orientation.CLOCKWISE
+            assert cross(ps[a1], ps[a2], ps[b]) < 0
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=7))
@@ -309,14 +279,14 @@ def test_cacerola_points_fixed():
     assert tuple(ps[0]) == (121, 204)
     assert tuple(ps[6]) == (127, 135)
     assert ps.n == 7
-    assert is_general_position(ps.points)
+    assert first_collinear_triple(ps.points) is None
 
 
 def test_gen_random_general_position():
     a = gen_random_general_position(5, seed=1, bound=1000)
     b = gen_random_general_position(5, seed=1, bound=1000)
     assert a == b  # determinism
-    assert is_general_position(a.points)
+    assert first_collinear_triple(a.points) is None
     assert gen_random_general_position(3, seed=9, bound=10).n == 3
     with pytest.raises(ValueError):
         gen_random_general_position(5, seed=0, bound=3)
