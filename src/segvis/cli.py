@@ -55,7 +55,7 @@ EXIT_BRACKETED = 4
 
 # `mu` warns above this many vertices (n = 28); larger exact runs want a
 # search-node budget.  At 378 vertices exact mu spent 97,574 nodes (2.5 s)
-# on convex:28 and 21,194 on random:28:1; at 496, convex:32 took 250,537
+# on convex:28 and 21,215 on random:28:1; at 496, convex:32 took 250,537
 # nodes (15 s).
 DESK_SCALE_WARN = 378
 

@@ -38,7 +38,7 @@ from math import comb
 from typing import Optional
 
 from .geometry import PointSet
-from .graph import DisjointnessGraph, bit_columns, build_disjointness_graph, is_connected, iter_bits
+from .graph import DisjointnessGraph, bit_columns, build_disjointness_graph, is_connected
 from .visibility import VertexSet, first_failing_pair, require_sized_for
 
 REFUTED = "refuted"
@@ -105,11 +105,14 @@ class _Probes:
         for a in range(nv):
             adj_a = g.adj[a]
             # distance 2: b > a is no neighbour of a but shares one with it
-            for b in iter_bits(g.full_mask & ~adj_a & -(2 << a)):
-                n2 = adj_a & g.adj[b]
+            rest = g.full_mask & ~adj_a & -(2 << a)
+            while rest:
+                low = rest & -rest
+                n2 = adj_a & g.adj[low.bit_length() - 1]
                 if n2:
-                    ts.append(n2 | (1 << a) | (1 << b))
-        ts.sort(key=int.bit_count)
+                    ts.append(n2 | (1 << a) | low)
+                rest ^= low
+        ts.sort(key=int.bit_count)  # stable: pairs of one size stay in (a, b) order
         self.T = ts
         every = (1 << len(ts)) - 1
         self.miss = [every ^ hit for hit in bit_columns(ts, nv)]
@@ -146,54 +149,73 @@ class _Engine:
         T, miss = self.probes.T, self.probes.miss
         full = g.full_mask
         unhit = (1 << len(T)) - 1
-        for v in iter_bits(s_in):
-            unhit &= miss[v]
+        rest = s_in
+        while rest:
+            low = rest & -rest
+            unhit &= miss[low.bit_length() - 1]
+            rest ^= low
         nodes, limit = self.nodes, self.limit
+        scan = range(_SCAN)
         settled = 0
         # A node still adds r vertices of ``allowed`` to S, and ``unhit``
         # holds the pairs whose T_p S misses so far.  Its i-th child takes
         # the i-th vertex of the branching set into S and keeps the earlier
         # ones out, so the children, plus the candidates that miss the
         # branched T_p, partition the node's C(|allowed|, r) candidates.
+        # Children go straight onto the stack, highest first, so the lowest
+        # is popped next.  An r = 2 node's children, most of all nodes, run
+        # in place instead: ``twigs`` holds their branch vertices, taken
+        # lowest first as pops would take them, with no tuple stacked.
         stack = [(s_in, allowed, r, unhit)] if r >= 0 else []
-        while stack:
+        twigs = 0
+        while twigs or stack:
             if nodes == limit:
                 self.nodes = nodes
                 return EXHAUSTED, None, settled
             nodes += 1
-            s, allowed, r, unhit = stack.pop()
+            if twigs:  # the next child of the last r = 2 node
+                low = twigs & -twigs
+                twigs ^= low
+                s, allowed, unhit = s2 | low, cut | twigs, unhit2 & miss[low.bit_length() - 1]
+            else:
+                s, allowed, r, unhit = stack.pop()
+            rest = unhit
+            if r == 1:
+                # The last vertex must lie in every unhit T_p: intersect
+                # the first few, then check the rest for each candidate.
+                last = allowed
+                for _ in scan:
+                    if not (rest and last):
+                        break
+                    low = rest & -rest
+                    last &= T[low.bit_length() - 1]
+                    rest ^= low
+                while last:
+                    low = last & -last
+                    if not unhit & miss[low.bit_length() - 1]:
+                        if first_failing_pair(g, full & ~(s | low)) is None:
+                            self.nodes = nodes
+                            return FOUND, s | low, settled
+                    last ^= low
+                settled += allowed.bit_count()
+                continue
             if not r:  # only a root: S is complete
                 if not unhit and first_failing_pair(g, full & ~s) is None:
                     self.nodes = nodes
                     return FOUND, s, settled
                 settled += 1
                 continue
-            rest = unhit
-            if r == 1:
-                # The last vertex must lie in every unhit T_p: intersect
-                # the first few, then check the rest for each candidate.
-                last = allowed
-                for _ in range(_SCAN):
-                    if not (rest and last):
-                        break
-                    low = rest & -rest
-                    last &= T[low.bit_length() - 1]
-                    rest ^= low
-                for x in iter_bits(last):
-                    if not unhit & miss[x]:
-                        if first_failing_pair(g, full & ~(s | 1 << x)) is None:
-                            self.nodes = nodes
-                            return FOUND, s | 1 << x, settled
-                settled += allowed.bit_count()
+            m = allowed.bit_count()
+            if m < r:  # only a root: no candidate at all
                 continue
-            branch = allowed
+            branch, width = allowed, m
             if unhit:
                 # Branch on the unhit T_p with the fewest allowed vertices
                 # among the first few.  Those whose allowed vertices are
                 # disjoint need a new vertex each: more than r is dead.
                 width = g.n_vertices + 1
                 used = packed = 0
-                for _ in range(_SCAN):
+                for _ in scan:
                     low = rest & -rest
                     t = T[low.bit_length() - 1] & allowed
                     if not t & used:
@@ -206,18 +228,21 @@ class _Engine:
                     if not (rest and w):
                         break
                 if not width or packed > r:
-                    settled += comb(allowed.bit_count(), r)
+                    settled += comb(m, r)
                     continue
-            m = allowed.bit_count()
-            settled += comb(m - branch.bit_count(), r)
-            children = []
-            for x in iter_bits(branch):
-                m -= 1
-                if m < r - 1:
-                    break
-                allowed ^= 1 << x
-                children.append((s | 1 << x, allowed, r - 1, unhit & miss[x]))
-            stack.extend(reversed(children))
+            settled += comb(m - width, r)
+            while width > m - r + 1:  # only the lowest m - r + 1 leave a child enough
+                branch ^= 1 << branch.bit_length() - 1
+                width -= 1
+            if r == 2:  # its children run next, in place, as r = 1 nodes
+                twigs, cut, s2, unhit2, r = branch, allowed ^ branch, s, unhit, 1
+                continue
+            allowed ^= branch
+            while branch:
+                x = branch.bit_length() - 1
+                branch ^= 1 << x
+                stack.append((s | 1 << x, allowed, r - 1, unhit & miss[x]))
+                allowed |= 1 << x
         self.nodes = nodes
         return REFUTED, None, settled
 
@@ -286,14 +311,14 @@ def refutation_count(g: DisjointnessGraph, k: int) -> int:
 
 
 #: Search nodes ``min_blocker_set`` may spend over all its levels: about
-#: 30 times the most any known fallback instance needs (1,722,
+#: 30 times the most any known fallback instance needs (1,729,
 #: random:9:9827), and more than twice what the whole search takes on any
-#: measured instance up to n = 18 (20,182, random:18:3).
+#: measured instance up to n = 18 (20,198, random:18:3).
 BLOCKER_SEARCH_NODES = 50_000
 
 #: Search nodes ``check_bounds_report``, and so ``segvis bounds``, allows
 #: the exact search by default: about twice the most any measured instance
-#: up to n = 32 needs (250,537, convex:32; random:18:3 needs 21,072).
+#: up to n = 32 needs (250,537, convex:32; random:18:3 needs 21,088).
 BOUNDS_SEARCH_NODES = 500_000
 
 

@@ -308,7 +308,7 @@ def test_mu_timeout_brackets(tmp_path):
 
 def test_budgeted_runs_ignore_the_clock(capsys, monkeypatch):
     # 1,000 search nodes stop random:11:5 mid-level (a whole run spends
-    # 2,921); a clock that jumps 100 s per reading changes nothing but
+    # 2,923); a clock that jumps 100 s per reading changes nothing but
     # elapsed_ms
     def outputs():
         texts = []

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import random
@@ -105,6 +106,50 @@ def test_scan_level_stops_mid_walk():
     status, s_mask, _ = engine.exists(0, g.full_mask, 6)
     assert status == FOUND
     assert g.full_mask & ~engine.first(*_level_plan(g.n_vertices, 30), s_mask) == 68635389823
+
+
+def test_engine_node_sequence_pinned():
+    # Every search's outcome and node count, budgeted or not, every found
+    # level's first set, and then a last-vertex root and an r = 0 root on
+    # the budget that is left: a step that visits other nodes, or the same
+    # nodes in another order, changes the digest.  S starts empty, with
+    # three forced-in vertices, or with all or all but the last vertex of
+    # the minimum blocker set; allowed is every other vertex or those above
+    # the lowest third.
+    graphs = [
+        cacerola_points(),
+        gen_convex(10),
+        gen_double_chain(3, 6),
+        gen_random_general_position(9, seed=60000, bound=10000),
+        gen_random_general_position(10, seed=5, bound=10000),
+        gen_random_general_position(11, seed=5, bound=10000),
+    ]
+    graphs += [
+        gen_random_general_position(n, seed=seed, bound=3000)
+        for n in range(5, 9)
+        for seed in range(5)
+    ]
+    digest = hashlib.sha256()
+    for ps in graphs:
+        g = build_disjointness_graph(ps)
+        probes = _Probes(g)
+        nv, full = g.n_vertices, g.full_mask
+        _, blocker = min_blocker_set(g)
+        forced = _mask(random.Random(nv).sample(range(nv), 3))
+        for s_in in (0, forced, blocker & ~(1 << blocker.bit_length() - 1), blocker):
+            for allowed in (full & ~s_in, full & ~s_in & -(1 << nv // 3)):
+                for r in range(min(9, nv) + 1):
+                    for budget in (None, 1, 7, 50, 333):
+                        engine = _Engine(probes, budget)
+                        out = engine.exists(s_in, allowed, r)
+                        if out[0] == FOUND and allowed == full:
+                            out += (engine.first(*_level_plan(nv, nv - r), out[1]),)
+                        out += (engine.nodes, engine.exists(s_in, allowed, 1), engine.nodes)
+                        out += (engine.exists(s_in, allowed, 0), engine.nodes)
+                        digest.update(repr(out).encode())
+    assert digest.hexdigest() == (
+        "1ae006e3fedb9b476bcae5ce37774602f9dc57792045a11ce258daa417a9bdc2"
+    )
 
 
 def _mask(vertices):
@@ -286,6 +331,24 @@ def test_ascent_timeout_keeps_a_sound_upper_bound():
     assert is_mutual_visibility_set(g, res.witness)[0]
     assert res.mu_upper == default_upper_bound(g) >= 30
     assert 0 < res.sets_examined < comb(36, 6)
+
+
+def test_whole_run_node_counts():
+    # The search nodes a whole mu run spends, as the README lists them: a
+    # budget of that many gives the unbudgeted result, one fewer does not.
+    def outcome(res):
+        return res.mu, res.mu_lower, res.mu_upper, res.witness, res.refuted_size, res.sets_examined
+
+    for ps, nodes in (
+        (gen_convex(10), 20),
+        (gen_convex(16), 1499),
+        (gen_random_general_position(16, seed=5, bound=10000), 10645),
+    ):
+        g = build_disjointness_graph(ps)
+        witness = certificate_witness(ps, g)
+        exact = outcome(mu_exact(g, witness_hint=witness))
+        assert outcome(mu_exact(g, witness_hint=witness, node_budget=nodes)) == exact
+        assert outcome(mu_exact(g, witness_hint=witness, node_budget=nodes - 1)) != exact
 
 
 def test_columns_transposes_bit_matrix():
