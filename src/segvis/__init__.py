@@ -39,7 +39,6 @@ from .graph import (
     DisjointnessGraph,
     build_disjointness_graph,
     diameter,
-    distances_from,
     is_connected,
     to_dot,
     to_json_dict,
@@ -54,17 +53,11 @@ from .solver import (
     refute_size,
 )
 from .visibility import (
-    ADJACENT,
-    DIST2,
-    DIST3,
-    DIST4,
     PairVerdict,
     VertexSet,
-    classify_pair,
     first_failing_pair,
     is_mutual_visibility_set,
     is_mutually_visible,
-    verdict_json,
 )
 
 __version__ = "0.1.0"

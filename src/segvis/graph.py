@@ -325,15 +325,6 @@ def _byte_lookups(tables, rows: list[int], length: int, op):
     return out
 
 
-def distances_from(g: DisjointnessGraph, a: int) -> list:
-    """Exact hop distances from a; unreachable vertices get math.inf."""
-    dist = [INFINITY] * g.n_vertices
-    for d, layer in enumerate(g.distance_layers[a]):
-        for v in iter_bits(layer):
-            dist[v] = d
-    return dist
-
-
 def diameter(g: DisjointnessGraph):
     """Largest pairwise distance; math.inf iff the graph is disconnected."""
     if not is_connected(g):

@@ -18,9 +18,8 @@ Any other source walks its distance layers L_1, L_2, ... and keeps R_k,
 the vertices of L_k that a shortest path from a reaches while staying
 inside S.  A pair (a, b) at distance d is visible exactly when b has a
 neighbour in R_{d-1}.  ``is_mutually_visible`` runs the same walk for one
-pair and rebuilds a witness path from it, and ``classify_pair`` reads its
-distance tag off that walk; both report distances, so neither takes the
-cover test.
+pair and rebuilds a witness path from it; it reports the distance, so it
+does not take the cover test.
 """
 
 from __future__ import annotations
@@ -29,13 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import INFINITY, DisjointnessGraph, iter_bits
-
-ADJACENT = "adjacent"
-DIST2 = "dist2"
-DIST3 = "dist3"
-DIST4 = "dist4"
-
-_CONDITION_BY_DISTANCE = {1: ADJACENT, 2: DIST2, 3: DIST3, 4: DIST4}
 
 
 @dataclass(frozen=True)
@@ -91,16 +83,6 @@ class PairVerdict:
     visible: bool
     distance: float  # hop count; math.inf when unreachable
     witness_path: Optional[tuple[int, ...]]
-    condition: Optional[str]
-
-
-def verdict_json(v: PairVerdict) -> dict:
-    return {
-        "visible": v.visible,
-        "distance": None if v.distance == INFINITY else int(v.distance),
-        "witness": list(v.witness_path) if v.witness_path is not None else None,
-        "failing_pair": None if v.visible else [v.a, v.b],
-    }
 
 
 def _reach_layers(g: DisjointnessGraph, a: int, s_mask: int):
@@ -173,26 +155,13 @@ def first_failing_pair(
     return None
 
 
-def _walk_to(g: DisjointnessGraph, a: int, b: int, s_mask: int):
-    """Walk a's reach layers inside ``s_mask`` up to b's layer.
-
-    Returns (d, [R_0, ..., R_{d-1}], visible) with d = dist(a, b) and
-    visible telling whether b has a neighbour in R_{d-1}; an unreachable b
-    gives (INFINITY, every R_k, False).
-    """
-    reaches = []
-    for dist, (layer, reach, nbrs) in enumerate(_reach_layers(g, a, s_mask), start=1):
-        reaches.append(reach)
-        if layer >> b & 1:
-            return dist, reaches, bool(nbrs >> b & 1)
-    return INFINITY, reaches, False
-
-
 def is_mutually_visible(
     g: DisjointnessGraph, u: VertexSet, a: int, b: int
 ) -> PairVerdict:
     """Verdict for one pair of U: is there a shortest a-b path internally
-    avoiding U?  Internal vertices of a returned witness always lie outside U.
+    avoiding U?  The walk stops at b's layer d, and b is visible when it has
+    a neighbour in R_{d-1}; an unreachable b fails at distance math.inf.
+    Internal vertices of a returned witness always lie outside U.
     """
     require_sized_for(g, u)
     if a not in u or b not in u:
@@ -200,17 +169,23 @@ def is_mutually_visible(
     if a == b:
         raise ValueError("pair endpoints must be distinct")
     if g.are_adjacent(a, b):
-        return PairVerdict(a, b, True, 1, None, ADJACENT)
-    dist, reaches, visible = _walk_to(g, a, b, g.full_mask & ~u.mask)
-    if not visible:
-        return PairVerdict(a, b, False, dist, None, None)
+        return PairVerdict(a, b, True, 1, None)
+    reaches = []
+    for dist, (layer, reach, nbrs) in enumerate(
+        _reach_layers(g, a, g.full_mask & ~u.mask), start=1
+    ):
+        reaches.append(reach)
+        if layer >> b & 1:
+            break
+    else:
+        return PairVerdict(a, b, False, INFINITY, None)
+    if not nbrs >> b & 1:
+        return PairVerdict(a, b, False, dist, None)
     path = [b]
     for reach in reversed(reaches):  # R_{dist-1}, ..., R_0 = {a}
         path.append(next(iter_bits(reach & g.adj[path[-1]])))
     path.reverse()
-    return PairVerdict(
-        a, b, True, dist, tuple(path), _CONDITION_BY_DISTANCE.get(dist)
-    )
+    return PairVerdict(a, b, True, dist, tuple(path))
 
 
 def is_mutual_visibility_set(
@@ -224,26 +199,3 @@ def is_mutual_visibility_set(
     if pair is None:
         return True, None
     return False, is_mutually_visible(g, u, *pair)
-
-
-def classify_pair(
-    g: DisjointnessGraph, s: VertexSet, a: int, b: int
-) -> Optional[str]:
-    """Which blocked-pair condition do a and b satisfy with internal vertices
-    drawn from s?
-
-    Disjoint pairs classify as "adjacent".  For intersecting pairs the tag
-    names the graph distance (up to 4) when some shortest path has all its
-    internal vertices in s, else None.  Distance 4 only ever occurs on
-    five-point configurations.
-    """
-    require_sized_for(g, s)
-    for v in (a, b):
-        if not 0 <= v < g.n_vertices:
-            raise ValueError(f"endpoint {v} is not a vertex of the graph")
-    if a in s or b in s:
-        raise ValueError("pair endpoints must lie outside the blocker set")
-    if a == b:
-        raise ValueError("pair endpoints must be distinct")
-    dist, _, visible = _walk_to(g, a, b, s.mask)
-    return _CONDITION_BY_DISTANCE.get(dist) if visible else None

@@ -128,6 +128,18 @@ def oracle_distances(segs, adj, source):
     return {s: dist.get(s, math.inf) for s in segs}
 
 
+def layer_distances(g, a):
+    """dist(a, v) for each vertex v, decoded from ``g.distance_layers[a]``;
+    math.inf for a vertex in no layer.  Not itself an oracle: it reads the
+    library's layers so that tests can hold them against one."""
+    dist = [math.inf] * g.n_vertices
+    for d, layer in enumerate(g.distance_layers[a]):
+        for v in range(g.n_vertices):
+            if layer >> v & 1:
+                dist[v] = d
+    return dist
+
+
 def all_shortest_paths(g, a, b):
     """Every shortest a-b path in a DisjointnessGraph, as vertex tuples."""
     vertices = range(g.n_vertices)

@@ -19,13 +19,18 @@ from segvis.graph import (
     DisjointnessGraph,
     build_disjointness_graph,
     diameter,
-    distances_from,
     is_connected,
     to_dot,
     to_json_dict,
 )
 
-from oracles import oracle_adjacency, oracle_distances, oracle_edges, oracle_is_clean
+from oracles import (
+    layer_distances,
+    oracle_adjacency,
+    oracle_distances,
+    oracle_edges,
+    oracle_is_clean,
+)
 
 
 def test_vertex_layout(cacerola_graph):
@@ -156,7 +161,7 @@ def test_quadrilateral_disconnected():
 
 def test_distances(cacerola_graph):
     g = cacerola_graph
-    d0 = distances_from(g, 0)
+    d0 = layer_distances(g, 0)
     assert d0[0] == 0
     neighbor = next(v for v in range(g.n_vertices) if g.are_adjacent(0, v))
     assert d0[neighbor] == 1
@@ -176,7 +181,7 @@ def test_distances(cacerola_graph):
         segs, adj = oracle_adjacency([(p.x, p.y) for p in g.pointset.points])
         for a, s in enumerate(segs):
             expect = oracle_distances(segs, adj, s)
-            assert distances_from(g, a) == [expect[t] for t in segs]
+            assert layer_distances(g, a) == [expect[t] for t in segs]
             # a BFS step goes bottom-up when fewer vertices are unvisited
             # than lie in its frontier
             sizes = [list(expect.values()).count(k) for k in range(len(g.distance_layers[a]))]
@@ -250,8 +255,8 @@ def test_distance_layers_match_plain_bfs(cacerola_graph):
 def test_distance_three_pair_frozen(cacerola_graph):
     # crossing diagonals far apart in the graph; value fixed by the oracle BFS
     g = cacerola_graph
-    assert distances_from(g, g.vertex((0, 3)))[g.vertex((1, 4))] == 3
-    assert distances_from(g, g.vertex((0, 3)))[g.vertex((1, 6))] == 2
+    assert layer_distances(g, g.vertex((0, 3)))[g.vertex((1, 4))] == 3
+    assert layer_distances(g, g.vertex((0, 3)))[g.vertex((1, 6))] == 2
 
 
 def test_diameter_values(cacerola_graph):

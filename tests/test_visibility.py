@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,22 +8,21 @@ from hypothesis import strategies as st
 
 from segvis.constructions import build_certificate
 from segvis.geometry import PointSet, gen_convex, gen_random_general_position, segment
-from segvis.graph import build_disjointness_graph, diameter, distances_from, iter_bits
+from segvis.graph import build_disjointness_graph, diameter, iter_bits
 from segvis.solver import mu_exact
 from segvis.visibility import (
-    ADJACENT,
-    DIST2,
-    DIST3,
-    DIST4,
     VertexSet,
-    classify_pair,
     first_failing_pair,
     is_mutual_visibility_set,
     is_mutually_visible,
-    verdict_json,
 )
 
-from oracles import all_shortest_paths, oracle_first_failing_pair, oracle_pair_visible
+from oracles import (
+    all_shortest_paths,
+    layer_distances,
+    oracle_first_failing_pair,
+    oracle_pair_visible,
+)
 
 
 def test_vertex_set_basics():
@@ -43,8 +43,7 @@ def test_adjacent_pair_verdict(cacerola_graph):
     b = next(v for v in range(g.n_vertices) if g.are_adjacent(0, v))
     u = VertexSet.from_indices(g.n_vertices, [a, b])
     v = is_mutually_visible(g, u, a, b)
-    assert v.visible and v.condition == ADJACENT and v.witness_path is None
-    assert verdict_json(v)["failing_pair"] is None
+    assert v.visible and v.distance == 1 and v.witness_path is None
 
 
 def test_pair_alone_always_visible(cacerola_graph):
@@ -79,19 +78,14 @@ def test_membership_preconditions(cacerola_graph):
     u = VertexSet.from_indices(21, [0, 1])
     with pytest.raises(ValueError):
         is_mutually_visible(cacerola_graph, u, 0, 5)
-    with pytest.raises(ValueError):
-        classify_pair(cacerola_graph, u, 1, 5)
-    # an endpoint outside 0..20 is in no set, never a shift error, so each
-    # pair entry refuses it with its own message
+    # an endpoint outside 0..20 is in no set, never a shift error, so the
+    # pair verdict refuses it as a non-member
     full = VertexSet.full(21)
     assert 0 in full and 20 in full
     assert -1 not in full and 21 not in full and 99 not in full
     for a, b in ((-1, 3), (3, -1), (0, 21), (0, 99)):
-        bad = b if 0 <= a < 21 else a
         with pytest.raises(ValueError, match="both endpoints must belong"):
             is_mutually_visible(cacerola_graph, full, a, b)
-        with pytest.raises(ValueError, match=f"endpoint {bad} is not a vertex"):
-            classify_pair(cacerola_graph, VertexSet(21, 0), a, b)
 
 
 def test_witness_path_invariants(cacerola_graph):
@@ -102,7 +96,7 @@ def test_witness_path_invariants(cacerola_graph):
         u = VertexSet.from_indices(g.n_vertices, ids)
         for a, b in itertools.combinations(sorted(ids), 2):
             v = is_mutually_visible(g, u, a, b)
-            if v.visible and v.condition != ADJACENT:
+            if v.visible and v.distance > 1:
                 assert v.witness_path is not None
                 assert len(v.witness_path) - 1 == v.distance
                 assert v.witness_path[0] == a and v.witness_path[-1] == b
@@ -148,7 +142,7 @@ def test_set_verdict_matches_naive_oracle():
     far = [
         (a, b)
         for a, b in itertools.combinations(range(g5.n_vertices), 2)
-        if distances_from(g5, a)[b] == 4
+        if layer_distances(g5, a)[b] == 4
     ]
     assert far
     for a, b in far:
@@ -234,8 +228,6 @@ def test_vertex_set_sized_for_another_graph_is_refused():
         a, b = u.indices()
         with pytest.raises(ValueError, match=message.format(u.n_vertices)):
             is_mutually_visible(g, u, a, b)
-        with pytest.raises(ValueError, match=message.format(u.n_vertices)):
-            classify_pair(g, VertexSet(u.n_vertices, 0), a, b)
     for hint in (big, VertexSet(3, 0b11)):
         with pytest.raises(ValueError, match=message.format(hint.n_vertices)):
             mu_exact(g, witness_hint=hint)
@@ -257,20 +249,12 @@ def test_downward_closure(cacerola_graph):
         )[0]
 
 
-# -- blocked-pair classification -------------------------------------------------
-
-
-def test_classify_disjoint_pair(cacerola_graph):
-    g = cacerola_graph
-    a = 0
-    b = next(v for v in range(g.n_vertices) if g.are_adjacent(0, v))
-    s = VertexSet.from_indices(g.n_vertices, [5])
-    assert classify_pair(g, s, a, b) == ADJACENT
+# -- pair distances ---------------------------------------------------------------
 
 
 def test_classify_convex6_long_diagonal_case():
     # Hexagon blockers: edges plus the three long diagonals.  The remaining
-    # short diagonals pairwise classify at distance 2 or 3.
+    # short diagonals pairwise see each other at distance 2 or 3.
     ps = gen_convex(6)
     from segvis.geometry import convex_hull
 
@@ -284,7 +268,8 @@ def test_classify_convex6_long_diagonal_case():
     for j in range(6):
         a = g.vertex(segment(h[j], h[(j + 2) % 6]))
         b = g.vertex(segment(h[j], h[(j + 4) % 6]))
-        assert classify_pair(g, s, a, b) == DIST3
+        v = is_mutually_visible(g, s.complement(), a, b)
+        assert v.visible and v.distance == 3
         # the stated witnesses form the required path
         g1 = g.vertex(segment(h[(j + 4) % 6], h[(j + 5) % 6]))
         g2 = g.vertex(segment(h[(j + 1) % 6], h[(j + 2) % 6]))
@@ -299,10 +284,12 @@ def test_classify_alternating_edges_dist2():
     h = convex_hull(ps).hull
     blockers = [segment(h[k], h[(k + 1) % 10]) for k in (0, 2, 4, 6, 8)]
     s = VertexSet.from_indices(g.n_vertices, [g.vertex(t) for t in blockers])
-    for a, b in itertools.combinations(range(g.n_vertices), 2):
-        if a in s or b in s or g.are_adjacent(a, b):
+    u = s.complement()
+    for a, b in itertools.combinations(u.indices(), 2):
+        if g.are_adjacent(a, b):
             continue
-        assert classify_pair(g, s, a, b) == DIST2
+        v = is_mutually_visible(g, u, a, b)
+        assert v.visible and v.distance == 2
 
 
 def test_classification_equivalence_with_verifier(cacerola_graph):
@@ -310,14 +297,13 @@ def test_classification_equivalence_with_verifier(cacerola_graph):
     rng = random.Random(3)
     for _ in range(80):
         ids = sorted(rng.sample(range(g.n_vertices), rng.randint(0, 9)))
-        s = VertexSet.from_indices(g.n_vertices, ids)
-        u = s.complement()
-        every_pair_classified = all(
-            classify_pair(g, s, a, b) is not None
-            for a, b in itertools.combinations(sorted(u.indices()), 2)
+        u = VertexSet.from_indices(g.n_vertices, ids).complement()
+        every_pair_visible = all(
+            is_mutually_visible(g, u, a, b).visible
+            for a, b in itertools.combinations(u.indices(), 2)
             if not g.are_adjacent(a, b)
         )
-        assert every_pair_classified == is_mutual_visibility_set(g, u)[0]
+        assert every_pair_visible == is_mutual_visibility_set(g, u)[0]
 
 
 def test_distance4_only_for_five_points():
@@ -327,26 +313,27 @@ def test_distance4_only_for_five_points():
         (a, b)
         for a in range(g5.n_vertices)
         for b in range(a + 1, g5.n_vertices)
-        if distances_from(g5, a)[b] == 4
+        if layer_distances(g5, a)[b] == 4
     ]
     assert far
     a, b = far[0]
-    others = [v for v in range(g5.n_vertices) if v not in (a, b)]
-    s = VertexSet.from_indices(g5.n_vertices, others)
-    assert classify_pair(g5, s, a, b) == "dist4"
+    v = is_mutually_visible(g5, VertexSet.from_indices(g5.n_vertices, [a, b]), a, b)
+    assert v.visible and v.distance == 4
     for n in (6, 7, 8):
         for seed in range(3):
             ps = gen_random_general_position(n, seed=seed, bound=3000)
             g = build_disjointness_graph(ps)
             assert all(
-                d <= 3 for a in range(g.n_vertices) for d in distances_from(g, a)
+                d <= 3 for a in range(g.n_vertices) for d in layer_distances(g, a)
             )
 
 
-def test_classify_pair_matches_shortest_path_oracle():
-    # The tag names dist(a, b) exactly when some shortest path has all its
-    # internal vertices in S, else it is None.  convex:5 contributes every
-    # distance-4 pair and the quadrilateral unreachable ones.
+def test_pair_verdict_matches_shortest_path_oracle():
+    # With U = V \ S, the verdict gives dist(a, b), math.inf when b is
+    # unreachable, and is visible exactly when some shortest path has all its
+    # internal vertices in S; a visible pair at distance >= 2 carries such a
+    # path as its witness.  convex:5 contributes every distance-4 pair and
+    # the quadrilateral unreachable ones.
     rng = random.Random(31)
     quad = PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
     graphs = [build_disjointness_graph(quad), build_disjointness_graph(gen_convex(5))]
@@ -355,17 +342,20 @@ def test_classify_pair_matches_shortest_path_oracle():
         for n in range(5, 9)
         for seed in (1, 2)
     ]
-    tag = {1: ADJACENT, 2: DIST2, 3: DIST3, 4: DIST4}
     seen = set()
     for g in graphs:
         nv = g.n_vertices
         for a, b in itertools.permutations(range(nv), 2):
             paths = all_shortest_paths(g, a, b)
+            dist = len(paths[0]) - 1 if paths else math.inf
             for _ in range(3 if nv < 16 else 1):
                 others = [v for v in range(nv) if v not in (a, b)]
                 s = VertexSet.from_indices(nv, rng.sample(others, rng.randint(0, len(others))))
                 visible = any(all(v in s for v in p[1:-1]) for p in paths)
-                expected = tag[len(paths[0]) - 1] if visible else None
-                assert classify_pair(g, s, a, b) == expected, (a, b, s.indices())
-                seen.add((len(paths[0]) - 1 if paths else None, visible))
-    assert {(None, False), (3, False), (3, True), (4, False), (4, True)} <= seen
+                verdict = is_mutually_visible(g, s.complement(), a, b)
+                assert (verdict.visible, verdict.distance) == (visible, dist), (a, b, s.indices())
+                if visible and dist >= 2:
+                    path = verdict.witness_path
+                    assert path in paths and all(v in s for v in path[1:-1]), (a, b, path)
+                seen.add((dist, visible))
+    assert {(math.inf, False), (3, False), (3, True), (4, False), (4, True)} <= seen
