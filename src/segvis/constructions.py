@@ -29,7 +29,11 @@ before the next.  Seven cases stay code because they branch: the hull-3
 rotation sweep, the hull-6 good triangle (case 2), the hull-6 wedge order
 (case 4) and the hull-7 interior pairs (case 3); hull-6 case 6 and hull-7
 cases 5 and 6 pick a branch frame by frame, which rows, each scanned over
-all frames before the next, would reorder.
+all frames before the next, would reorder.  All but hull-7 case 3 spell
+their segments through ``_Frame.template``.  Hull-7 cases 5 and 6 leave
+out the paper's branches that block a pair of interior points: that
+candidate is case 3's for the pair, case 3 has already tried it, and
+``attempt`` decides a candidate by its segments alone.
 
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
@@ -364,18 +368,10 @@ def _triangle_is_good(ws: _Workspace, frame: _Frame, x: int, i: int) -> bool:
     if x not in frame.edge_quad(i):
         return False
     g = ws.g
-    tri = [
-        segment(x, frame.H(i)),
-        segment(x, frame.H(i + 1)),
-        frame.E(i),
-    ]
-    tri_mask = g.mask_of(tri)
-    allowed = {
-        segment(frame.H(i), frame.H(i + 2)),
-        segment(frame.H(i), frame.H(i + 3)),
-        segment(frame.H(i + 1), frame.H(i - 2)),
-        segment(frame.H(i + 1), frame.H(i - 1)),
-    }
+    # label j - k is H(i - k): template reads a negative label as a pick
+    j = i + frame.m
+    tri_mask = g.mask_of(frame.template(((~0, i), (~0, i + 1), (i, i + 1)), (x,)))
+    allowed = set(frame.template(((i, i + 2), (i, i + 3), (i + 1, j - 2), (i + 1, j - 1)), ()))
     # Segments meeting all three triangle sides = non-neighbours of all three.
     bad = g.full_mask & ~tri_mask
     for t in iter_bits(tri_mask):
@@ -384,19 +380,13 @@ def _triangle_is_good(ws: _Workspace, frame: _Frame, x: int, i: int) -> bool:
 
 
 def _good_triangle_blockers(frame: _Frame, x: int, i: int) -> list[SegmentId]:
-    # Relabel so the triangle sits on hull positions 2, 3.
-    h = [frame.H(k + i - 2) for k in range(frame.m)]
-    return [
-        segment(h[0], h[1]),
-        segment(h[2], h[3]),
-        segment(h[4], h[5]),
-        segment(x, h[2]),
-        segment(x, h[3]),
-        segment(h[0], h[3]),
-        segment(h[1], h[3]),
-        segment(h[2], h[4]),
-        segment(h[2], h[5]),
-    ]
+    # the triangle on hull edge i; label j - k is H(i - k), as above
+    j = i + frame.m
+    pairs = (
+        (j - 2, j - 1), (i, i + 1), (i + 2, i + 3), (~0, i), (~0, i + 1),
+        (j - 2, i + 1), (j - 1, i + 1), (i, i + 2), (i, i + 3),
+    )
+    return frame.template(pairs, (x,))
 
 
 # ---------------------------------------------------------------------------
@@ -569,21 +559,15 @@ def _ch3(ws: _Workspace):
     The blocker set joins u to both neighbours and both neighbours to the
     opposite hull edge.
     """
-    hull = ws.hull_data
+    f = ws.base_frame()
     for i in range(3):
-        um, up = rotation_neighbors(ws.ps, i)
-        u, v, w = hull.hull[i], hull.hull[(i + 1) % 3], hull.hull[(i + 2) % 3]
-        if _inner_point(ws, [um, up, v, w]) is None:
-            yield f"apex={u}", [
-                segment(u, um),
-                segment(u, up),
-                segment(um, up),
-                segment(v, um),
-                segment(w, um),
-                segment(v, up),
-                segment(w, up),
-                segment(v, w),
-            ]
+        picks = rotation_neighbors(ws.ps, i)
+        if _inner_point(ws, [*picks, f.H(i + 1), f.H(i + 2)]) is None:
+            pairs = (
+                (i, ~0), (i, ~1), (~0, ~1), (i + 1, ~0), (i + 2, ~0), (i + 1, ~1),
+                (i + 2, ~1), (i + 1, i + 2),
+            )
+            yield f"apex={f.H(i)}", f.template(pairs, picks)
             return
     raise ConstructionError(
         "no hull vertex yields rotation neighbours in convex position with "
@@ -666,13 +650,11 @@ def _ch6_case2(ws: _Workspace):
         # Triangle between edge i and the two long diagonals at its ends.
         if x not in f.side(i, i + 3, i + 1) or x not in f.side(i + 1, i + 4, i):
             continue
-        pos = i if x in f.side(i + 2, i + 5, i) else i + 3
-        if _triangle_is_good(ws, f, x, pos % 6):
-            yield f"{f.describe()},edge={pos % 6}", _good_triangle_blockers(
-                f, x, pos % 6
-            )
+        pos = (i if x in f.side(i + 2, i + 5, i) else i + 3) % 6
+        if _triangle_is_good(ws, f, x, pos):
+            yield f"{f.describe()},edge={pos}", _good_triangle_blockers(f, x, pos)
         else:
-            ws.note(f"hull6 case 2: triangle at edge {pos % 6} not good")
+            ws.note(f"hull6 case 2: triangle at edge {pos} not good")
         return
 
 
@@ -799,33 +781,20 @@ _ch7_case2 = _rows((
 ), desc="case2 {}")
 
 
-def _hull_pair_crossings(ws: _Workspace, s: SegmentId) -> list[SegmentId]:
-    """Segments spanned by two hull points that properly cross s."""
-    g = ws.g
-    hull_pts = set(ws.hull_data.hull)
-    out = []
-    for v in iter_bits(g.cross_mask[g.vertex(s)]):
-        t = g.segment_of(v)
-        if set(t) <= hull_pts:
-            out.append(t)
-    return out
-
-
-def _ch7_interior_pair_blockers(ws: _Workspace, x: int, y: int):
-    pair = segment(x, y)
-    crossed = _hull_pair_crossings(ws, pair)
-    if len(crossed) > 1:
-        return None
-    f = ws.base_frame()
-    return [f.E(k) for k in range(7)] + [pair] + crossed
-
-
 def _ch7_case3(ws: _Workspace):
+    """For each interior pair, in order, whose segment crosses at most one
+    segment spanned by two hull points: the hull edges, the pair and the
+    segment it crosses, if any."""
+    g = ws.g
     f = ws.base_frame()
+    edges = [f.E(k) for k in range(7)]
+    # the base hull order is clockwise, not sorted: segment() orders the ends
+    spanned = g.mask_of(segment(a, b) for a, b in itertools.combinations(f.hull, 2))
     for x, y in itertools.combinations(f.interior, 2):
-        segs = _ch7_interior_pair_blockers(ws, x, y)
-        if segs is not None:
-            yield f"pair={x},{y}", segs
+        pair = segment(x, y)
+        crossed = g.cross_mask[g.vertex(pair)] & spanned
+        if crossed & (crossed - 1) == 0:
+            yield f"pair={x},{y}", edges + [pair] + [g.segment_of(v) for v in iter_bits(crossed)]
 
 
 _ch7_case4 = _rows((
@@ -839,37 +808,23 @@ def _ch7_case5(ws: _Workspace):
     for f in ws.frames():
         if not (f.core(0) and not f.lens(0)):
             continue
-        x = min(f.core(0))
         meet = f.core(3) & f.edge_quad(2)
+        # two or more points meeting: an interior pair, left to case 3
         if not meet:
             pairs = ((0, 1), (1, 2), (3, 4), (6, 0), (0, ~0), (2, ~0), (5, ~0), (0, 3), (0, 4))
-            yield f"5.1 {f.describe()}", f.template(pairs, (x,))
-        elif len(meet) >= 2:
-            xs = sorted(meet)
-            segs = _ch7_interior_pair_blockers(ws, xs[0], xs[1])
-            if segs is not None:
-                yield f"5.2a {f.describe()}", segs
-            else:
-                ws.note(f"hull7 case 5.2 [{f.describe()}]: pair crosses too much")
-        else:
+            yield f"5.1 {f.describe()}", f.template(pairs, (min(f.core(0)),))
+        elif len(meet) == 1:
             pairs = ((0, 1), (4, 5), (5, 6), (6, 0), (2, ~0), (3, ~0), (2, 3), (0, 3), (2, 5))
             yield f"5.2b {f.describe()}", f.template(pairs, tuple(meet))
 
 
 def _ch7_case6(ws: _Workspace):
     for f in ws.frames():
-        if not (len(f.lens(0)) == 1 and len(f.lens(1)) == 1):
+        # a point of core_tip(4) pairs with lens(0): an interior pair, left to case 3
+        if not (len(f.lens(0)) == 1 and len(f.lens(1)) == 1) or f.core_tip(4):
             continue
         (u1,) = f.lens(0)
         (u2,) = f.lens(1)
-        if f.core_tip(4):
-            x = min(f.core_tip(4))
-            segs = _ch7_interior_pair_blockers(ws, x, u1)
-            if segs is not None:
-                yield f"6-tip {f.describe()}", segs
-            else:
-                ws.note(f"hull7 case 6 [{f.describe()}]: tip pair crosses too much")
-            continue
         quad5 = f.edge_quad(4)
         if quad5 != {u1, u2}:
             ws.note(

@@ -101,16 +101,17 @@ class _Probes:
     def __init__(self, g: DisjointnessGraph):
         self.g = g
         nv = g.n_vertices
+        adj = g.adj
         ts = []
-        for a in range(nv):
-            adj_a = g.adj[a]
-            # distance 2: b > a is no neighbour of a but shares one with it
-            rest = g.full_mask & ~adj_a & -(2 << a)
+        for a, layers in enumerate(g.distance_layers):
+            if len(layers) < 3:
+                continue
+            adj_a = adj[a]
+            # the partners b > a at distance 2 from a
+            rest = layers[2] & -(2 << a)
             while rest:
                 low = rest & -rest
-                n2 = adj_a & g.adj[low.bit_length() - 1]
-                if n2:
-                    ts.append(n2 | (1 << a) | low)
+                ts.append(adj_a & adj[low.bit_length() - 1] | (1 << a) | low)
                 rest ^= low
         ts.sort(key=int.bit_count)  # stable: pairs of one size stay in (a, b) order
         self.T = ts

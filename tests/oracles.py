@@ -332,6 +332,19 @@ def oracle_edges(g):
     ]
 
 
+def oracle_good_triangle_blockers(hull_cw, x, i):
+    """The nine blockers of the good triangle x, H(i), H(i+1) of a labelled
+    hull ``hull_cw``, relabelled by hand so that the triangle sits on hull
+    positions 2 and 3."""
+    m = len(hull_cw)
+    h = [hull_cw[(k + i - 2) % m] for k in range(m)]
+    pairs = [
+        (h[0], h[1]), (h[2], h[3]), (h[4], h[5]), (x, h[2]), (x, h[3]),
+        (h[0], h[3]), (h[1], h[3]), (h[2], h[4]), (h[2], h[5]),
+    ]
+    return [(min(a, b), max(a, b)) for a, b in pairs]
+
+
 def oracle_regions(coords, hull_cw):
     """The interior regions of one labelled hull (see ``constructions._Frame``),
     decomposed by position: each interior point is tested against every ear

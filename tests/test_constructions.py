@@ -31,6 +31,7 @@ from segvis.visibility import VertexSet, is_mutual_visibility_set
 from conftest import hull3_instance, ngon, random_instances
 from oracles import (
     first_on_rotating_line,
+    oracle_good_triangle_blockers,
     oracle_is_clean,
     oracle_min_blockers,
     oracle_regions,
@@ -214,6 +215,25 @@ def test_s_from_good_triangle(cacerola):
         assert cert.size == 9 and cert.verified
         assert cert.mu_lower_bound == comb(7, 2) - 9
         assert verify_blockers(cacerola, cert.blockers)
+
+
+def test_good_triangle_blockers_match_relabelling(cacerola):
+    # the label template equals the hand relabelling for every frame,
+    # plain and mirrored, every hull edge and every interior point
+    hull6 = [cacerola] + [
+        ps for _, ps in random_instances([7, 8, 9], 40, 1000, base_seed=6600)
+        if convex_hull(ps).m == 6
+    ]
+    assert len(hull6) >= 5
+    checked = 0
+    for ps in hull6:
+        for f in constructions._Workspace(ps).frames():
+            for x in f.interior:
+                for i in range(6):
+                    got = constructions._good_triangle_blockers(f, x, i)
+                    assert got == oracle_good_triangle_blockers(f.hull, x, i)
+                    checked += 1
+    assert checked >= 500
 
 
 def test_clean_sided_triangle_is_good():
@@ -603,11 +623,21 @@ def test_case_yields_pinned(monkeypatch):
         for _, ps in random_instances([n], 50, bound, base_seed=900)
     ]
     hull5 = [PointSet.from_coords(ngon(5) + extra) for extra, _ in HULL5_EXTRAS]
+    # hull-7 sets with frames where case 5 meets two points (675, 2230) or
+    # case 6 finds a point in core_tip(4) (4908, 7190): those frames yield
+    # nothing, since blocking that interior pair is case 3's candidate
+    hull7 = [
+        gen_random_general_position(10, seed, bound)
+        for seed, bound in ((675, 100), (2230, 10000), (4908, 10000), (7190, 10000))
+    ]
     assert case_yields(window) == (
         4341, "0a29761e11da9c3584cf906f84a52dfde316f3c2a7f938083a1a57527cf75dbb"
     )
     assert case_yields(hull5) == (
         5, "91ed1bca62028f70ee16a89f8f6a477ee18d967df391638e29f37c9e3eeebcbb"
+    )
+    assert case_yields(hull7) == (
+        24, "7218f8a5816d1e668d6060e3247d59012620e705df5d26a4095870d2de904a3c"
     )
     monkeypatch.setattr(constructions, "_validate_good_2set", lambda *a: "forced")
     assert case_yields(window) == (
