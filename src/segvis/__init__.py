@@ -30,7 +30,6 @@ from .geometry import (
     gen_double_chain,
     gen_random_general_position,
     load_pointset,
-    rotation_neighbors,
     save_pointset,
     segment,
 )

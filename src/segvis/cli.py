@@ -175,10 +175,7 @@ def cmd_build(args) -> int:
 
 def cmd_certificate(args) -> int:
     ps = resolve_pointset(args)
-    if ps.n < 5:
-        raise CliError("certificates need n >= 5")
-    g = build_disjointness_graph(ps)
-    cert = build_certificate(ps, g)
+    cert = build_certificate(ps)
     if args.format == "svg":
         _emit(render_svg(ps, cert.blockers), args.out)
     elif args.format == "text":

@@ -10,7 +10,10 @@ fixed hull labelling; the workspace realises the "relabel without loss of
 generality" steps by scanning all rotations of the clockwise hull order,
 plain and y-mirrored (mirroring reverses the cyclic orientation, covering
 the symmetric branches).  A frame answers only label questions, and
-``first_swept``, its one chiral test, alone reads whether it is mirrored.
+``first_swept``, its one chiral test, alone reads whether it is mirrored;
+it is also the one rotating-line test: the hull-3 sweep folds it over the
+candidates, on a plain and on a mirrored frame, for the first and the last
+point the turning line meets.
 The hull-4..7 cases locate interior points (triangles, ears, wedges,
 cores, lenses) through frame methods, each written in that frame's labels
 over one chord-side table per query.  Good triangles and good 2-sets are
@@ -27,13 +30,14 @@ good 2-set (uv, xy, e_l, e_r), checked before it is tried.  A case's rows
 are scanned in order, each over every frame (or the base frame only)
 before the next.  Seven cases stay code because they branch: the hull-3
 rotation sweep, the hull-6 good triangle (case 2), the hull-6 wedge order
-(case 4) and the hull-7 interior pairs (case 3); hull-6 case 6 and hull-7
-cases 5 and 6 pick a branch frame by frame, which rows, each scanned over
-all frames before the next, would reorder.  All but hull-7 case 3 spell
-their segments through ``_Frame.template``.  Hull-7 cases 5 and 6 leave
-out the paper's branches that block a pair of interior points: that
-candidate is case 3's for the pair, case 3 has already tried it, and
-``attempt`` decides a candidate by its segments alone.
+(case 4: two templates keyed by the ear that lends its helper point, in
+an order its wedges choose) and the hull-7 interior pairs (case 3); hull-6
+case 6 and hull-7 cases 5 and 6 pick a branch frame by frame, which rows,
+each scanned over all frames before the next, would reorder.  All but
+hull-7 case 3 spell their segments through ``_Frame.template``.  Hull-7
+cases 5 and 6 leave out the paper's branches that block a pair of interior
+points: that candidate is case 3's for the pair, case 3 has already tried
+it, and ``attempt`` decides a candidate by its segments alone.
 
 Every candidate S is verified against the graph before it is returned:
 the case analyses are intricate, and verification turns a transcription
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
 
 from .geometry import (
@@ -59,7 +63,6 @@ from .geometry import (
     _sign,
     convex_hull,
     cross,
-    rotation_neighbors,
     segment,
 )
 from .graph import DisjointnessGraph, build_disjointness_graph, iter_bits
@@ -394,16 +397,7 @@ def _good_triangle_blockers(frame: _Frame, x: int, i: int) -> list[SegmentId]:
 
 
 def _k4_segments(uv: SegmentId, xy: SegmentId) -> list[SegmentId]:
-    u, v = uv
-    x, y = xy
-    return [
-        segment(u, v),
-        segment(u, x),
-        segment(u, y),
-        segment(v, x),
-        segment(v, y),
-        segment(x, y),
-    ]
+    return [segment(a, b) for a, b in itertools.combinations((*uv, *xy), 2)]
 
 
 def _segment_side(ws: _Workspace, line: SegmentId, seg_: SegmentId) -> int:
@@ -550,6 +544,17 @@ def _rows(*rows, desc: str = "", base_only: bool = False):
 # Hull-size 3 and 4
 
 
+def _rotation_neighbours(ws: _Workspace, i: int) -> tuple[int, int]:
+    """The first and last point other than H(i-1) met by the line through
+    H(i) and H(i+1) as it turns clockwise about H(i): ``first_swept`` folded
+    on the base frame, then on a mirrored one, which turns the other way."""
+    f = ws.base_frame()
+    o, t = f.H(i), f.H(i + 1)
+    rest = [p for p in range(ws.n) if p not in (f.H(i - 1), o, t)]
+    frames = (f, ws.frames()[f.m])
+    return tuple(reduce(lambda a, b: fr.first_swept(o, t, a, b), rest) for fr in frames)
+
+
 def _ch3(ws: _Workspace):
     """Triangular hulls: blocker set of size 8.
 
@@ -561,7 +566,7 @@ def _ch3(ws: _Workspace):
     """
     f = ws.base_frame()
     for i in range(3):
-        picks = rotation_neighbors(ws.ps, i)
+        picks = _rotation_neighbours(ws, i)
         if _inner_point(ws, [*picks, f.H(i + 1), f.H(i + 2)]) is None:
             pairs = (
                 (i, ~0), (i, ~1), (~0, ~1), (i + 1, ~0), (i + 2, ~0), (i + 1, ~1),
@@ -668,36 +673,27 @@ _ch6_case3 = _rows((
 ), desc="case3 {}")
 
 
+# Hull-6 case 4's good 2-sets, keyed by the ear k that lends the helper
+# point u: the next ear (2) or the previous one (0)
+_CH6_CASE4_PAIRS = {2: ((~0, 1), (3, 4), (~1, 2), (0, 5)), 0: ((~0, 1), (4, 5), (2, 3), (~1, 0))}
+
+
 def _ch6_case4(ws: _Workspace):
     for f in ws.frames():
-        parts = [f.ear_fwd(1), f.ear_mid(1), f.ear_bwd(1)]
-        if sum(1 for p in parts if p) < 2:
+        fwd, mid = f.ear_fwd(1), f.ear_mid(1)
+        if bool(fwd) + bool(mid) + bool(f.ear_bwd(1)) < 2:
             continue
         u2 = f.furthest_from_line(f.ear(1), f.H(0), f.H(2))
-
-        def via_fwd():
-            # foremost wedge occupied: pull the helper from the next ear
-            u = f.furthest_from_line(f.ear(2), f.H(1), f.H(3))
-            return f.template(((~0, 1), (3, 4), (~1, 2), (0, 5)), (u2, u))
-
-        def via_bwd():
-            u = f.furthest_from_line(f.ear(0), f.H(1), f.H(5))
-            return f.template(((~0, 1), (4, 5), (2, 3), (~1, 0)), (u2, u))
-
-        if u2 in f.ear_mid(1):
-            order = [via_fwd, via_bwd] if f.ear_fwd(1) else [via_bwd]
-        elif not f.ear_mid(1):
-            order = [via_bwd, via_fwd] if u2 in f.ear_fwd(1) else [via_fwd, via_bwd]
-        else:
-            # Furthest point in a side wedge while the middle wedge is also
-            # occupied: not spelled out by the case analysis, so try both.
-            order = [via_fwd, via_bwd]
-        for make in order:
-            if make is via_fwd and not f.ear(2):
+        # The next ear first, unless u2's wedge calls for the previous one.
+        # u2 in a side wedge beside an occupied middle wedge is not spelled
+        # out by the case analysis, so both ears are tried.
+        order = (0,) if u2 in mid and not fwd else (0, 2) if not mid and u2 in fwd else (2, 0)
+        for k in order:
+            if not f.ear(k):
                 continue
-            if make is via_bwd and not f.ear(0):
-                continue
-            segs = _try_good_2set(ws, *make(), f"case4 {f.describe()}")
+            u = f.furthest_from_line(f.ear(k), f.H(k - 1), f.H(k + 1))
+            quad = f.template(_CH6_CASE4_PAIRS[k], (u2, u))
+            segs = _try_good_2set(ws, *quad, f"case4 {f.describe()}")
             if segs:
                 yield f.describe(), segs
 

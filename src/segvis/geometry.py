@@ -205,32 +205,6 @@ def convex_hull(ps: PointSet) -> HullData:
     return ps._hull
 
 
-def rotation_neighbors(ps: PointSet, i: int) -> tuple[int, int]:
-    """First and last point met when the line through vertex i of
-    ``convex_hull(ps)`` and its successor rotates clockwise about vertex i.
-
-    Candidates are every point except the vertex itself and its two hull
-    neighbours; with n >= 5 the pair is well defined and distinct.  Every
-    candidate lies strictly right of the hull edge, so, with o the vertex,
-    c is met before d exactly when cross(o, c, d) < 0: a total order whose
-    ends one pass of orientation tests finds.
-    """
-    if ps.n < 5:
-        raise ValueError("rotation neighbors need n >= 5")
-    hull = convex_hull(ps)
-    h, m = hull.hull, hull.m
-    excluded = {h[i % m], h[(i + 1) % m], h[(i - 1) % m]}
-    o = ps[h[i % m]]
-    candidates = [c for c in range(ps.n) if c not in excluded]
-    first = last = candidates[0]
-    for c in candidates[1:]:
-        if cross(o, ps[c], ps[first]) < 0:
-            first = c
-        if cross(o, ps[c], ps[last]) > 0:
-            last = c
-    return first, last
-
-
 # ---------------------------------------------------------------------------
 # Generators
 

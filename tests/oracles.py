@@ -345,6 +345,42 @@ def oracle_good_triangle_blockers(hull_cw, x, i):
     return [(min(a, b), max(a, b)) for a, b in pairs]
 
 
+def oracle_ch6_case4(ws):
+    """Hull-6 case 4 as each order branch spelled it out: a closure per ear
+    that lends the helper point u, tried in the branch's order.  Yields what
+    ``constructions._ch6_case4`` yields and writes the same notes to ws."""
+    from segvis.constructions import _try_good_2set
+
+    for f in ws.frames():
+        parts = [f.ear_fwd(1), f.ear_mid(1), f.ear_bwd(1)]
+        if sum(1 for p in parts if p) < 2:
+            continue
+        u2 = f.furthest_from_line(f.ear(1), f.H(0), f.H(2))
+
+        def via_fwd():
+            u = f.furthest_from_line(f.ear(2), f.H(1), f.H(3))
+            return f.template(((~0, 1), (3, 4), (~1, 2), (0, 5)), (u2, u))
+
+        def via_bwd():
+            u = f.furthest_from_line(f.ear(0), f.H(1), f.H(5))
+            return f.template(((~0, 1), (4, 5), (2, 3), (~1, 0)), (u2, u))
+
+        if u2 in f.ear_mid(1):
+            order = [via_fwd, via_bwd] if f.ear_fwd(1) else [via_bwd]
+        elif not f.ear_mid(1):
+            order = [via_bwd, via_fwd] if u2 in f.ear_fwd(1) else [via_fwd, via_bwd]
+        else:
+            order = [via_fwd, via_bwd]
+        for make in order:
+            if make is via_fwd and not f.ear(2):
+                continue
+            if make is via_bwd and not f.ear(0):
+                continue
+            segs = _try_good_2set(ws, *make(), f"case4 {f.describe()}")
+            if segs:
+                yield f.describe(), segs
+
+
 def oracle_regions(coords, hull_cw):
     """The interior regions of one labelled hull (see ``constructions._Frame``),
     decomposed by position: each interior point is tested against every ear

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from segvis import solver
+from segvis import constructions, solver
 from segvis.cli import MAX_GEN_POINTS, _graph_json_dumps, main, parse_gen_spec
 from segvis.constructions import build_certificate
 from segvis.geometry import (
@@ -334,6 +334,21 @@ def test_failed_certificate_exits_3(capsys, monkeypatch, no_cases, command):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: fallback search ran out of search nodes")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, "convex:4"])
+def test_certificate_refuses_small_sets(tmp_path, capsys, monkeypatch, n):
+    # point files of 1 to 4 points and a 4-point generator spec are
+    # refused before any graph is built
+    monkeypatch.setattr(constructions, "build_disjointness_graph", None)
+    if isinstance(n, str):
+        argv = ["--gen", n]
+    else:
+        path = tmp_path / "pts.json"
+        save_pointset(PointSet.from_coords([(0, 0), (9, 1), (4, 7), (6, 3)][:n]), path)
+        argv = ["--points", str(path)]
+    assert run_cli("certificate", *argv) == 2
+    assert capsys.readouterr() == ("", "error: certificates need n >= 5\n")
 
 
 def test_points_file_input(tmp_path):

