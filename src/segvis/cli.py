@@ -255,51 +255,38 @@ def cmd_sweep(args) -> int:
     if args.n_min > args.n_max:
         raise CliError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     _check_gen_size(args.n_max)
-    stats = {
-        "instances": 0,
-        "diameter_violations": [],
-        "strategy_counts": {},
-        "fallback_invocations": 0,
-        "fallbacks": [],
-        "unverified": [],
-    }
+    violations, strategy_counts, fallbacks, unverified = [], {}, [], []
     for n in range(args.n_min, args.n_max + 1):
+        lo, hi = diameter_bounds(n)
         for k in range(args.count):
             seed = args.seed + 1000 * n + k
             ps = gen_random_general_position(n, seed=seed, bound=args.bound)
             g = build_disjointness_graph(ps)
-            stats["instances"] += 1
             d = diameter(g)
-            lo, hi = diameter_bounds(n)
             if not (lo <= d <= hi):
-                stats["diameter_violations"].append(
-                    {"n": n, "seed": seed, "diameter": d, "points": ps.coords()}
-                )
+                violations.append({"n": n, "seed": seed, "diameter": d, "points": ps.coords()})
             try:
                 cert = build_certificate(ps, g)
             except ConstructionError as exc:
-                stats["unverified"].append(
-                    {"n": n, "seed": seed, "error": str(exc), "points": ps.coords()}
-                )
+                unverified.append({"n": n, "seed": seed, "error": str(exc), "points": ps.coords()})
                 continue
             key = cert.strategy + (f"({cert.case})" if cert.case is not None else "")
-            stats["strategy_counts"][key] = stats["strategy_counts"].get(key, 0) + 1
+            strategy_counts[key] = strategy_counts.get(key, 0) + 1
             if cert.strategy == STRATEGY_FALLBACK:
-                stats["fallback_invocations"] += 1
                 blockers = [list(s) for s in cert.blockers]
-                stats["fallbacks"].append(
-                    {"n": n, "seed": seed, "points": ps.coords(), "blockers": blockers}
-                )
+                fallbacks.append({"n": n, "seed": seed, "points": ps.coords(), "blockers": blockers})
             if not cert.verified or cert.size > 9:
-                stats["unverified"].append(
-                    {"n": n, "seed": seed, "points": ps.coords()}
-                )
-    clean = (
-        not stats["diameter_violations"]
-        and not stats["unverified"]
-        and stats["fallback_invocations"] == 0
-    )
-    stats["clean"] = clean
+                unverified.append({"n": n, "seed": seed, "points": ps.coords()})
+    clean = not (violations or unverified or fallbacks)
+    stats = {
+        "instances": (args.n_max - args.n_min + 1) * args.count,
+        "diameter_violations": violations,
+        "strategy_counts": strategy_counts,
+        "fallback_invocations": len(fallbacks),
+        "fallbacks": fallbacks,
+        "unverified": unverified,
+        "clean": clean,
+    }
     _emit(_json_dumps(stats), args.out)
     return EXIT_OK if clean else EXIT_MISMATCH
 

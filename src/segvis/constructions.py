@@ -400,17 +400,6 @@ def _k4_segments(uv: SegmentId, xy: SegmentId) -> list[SegmentId]:
     return [segment(a, b) for a, b in itertools.combinations((*uv, *xy), 2)]
 
 
-def _segment_side(ws: _Workspace, line: SegmentId, seg_: SegmentId) -> int:
-    """Side of a line taken by a segment that does not cross it: the sign of
-    whichever endpoint is off the line (both, when neither lies on it)."""
-    a, b = line
-    s1 = _orient(ws._pts, a, b, seg_[0])
-    s2 = _orient(ws._pts, a, b, seg_[1])
-    if s1 and s2 and s1 != s2:
-        raise ConstructionError("segment unexpectedly crosses a diagonal line")
-    return s1 or s2
-
-
 def _good_2set_diagonals(ws: _Workspace, uv: SegmentId, xy: SegmentId):
     u, v = uv
     x, y = xy
@@ -421,8 +410,6 @@ def _good_2set_diagonals(ws: _Workspace, uv: SegmentId, xy: SegmentId):
             return d1, d2
     # Triangle case: one endpoint sits inside the triangle of the others.
     t = _inner_point(ws, [u, v, x, y])
-    if t is None:
-        raise ConstructionError("could not locate the diagonals of the 4-point drawing")
     partner = v if t == u else u if t == v else y if t == x else x
     d = [segment(t, c) for c in (u, v, x, y) if c != t and c != partner]
     return d[0], d[1]
@@ -462,7 +449,15 @@ def _validate_good_2set(
     e_l: SegmentId,
     e_r: SegmentId,
 ) -> str | None:
-    """Return None when (uv, xy, e_l, e_r) is a good 2-set, else a reason."""
+    """Return None when (uv, xy, e_l, e_r) is a good 2-set, else a reason.
+
+    Disjoint, clean, hull-ended uv and xy have four distinct ends in general
+    position, so each diagonal of their drawing joins an end of uv to an end
+    of xy: in convex position uv and xy are opposite sides, else one end
+    lies inside the triangle of the others.  So neither base segment crosses
+    or lies on a diagonal line, they sit in opposite quadrants, and uv's
+    signs against the diagonals name both; a lateral quadrant's sign
+    product differs from uv's."""
     g = ws.g
     hull_pts = set(ws.hull_data.hull)
     if not g.are_adjacent(g.vertex(uv), g.vertex(xy)):
@@ -472,20 +467,13 @@ def _validate_good_2set(
             return f"base segment {s} is not clean"
         if not (set(s) & hull_pts):
             return f"base segment {s} has no hull endpoint"
-    try:
-        d1, d2 = _good_2set_diagonals(ws, uv, xy)
-        q_uv = (_segment_side(ws, d1, uv), _segment_side(ws, d2, uv))
-        q_xy = (_segment_side(ws, d1, xy), _segment_side(ws, d2, xy))
-    except ConstructionError as exc:
-        return str(exc)
-    if 0 in q_uv or 0 in q_xy or q_xy != (-q_uv[0], -q_uv[1]):
-        return "base segments do not sit in opposite quadrants"
-    lateral = [(q_uv[0], -q_uv[1]), (-q_uv[0], q_uv[1])]
+    d1, d2 = _good_2set_diagonals(ws, uv, xy)
+    pts = ws._pts
+    q1, q2 = (_orient(pts, a, b, uv[0]) + _orient(pts, a, b, uv[1]) for a, b in (d1, d2))
     ql = _quadrant_of(ws, d1, d2, e_l)
-    qr = _quadrant_of(ws, d1, d2, e_r)
-    if ql not in lateral:
+    if ql is None or ql[0] * ql[1] == q1 * q2:
         return f"{e_l} is not interior to a lateral quadrant"
-    if qr not in lateral or qr == ql:
+    if _quadrant_of(ws, d1, d2, e_r) != (-ql[0], -ql[1]):
         return f"{e_r} is not interior to the opposite lateral quadrant"
     k4_mask = g.mask_of(_k4_segments(uv, xy))
     for e in (e_l, e_r):

@@ -20,8 +20,8 @@ with layers 1 and 2 settled directly, since almost every D(P) has diameter
 2: layer 1 is the source's row, and a few high-degree hub rows settle most
 of layer 2 at once, so a source costs one or two lookups in tables of
 their unions plus a row test for each vertex they leave.  Only a source of
-eccentricity 3 or more takes the generic frontier step (see
-``DisjointnessGraph.distance_layers``).
+eccentricity 3 or more takes the generic step, the same row test against
+its frontier (see ``DisjointnessGraph.distance_layers``).
 
 The segment tables depend on n alone: the vertex list, the read-only
 ``index_of`` map, the ``touch_mask`` rows and the cut tables are built once
@@ -176,9 +176,8 @@ class DisjointnessGraph:
         whose union covers every unseen vertex has all of them as layer 2,
         its last layer.  Otherwise each unseen vertex outside the union
         joins layer 2 when its row meets ``adj[a]``.  Only layers 3 and up
-        take the generic step, which ORs the frontier's rows, or tests each
-        unseen vertex's row against the frontier when fewer vertices are
-        unseen."""
+        take the generic step, which tests each unseen vertex's row against
+        the frontier; few sources reach it, all at small n."""
         adj = self.adj
         full = self.full_mask
         nv = self.n_vertices
@@ -210,16 +209,7 @@ class DisjointnessGraph:
                 unseen &= ~frontier
                 if not unseen:
                     break
-                nxt = 0
-                if unseen.bit_count() < frontier.bit_count():
-                    for w in iter_bits(unseen):
-                        if adj[w] & frontier:
-                            nxt |= 1 << w
-                else:
-                    for v in iter_bits(frontier):
-                        nxt |= adj[v]
-                    nxt &= unseen
-                frontier = nxt
+                frontier = sum(1 << w for w in iter_bits(unseen) if adj[w] & frontier)
             out.append(tuple(layers))
         return tuple(out)
 

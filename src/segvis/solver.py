@@ -437,9 +437,20 @@ def check_bounds_report(
         alt = certificate_from_blockers(ps, extra_blockers, graph=g)
         if alt.mu_lower_bound > cert.mu_lower_bound:
             cert = alt
-    lower = cert.mu_lower_bound
-    upper = default_upper_bound(g)
-    report = {
+    witness = _witness_from_blockers(g, cert.blockers)
+    res = mu_exact(g, witness_hint=witness, node_budget=node_budget)
+    defects = []
+    if res.mu is None:
+        lower, upper = res.mu_lower, res.mu_upper
+    else:
+        lower, upper = cert.mu_lower_bound, default_upper_bound(g)
+        if res.mu < lower:
+            defects.append("exact value below certificate bound")
+        if res.mu > upper:
+            defects.append("exact value above theoretical upper bound")
+    if lower > upper:
+        defects.append("lower bound exceeds upper bound")
+    return {
         "n": ps.n,
         "vertices": g.n_vertices,
         "certificate_strategy": cert.strategy,
@@ -447,29 +458,12 @@ def check_bounds_report(
         "certificate_size": cert.size,
         "mu_lower": lower,
         "mu_upper": upper,
-        "mu": None,
-        "refuted": None,
-        "sets_examined": None,
-        "consistent": True,
-        "defects": [],
+        "mu": res.mu,
+        "refuted": res.refuted_size,
+        "sets_examined": res.sets_examined,
+        "consistent": not defects,
+        "defects": defects,
     }
-    witness = _witness_from_blockers(g, cert.blockers)
-    res = mu_exact(g, witness_hint=witness, node_budget=node_budget)
-    report["refuted"] = res.refuted_size
-    report["sets_examined"] = res.sets_examined
-    if res.mu is not None:
-        report["mu"] = res.mu
-        if res.mu < lower:
-            report["defects"].append("exact value below certificate bound")
-        if res.mu > upper:
-            report["defects"].append("exact value above theoretical upper bound")
-    else:
-        report["mu_lower"] = max(lower, res.mu_lower)
-        report["mu_upper"] = min(upper, res.mu_upper)
-    if report["mu_lower"] > report["mu_upper"]:
-        report["defects"].append("lower bound exceeds upper bound")
-    report["consistent"] = not report["defects"]
-    return report
 
 
 def _witness_from_blockers(g: DisjointnessGraph, blockers) -> VertexSet:

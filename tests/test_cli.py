@@ -20,7 +20,7 @@ from segvis.geometry import (
     gen_random_general_position,
     save_pointset,
 )
-from segvis.graph import build_disjointness_graph, to_json_dict
+from segvis.graph import build_disjointness_graph, diameter, to_json_dict
 from segvis.svg import render_svg
 
 
@@ -150,6 +150,24 @@ def test_build_rejects_malformed(tmp_path, capsys, text):
     bad.write_text(text)
     assert run_cli("build", "--points", str(bad)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        pytest.param("build", None, "point file not found: {}", id="build-missing-file"),
+        pytest.param(
+            "mu", '{"points": [[0, 0], [9, 1], [4, 7], [6, 3]]}',
+            "mu needs n >= 5 (the graph must be connected)", id="mu-four-points",
+        ),
+    ],
+)
+def test_point_file_errors_exit_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "pts.json"
+    if text is not None:
+        path.write_text(text)
+    assert run_cli(command, "--points", str(path)) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path)}\n")
 
 
 @pytest.mark.parametrize(
@@ -427,6 +445,31 @@ def test_sweep_reports_fallback_blockers(tmp_path, no_cases):
     for entry in data["fallbacks"]:
         cert = build_certificate(parse_gen_spec(f"random:5:{entry['seed']}"))
         assert entry["blockers"] == [list(s) for s in cert.blockers]
+
+
+def test_sweep_reports_violations_and_errors(capsys, monkeypatch, no_cases):
+    # no case applies, the fallback search is spent at once and every
+    # diameter but 3 is a violation: each instance reaches both branches
+    monkeypatch.setattr(constructions, "min_blocker_set", lambda g: (solver.EXHAUSTED, None))
+    monkeypatch.setattr("segvis.cli.diameter_bounds", lambda n: (3, 3))
+    assert run_cli("sweep", "--n-min", "5", "--n-max", "6", "--count", "2") == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["instances"] == 4
+    assert data["fallback_invocations"] == 0 and data["fallbacks"] == []
+    assert data["clean"] is False and data["strategy_counts"] == {}
+    expected = []
+    for n in (5, 6):
+        for seed in (1000 * n, 1000 * n + 1):
+            ps = gen_random_general_position(n, seed=seed, bound=10000)
+            d = diameter(build_disjointness_graph(ps))
+            if d != 3:
+                expected.append({"n": n, "seed": seed, "diameter": d, "points": ps.coords()})
+    assert expected and data["diameter_violations"] == expected
+    unverified = data["unverified"]
+    assert [(e["n"], e["seed"]) for e in unverified] == [(5, 5000), (5, 5001), (6, 6000), (6, 6001)]
+    for e in unverified:
+        assert "ran out of search nodes" in e["error"]
+        assert e["points"] == gen_random_general_position(e["n"], seed=e["seed"], bound=10000).coords()
 
 
 def test_reproduce_writes_json(tmp_path):

@@ -321,6 +321,36 @@ def test_good_2set_triangle_shape():
     assert cert.verified and cert.size == 8
 
 
+@pytest.mark.parametrize("bound", [30, 10000])
+def test_good_2set_diagonals_join_the_base_segments(bound):
+    # what lets a good 2-set read its quadrants once: for two disjoint
+    # clean hull-ended segments, each diagonal of their 4-point drawing
+    # joins an end of one to an end of the other, so neither base segment
+    # crosses or lies on a diagonal line, and the two sit in opposite
+    # quadrants
+    shapes = set()
+    for _, ps in random_instances(range(5, 11), 25, bound, base_seed=3200):
+        ws = constructions._Workspace(ps)
+        g, pts, hull = ws.g, ws._pts, set(ws.hull_data.hull)
+        base = [s for s in g.vertices if g.is_clean_vertex(g.vertex(s)) and set(s) & hull]
+        for uv, xy in itertools.permutations(base, 2):
+            if not g.are_adjacent(g.vertex(uv), g.vertex(xy)):
+                continue
+            diagonals = constructions._good_2set_diagonals(ws, uv, xy)
+            for d in diagonals:
+                assert len(set(d) & set(uv)) == 1 and len(set(d) & set(xy)) == 1
+            signs = [
+                [constructions._orient(pts, a, b, s[0]) + constructions._orient(pts, a, b, s[1])
+                 for a, b in diagonals]
+                for s in (uv, xy)
+            ]
+            assert all(abs(q) == 1 for q in signs[0]) and signs[1] == [-q for q in signs[0]]
+            shapes.add(constructions._inner_point(ws, [*uv, *xy]) is None)
+    # both shapes of drawing: four points in convex position, and one
+    # inside the triangle of the others
+    assert shapes == {True, False}
+
+
 def test_s_from_good_2set_rejects_invalid():
     ps = gen_convex(8)
     ws = constructions._Workspace(ps)

@@ -171,26 +171,21 @@ def test_distances(cacerola_graph):
         build_disjointness_graph(PointSet.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])),
         cacerola_graph,
         build_disjointness_graph(gen_convex(5)),
-        # a bottom-up step here is followed by a further layer
+        # sources of eccentricity 2, 3 and 4
         build_disjointness_graph(gen_random_general_position(5, seed=0, bound=10000)),
         build_disjointness_graph(gen_random_general_position(12, seed=7, bound=10000)),
     ]
-    bottom_up = set()
-    unreachable = False
+    past_two = unreachable = False
     for g in graphs:
         segs, adj = oracle_adjacency([(p.x, p.y) for p in g.pointset.points])
         for a, s in enumerate(segs):
             expect = oracle_distances(segs, adj, s)
             assert layer_distances(g, a) == [expect[t] for t in segs]
-            # a BFS step goes bottom-up when fewer vertices are unvisited
-            # than lie in its frontier
-            sizes = [list(expect.values()).count(k) for k in range(len(g.distance_layers[a]))]
-            unvisited = len(segs)
-            for size in sizes:
-                unvisited -= size
-                bottom_up.add(unvisited < size)
-            unreachable |= unvisited > 0
-    assert bottom_up == {False, True} and unreachable
+            # a source with a vertex past layer 2 takes the generic step
+            reached = [d for d in expect.values() if d != INFINITY]
+            past_two |= max(reached) > 2
+            unreachable |= len(reached) < len(segs)
+    assert past_two and unreachable
 
 
 def plain_bfs_layers(g, a):
