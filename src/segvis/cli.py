@@ -54,9 +54,9 @@ EXIT_MISMATCH = 3
 EXIT_BRACKETED = 4
 
 # `mu` warns above this many vertices (n = 28); larger exact runs want a
-# search-node budget.  At 378 vertices exact mu spent 97,574 nodes (2.5 s)
-# on convex:28 and 21,215 on random:28:1; at 496, convex:32 took 250,537
-# nodes (15 s).
+# search-node budget.  At 378 vertices exact mu spent 97,584 nodes (2.3 s)
+# on convex:28 and 17,055 on random:28:1; at 496, convex:32 took 250,547
+# nodes (11 s).
 DESK_SCALE_WARN = 378
 
 # Generator specs (and `sweep --n-max`) may ask for at most this many

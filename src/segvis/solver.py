@@ -25,7 +25,9 @@ first passing set of a level, on the smaller of its two families (the sets
 U or their complements S).  Existence queries find it one position at a
 time, so it is the set a one-by-one scan in that order would pass first.
 ``mu_exact`` requires a starting witness, the certificate's, and ascends
-from it by existence queries until it refutes the level above mu;
+from it until it refutes the level above mu.  It tries each level first by
+swaps on the last passing S, two vertices out and one in, each an r = 1
+existence query, and searches the whole level only when no swap passes.
 ``min_blocker_set``, the exact search beneath the certificate case table,
 ascends over blocker sizes 1..9.  Each orders only the set it reports.
 """
@@ -34,11 +36,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Optional
 
 from .geometry import PointSet
-from .graph import DisjointnessGraph, bit_columns, build_disjointness_graph, is_connected
+from .graph import DisjointnessGraph, bit_columns, build_disjointness_graph, is_connected, iter_bits
 from .visibility import VertexSet, first_failing_pair, require_sized_for
 
 REFUTED = "refuted"
@@ -59,8 +62,9 @@ class MuResult:
     of that level, whether the quick reject dismissed it within a closed
     branch or the exact check tested it alone.  On a spent budget it counts
     the candidates of the level then searched that closed branches settled
-    before the budget ran out: a part of that level's C(|V|, k), 0 only if
-    none of its nodes closed.
+    before the budget ran out: a part of that level's C(|V|, k), 0 if none
+    of its nodes closed, and 0 when the budget ran out in the level's swaps
+    (``_Engine.swap``), before its own search began.
     """
 
     mu: Optional[int]
@@ -247,6 +251,24 @@ class _Engine:
         self.nodes = nodes
         return REFUTED, None, settled
 
+    def swap(self, s_known: int) -> tuple[str, Optional[int]]:
+        """A passing S one vertex smaller than the passing ``s_known``:
+        two of its vertices a < b out and one vertex in, which may be a or b
+        itself (a drop).
+
+        Returns (status, S mask or None).  The pairs are tried in
+        lexicographic order, each by one r = 1 existence search, a single
+        search node; the first FOUND is returned.  REFUTED says only that
+        no such move passes, not that the level has no passing set.
+        """
+        full = self.probes.g.full_mask
+        for a, b in combinations(iter_bits(s_known), 2):
+            rest = s_known & ~(1 << a | 1 << b)
+            status, s_mask, _ = self.exists(rest, full & ~rest, 1)
+            if status != REFUTED:
+                return status, s_mask
+        return REFUTED, None
+
     def first(self, side: str, size: int, s_known: int) -> Optional[int]:
         """The lexicographically first passing set of a level, given the S
         mask of one passing set of it; returns its S mask, or None once the
@@ -319,7 +341,7 @@ BLOCKER_SEARCH_NODES = 50_000
 
 #: Search nodes ``check_bounds_report``, and so ``segvis bounds``, allows
 #: the exact search by default: about twice the most any measured instance
-#: up to n = 32 needs (250,537, convex:32; random:18:3 needs 21,088).
+#: up to n = 32 needs (250,547, convex:32; random:18:3 needs 18,323).
 BOUNDS_SEARCH_NODES = 500_000
 
 
@@ -357,13 +379,16 @@ def mu_exact(
 
     ``witness_hint`` is required: a mutual-visibility set, verified before
     use (the certificate's complement of its blockers).  The search
-    ascends: existence searches find a passing set one level above another
-    until a level is refuted; downward closure makes that single exhaustive
-    refutation cover every larger size.  The lexicographically first set of
-    the last found level is the witness (the set the search met first, if
-    the budget runs out while ordering it), or the hint itself if no level
-    above it was found.  ``node_budget`` caps the search nodes of all the
-    levels together, as ``BLOCKER_SEARCH_NODES`` does for
+    ascends one level at a time.  Swaps on the last passing S (two of its
+    vertices out, one vertex in) find most levels; a level that no swap
+    reaches gets its own existence search over every S of its size, which
+    finds a passing set or refutes the level.  Downward closure makes that
+    single exhaustive refutation cover every larger size.  The
+    lexicographically first set of the last found level is the witness
+    (the set the search met first, if the budget runs out while ordering
+    it), or the hint itself if no level above it was found.
+    ``node_budget`` caps the search nodes of all the levels together,
+    swaps included, as ``BLOCKER_SEARCH_NODES`` does for
     ``min_blocker_set``; once they are spent the bracket found so far is
     returned with ``mu`` = None.
 
@@ -397,7 +422,10 @@ def mu_exact(
     engine = _Engine(_Probes(g), node_budget)
     witness = witness_hint.mask
     for s in range(nv - len(witness_hint) - 1, -1, -1):
-        status, s_mask, settled = engine.exists(0, full, s)
+        status, s_mask = engine.swap(full & ~witness)
+        settled = 0  # no node of level nv - s's own search has run yet
+        if status == REFUTED:  # no one-vertex move: search the whole level
+            status, s_mask, settled = engine.exists(0, full, s)
         if status == EXHAUSTED:
             # level nv - s was not refuted, so only the a-priori bound holds
             return result(None, nv - s - 1, default_upper_bound(g), None, settled)

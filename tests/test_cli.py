@@ -325,13 +325,13 @@ def test_mu_timeout_brackets(tmp_path):
 
 
 def test_budgeted_runs_ignore_the_clock(capsys, monkeypatch):
-    # 1,000 search nodes stop random:11:5 mid-level (a whole run spends
-    # 2,923); a clock that jumps 100 s per reading changes nothing but
-    # elapsed_ms
+    # 200 search nodes stop random:11:5 mid-level, in the search of level
+    # 51 (nodes 36 to 313; a whole run spends 1,945); a clock that jumps
+    # 100 s per reading changes nothing but elapsed_ms
     def outputs():
         texts = []
         for command, code in (("mu", 4), ("bounds", 0)):
-            assert run_cli(command, "--gen", "random:11:5", "--node-budget", "1000") == code
+            assert run_cli(command, "--gen", "random:11:5", "--node-budget", "200") == code
             out = capsys.readouterr().out
             data = json.loads(out)
             assert data["mu"] is None and data["sets_examined"] > 0

@@ -16,7 +16,7 @@ from segvis.geometry import (
     gen_double_chain,
     gen_random_general_position,
 )
-from segvis.graph import bit_columns, build_disjointness_graph
+from segvis.graph import bit_columns, build_disjointness_graph, iter_bits
 from segvis.solver import (
     EXHAUSTED,
     FOUND,
@@ -318,19 +318,30 @@ def test_timeout_brackets(cacerola, cacerola_graph):
 
 
 def test_ascent_timeout_keeps_a_sound_upper_bound():
-    # The ascent needs 303 search nodes to find level 29 above the
-    # certificate witness (28) and runs out of nodes in level 30; that level
-    # is not refuted, so mu_upper may not drop below the a-priori bound (mu
-    # is 30 here, exact from 448 nodes on).
-    ps = gen_random_general_position(9, seed=60000, bound=10000)
+    # Swaps find levels 37 to 39 above the certificate witness (36) in 28
+    # search nodes; none finds level 40, whose own search runs from node 44
+    # to 124 and is cut by the budget.  That level is not refuted, so
+    # mu_upper may not drop below the a-priori bound (mu is 40 here, exact
+    # from 235 nodes on).
+    ps = gen_random_general_position(10, seed=5, bound=10000)
     g = build_disjointness_graph(ps)
     witness = certificate_witness(ps, g)
-    res = mu_exact(g, witness_hint=witness, node_budget=350)
+    res = mu_exact(g, witness_hint=witness, node_budget=100)
     assert res.mu is None
-    assert len(witness) < res.mu_lower == len(res.witness) < 30
+    assert len(witness) < res.mu_lower == len(res.witness) < 40
     assert is_mutual_visibility_set(g, res.witness)[0]
-    assert res.mu_upper == default_upper_bound(g) >= 30
-    assert 0 < res.sets_examined < comb(36, 6)
+    assert res.mu_upper == default_upper_bound(g) >= 40
+    assert 0 < res.sets_examined < comb(45, 5)
+
+
+def test_budget_spent_in_a_swap_examines_no_set():
+    # 124 search nodes find level 40 of random:10:5 and leave none for the
+    # swaps of level 41, so no node of that level's own search ran
+    ps = gen_random_general_position(10, seed=5, bound=10000)
+    g = build_disjointness_graph(ps)
+    res = mu_exact(g, witness_hint=certificate_witness(ps, g), node_budget=124)
+    assert (res.mu, res.mu_lower, res.mu_upper, res.sets_examined) == (None, 40, 41, 0)
+    assert len(res.witness) == 40 and is_mutual_visibility_set(g, res.witness)[0]
 
 
 def test_whole_run_node_counts():
@@ -340,15 +351,97 @@ def test_whole_run_node_counts():
         return res.mu, res.mu_lower, res.mu_upper, res.witness, res.refuted_size, res.sets_examined
 
     for ps, nodes in (
-        (gen_convex(10), 20),
-        (gen_convex(16), 1499),
-        (gen_random_general_position(16, seed=5, bound=10000), 10645),
+        (gen_convex(10), 30),
+        (gen_convex(16), 1509),
+        (gen_random_general_position(16, seed=5, bound=10000), 9298),
     ):
         g = build_disjointness_graph(ps)
         witness = certificate_witness(ps, g)
         exact = outcome(mu_exact(g, witness_hint=witness))
         assert outcome(mu_exact(g, witness_hint=witness, node_budget=nodes)) == exact
         assert outcome(mu_exact(g, witness_hint=witness, node_budget=nodes - 1)) != exact
+
+
+def test_swap_shrinks_a_redundant_witness():
+    # double-chain:3,6's certificate blocks 9 segments where 4 suffice: the
+    # first pair a < b of S, in lexicographic order, that some lowest vertex
+    # v can replace gives the passing set S - {a, b} + {v}, one search node
+    # per pair tried
+    ps = gen_double_chain(3, 6)
+    g = build_disjointness_graph(ps)
+    s_known = g.full_mask & ~certificate_witness(ps, g).mask
+    expected = tried = None
+    for tried, (a, b) in enumerate(itertools.combinations(iter_bits(s_known), 2), 1):
+        rest = s_known & ~(1 << a | 1 << b)
+        passing = [
+            rest | 1 << v
+            for v in iter_bits(g.full_mask & ~rest)
+            if first_failing_pair(g, g.full_mask & ~(rest | 1 << v)) is None
+        ]
+        if passing:
+            expected = passing[0]
+            break
+    engine = _Engine(_Probes(g))
+    assert engine.swap(s_known) == (FOUND, expected)
+    assert expected.bit_count() == s_known.bit_count() - 1
+    assert engine.nodes == tried
+
+
+def test_swap_refutes_a_maximum_witness_pair_by_pair():
+    # convex:10's certificate witness is a maximum mutual-visibility set
+    # (mu = 40 of 45): each of the C(5, 2) pairs of its blockers costs one
+    # search node and none can be replaced, and a budget of k nodes stops
+    # the swap after k pairs
+    ps = gen_convex(10)
+    g = build_disjointness_graph(ps)
+    s_known = g.full_mask & ~certificate_witness(ps, g).mask
+    assert s_known.bit_count() == 5
+    engine = _Engine(_Probes(g))
+    assert engine.swap(s_known) == (REFUTED, None)
+    assert engine.nodes == comb(5, 2)
+    for budget in range(comb(5, 2)):
+        engine = _Engine(_Probes(g), budget)
+        assert engine.swap(s_known) == (EXHAUSTED, None)
+        assert engine.nodes == budget
+
+
+def test_ascent_outputs_pinned():
+    # (mu, refuted, sets_examined, witness mask) of the unbudgeted runs on
+    # the perfbench mu instances, random:16:5 and double-chain:9,9, as an
+    # ascent by whole-level searches alone gives them: however a level is
+    # found, the decisive refutation and the lexicographically first
+    # witness are the same
+    cases = {
+        "cacerola": (cacerola_points(), 12, 13, 203490, 0x2D6F6),
+        "convex:10": (gen_convex(10), 40, 41, 148995, 0x1BF7FEFFFCFF),
+        "double-chain:3,6": (gen_double_chain(3, 6), 32, 33, 7140, 0x7BFDFFFFE),
+        "random:9:60000": (
+            gen_random_general_position(9, seed=60000, bound=10000),
+            30, 31, 376992, 0xFFAFCEF7F,
+        ),
+        "random:10:5": (
+            gen_random_general_position(10, seed=5, bound=10000),
+            40, 41, 148995, 0x1F7FFAFFFCFF,
+        ),
+        "random:11:5": (
+            gen_random_general_position(11, seed=5, bound=10000),
+            50, 51, 341055, 0x5BFFFFF7DFFFDF,
+        ),
+        "random:16:5": (
+            gen_random_general_position(16, seed=5, bound=10000),
+            115, 116, 8214570, 0xFF7FFFFFDFFFFFFFFFFBFFFFDFFFFE,
+        ),
+        "double-chain:9,9": (
+            gen_double_chain(9, 9),
+            149, 150, 585276, 0x1FFFFFFFFDFFFFFFFFFFFFFBFFFFFFDFFFFFFFE,
+        ),
+    }
+    for name, (ps, mu, refuted, examined, mask) in cases.items():
+        g = build_disjointness_graph(ps)
+        res = mu_exact(g, witness_hint=certificate_witness(ps, g))
+        assert (res.mu, res.refuted_size, res.sets_examined, res.witness.mask) == (
+            mu, refuted, examined, mask,
+        ), name
 
 
 def test_columns_transposes_bit_matrix():
